@@ -1,5 +1,6 @@
 //! `scaling` — runs the thread-scaling sweep and writes
-//! `BENCH_scaling.json` at the workspace root.
+//! `BENCH_scaling.json` at the workspace root. Exits 2 without sweeping
+//! when the parallel backend has one worker thread.
 //!
 //! ```text
 //! scaling [--scale N] [--threads 1,2,4,8] [--batches B] [--batch-size S]
@@ -83,7 +84,8 @@ fn main() {
         "[scaling] rmat scale {} | threads {:?} | {} batches x {} mutations",
         args.scale, args.threads, args.batches, args.batch_size
     );
-    let rows = run_scaling(spec, &args.threads, args.batches, args.batch_size);
+    let rows = run_scaling(spec, &args.threads, args.batches, args.batch_size)
+        .unwrap_or_else(|msg| die(&msg));
     for row in &rows {
         eprintln!(
             "[scaling] t={} initial {:.3}s refine {:.3}s (tag {:.1}ms, propagate {:.1}ms, \

@@ -3,18 +3,19 @@
 //! Runs the standard streaming PageRank workload — initial execution
 //! plus a fixed batch schedule — once per requested worker-thread count
 //! inside a scoped rayon pool, and reports wall-clock plus the tagging /
-//! propagation / application phase breakdown captured from the
-//! [`TraceEvent::RefinePhaseDone`] stream. Adaptive-controller activity
-//! (direction picks, probes, mispredicts) is reported as deltas so the
-//! rows also show what the online cost model did at each width.
+//! propagation / application phase breakdown read from the
+//! `graphbolt_refine_{tag,propagate,apply}_ns` histogram sums.
+//! Adaptive-controller activity (direction picks, probes, mispredicts)
+//! is reported as deltas so the rows also show what the online cost
+//! model did at each width.
 //!
-//! [`TraceEvent::RefinePhaseDone`]: graphbolt_core::telemetry::TraceEvent
+//! A sweep on a one-thread parallel backend (a one-core host, or the
+//! sequential `vendor-stubs/rayon`) would run every row on one thread and
+//! report a flat curve by construction, so [`run_scaling`] refuses.
 
-use std::sync::Arc;
 use std::time::Instant;
 
-use graphbolt_core::telemetry::trace;
-use graphbolt_core::telemetry::{RefinePhase, RingBufferSink, TraceEvent};
+use graphbolt_core::telemetry::metrics;
 use graphbolt_core::StreamingEngine;
 use graphbolt_engine::{edge_map, parallel, EdgeMapOptions, VertexSubset};
 use graphbolt_graph::{GraphSnapshot, VertexId, WorkloadBias};
@@ -40,6 +41,16 @@ impl PhaseNanos {
     pub fn total(&self) -> u64 {
         self.tag + self.propagate + self.apply
     }
+
+    /// Process-lifetime phase totals from the refinement histograms.
+    fn now() -> Self {
+        let m = metrics();
+        Self {
+            tag: m.refine_tag_ns.sum(),
+            propagate: m.refine_propagate_ns.sum(),
+            apply: m.refine_apply_ns.sum(),
+        }
+    }
 }
 
 /// One row of the scaling sweep: everything measured at one thread count.
@@ -53,7 +64,7 @@ pub struct ScalingRow {
     pub refine_secs: f64,
     /// Batches applied.
     pub batches: usize,
-    /// Per-phase nanoseconds from the trace stream.
+    /// Per-phase nanoseconds from the refinement histograms.
     pub phases: PhaseNanos,
     /// Adaptive `edge_map` throughput (M edges+frontier/s) on a 10%
     /// frontier of the final snapshot at this thread width.
@@ -70,21 +81,33 @@ pub struct ScalingRow {
 
 /// Runs the sweep: one [`ScalingRow`] per entry of `threads`.
 ///
-/// Each configuration rebuilds the stream and engine from scratch so the
-/// rows face identical work; the trace subscriber is installed only for
-/// the duration of the sweep.
+/// # Errors
+///
+/// Refuses when the parallel backend has one worker thread: every row
+/// would run on that thread and the curve would measure nothing.
 pub fn run_scaling(
     spec: GraphSpec,
     threads: &[usize],
     batches: usize,
     batch_size: usize,
-) -> Vec<ScalingRow> {
+) -> Result<Vec<ScalingRow>, String> {
+    if parallel::default_threads() == 1 {
+        return Err(
+            "the parallel backend reports one worker thread (a one-core host or the \
+             sequential vendor-stubs/rayon), so a thread sweep would measure nothing; \
+             run on a multicore host with the real rayon"
+                .to_string(),
+        );
+    }
+    Ok(sweep(spec, threads, batches, batch_size))
+}
+
+/// The sweep proper. Each configuration rebuilds the stream and engine
+/// from scratch so the rows face identical work.
+fn sweep(spec: GraphSpec, threads: &[usize], batches: usize, batch_size: usize) -> Vec<ScalingRow> {
     let mut rows = Vec::with_capacity(threads.len());
     for &t in threads {
-        // Capacity covers iterations × 3 phases × batches with slack;
-        // drops would silently under-report phase time.
-        let sink = Arc::new(RingBufferSink::new(1 << 16));
-        trace::set_subscriber(sink.clone());
+        let phases_before = PhaseNanos::now();
         let before = graphbolt_engine::adaptive::global().snapshot();
         let (initial_secs, refine_secs, edge_map_medges_per_sec) = parallel::with_threads(t, || {
             let mut stream = standard_stream(spec, WorkloadBias::Uniform);
@@ -111,18 +134,12 @@ pub fn run_scaling(
             (initial.secs(), refine_secs, throughput)
         });
         let after = graphbolt_engine::adaptive::global().snapshot();
-        trace::clear_subscriber();
-        let mut phases = PhaseNanos::default();
-        for event in sink.drain() {
-            if let TraceEvent::RefinePhaseDone { phase, nanos, .. } = event {
-                match phase {
-                    RefinePhase::Tag => phases.tag += nanos,
-                    RefinePhase::Propagate => phases.propagate += nanos,
-                    RefinePhase::Apply => phases.apply += nanos,
-                }
-            }
-        }
-        assert_eq!(sink.dropped(), 0, "trace sink overflowed; raise capacity");
+        let phases_after = PhaseNanos::now();
+        let phases = PhaseNanos {
+            tag: phases_after.tag - phases_before.tag,
+            propagate: phases_after.propagate - phases_before.propagate,
+            apply: phases_after.apply - phases_before.apply,
+        };
         rows.push(ScalingRow {
             threads: t,
             initial_secs,
@@ -254,14 +271,20 @@ mod tests {
     use super::*;
 
     #[test]
+    fn run_scaling_refuses_exactly_when_the_backend_has_one_thread() {
+        let outcome = run_scaling(GraphSpec::at_scale(8), &[1, 2], 1, 16);
+        assert_eq!(outcome.is_err(), parallel::default_threads() == 1);
+    }
+
+    #[test]
     fn sweep_produces_per_phase_rows() {
-        let rows = run_scaling(GraphSpec::at_scale(8), &[1, 2], 2, 16);
+        let rows = sweep(GraphSpec::at_scale(8), &[1, 2], 2, 16);
         assert_eq!(rows.len(), 2);
         for row in &rows {
             assert!(row.initial_secs > 0.0);
             assert!(row.batches == 2);
-            // Refinement ran, so phase time was traced.
-            assert!(row.phases.total() > 0, "no phase events captured");
+            // Refinement ran, so phase time was recorded.
+            assert!(row.phases.total() > 0, "no phase time recorded");
             // The explicit edge_map workload drove the controller.
             assert!(row.edge_map_medges_per_sec > 0.0);
             assert!(row.sparse_picks + row.dense_picks > 0);

@@ -34,8 +34,9 @@
 //!                       JSON on /metrics/json, liveness on /healthz);
 //!                       port 0 picks a free port, the bound address is
 //!                       printed in the report
-//!   --trace-out PATH    append structured trace events (JSON lines) to
-//!                       PATH while the session runs
+//!   --trace-out PATH    enable causal span tracing and write every
+//!                       completed request / batch span tree to PATH, one
+//!                       JSON object per line (the /debug/flight schema)
 //!   --flight-out PATH   enable causal span tracing and append automatic
 //!                       flight-recorder dumps (quarantine, SLO breach,
 //!                       shed spike) to PATH as JSON lines
@@ -122,7 +123,8 @@ pub struct Options {
     pub resume: bool,
     /// Bind an HTTP metrics endpoint here (serve mode / `stats`).
     pub metrics_addr: Option<String>,
-    /// Write structured trace events (JSONL) here (serve mode).
+    /// Enable span tracing and write every completed span tree (JSONL)
+    /// here (serve mode).
     pub trace_out: Option<String>,
     /// Enable span tracing and write flight-recorder dumps (JSONL)
     /// here (serve mode).
@@ -529,29 +531,27 @@ fn drive_serve<A: Algorithm<Value = f64, Agg = f64> + Clone + 'static>(
         }
         None => None,
     };
-    if let Some(path) = &opts.flight_out {
+    if opts.flight_out.is_some() || opts.trace_out.is_some() {
         // Span tracing is otherwise armed lazily by the front door;
-        // --flight-out opts the whole serve run in so stream-replay
-        // batches are attributed too, and installs the dump sink.
+        // either flag opts the whole serve run in so stream-replay
+        // batches are attributed too, and installs its sink.
         telemetry::span::enable();
         telemetry::span::configure(telemetry::span::FlightConfig {
-            dump_path: Some(std::path::PathBuf::from(path)),
+            trace_out: opts.trace_out.as_ref().map(std::path::PathBuf::from),
+            dump_path: opts.flight_out.as_ref().map(std::path::PathBuf::from),
             ..telemetry::span::FlightConfig::default()
-        });
-        let _ = writeln!(report, "flight dumps: {path}");
-    }
-    let _trace = match &opts.trace_out {
-        Some(path) => {
-            let sink = std::sync::Arc::new(
-                telemetry::trace::JsonlSink::create(Path::new(path))
-                    .map_err(|e| format!("--trace-out {path}: {e}"))?,
-            );
-            telemetry::trace::set_subscriber(sink.clone());
-            let _ = writeln!(report, "trace events: {path}");
-            Some(TraceOutGuard(sink))
+        })
+        .map_err(|e| {
+            let path = opts.trace_out.as_deref().unwrap_or_default();
+            format!("--trace-out {path}: {e}")
+        })?;
+        if let Some(path) = &opts.flight_out {
+            let _ = writeln!(report, "flight dumps: {path}");
         }
-        None => None,
-    };
+        if let Some(path) = &opts.trace_out {
+            let _ = writeln!(report, "span trees: {path}");
+        }
+    }
 
     let t = std::time::Instant::now();
     let engine = match (&opts.checkpoint_dir, opts.resume) {
@@ -711,19 +711,6 @@ fn serve_front_door<A: Algorithm<Value = f64> + 'static>(
         .ok_or_else(|| "front door still holds the session after shutdown".to_string())?
         .finish()
         .map_err(|e| e.to_string())
-}
-
-/// Unsubscribes and flushes the `--trace-out` sink when serve mode
-/// exits (on success *and* on every `?` early return, so a failed run
-/// never leaves a stale subscriber installed for later in-process
-/// callers).
-struct TraceOutGuard(std::sync::Arc<telemetry::trace::JsonlSink>);
-
-impl Drop for TraceOutGuard {
-    fn drop(&mut self) {
-        telemetry::trace::clear_subscriber();
-        self.0.flush();
-    }
 }
 
 /// `gbolt stats`: report metrics, either scraped from a running
@@ -1202,16 +1189,6 @@ mod tests {
         assert!(report.contains("\"traces\""), "{report}");
         assert!(report.contains("critical:"), "{report}");
         assert!(report.contains("\"batches\""), "{report}");
-    }
-
-    #[test]
-    fn stats_surfaces_trace_drop_accounting() {
-        let report = run(&Options {
-            algorithm: "stats".into(),
-            ..Options::default()
-        })
-        .unwrap();
-        assert!(report.contains("graphbolt_trace_dropped_total"), "{report}");
     }
 
     #[test]

@@ -2,28 +2,37 @@
 //! `--metrics-addr` must answer `/metrics` with well-formed Prometheus
 //! text exposing the refinement-latency histogram, edge-computation
 //! counters, and the queue/degrade gauges — scraped here over real TCP
-//! after replaying a known mutation stream.
+//! after replaying a known mutation stream and serving one front-door
+//! update. `--trace-out` must hold every completed span tree, one per
+//! line, in the schema `/debug/flight` serves and `gbolt trace` renders.
 
 use std::io::{Read, Write};
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::path::Path;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use graphbolt_cli::{run, Options};
 use graphbolt_graph::{io, Edge, MutationBatch};
 
-fn http_get(addr: &str, path: &str) -> (String, String) {
-    let mut stream = TcpStream::connect(addr).expect("connect to metrics endpoint");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .unwrap();
-    stream
-        .write_all(format!("GET {path} HTTP/1.1\r\nHost: {addr}\r\nConnection: close\r\n\r\n").as_bytes())
-        .unwrap();
+fn request(addr: &str, method: &str, path: &str, body: &str) -> std::io::Result<(String, String)> {
+    let mut stream = TcpStream::connect(addr)?;
+    stream.set_read_timeout(Some(Duration::from_secs(5)))?;
+    stream.write_all(
+        format!(
+            "{method} {path} HTTP/1.1\r\nHost: {addr}\r\nContent-Length: {}\r\n\
+             Connection: close\r\n\r\n{body}",
+            body.len()
+        )
+        .as_bytes(),
+    )?;
     let mut response = String::new();
-    stream.read_to_string(&mut response).unwrap();
+    stream.read_to_string(&mut response)?;
     let (head, body) = response.split_once("\r\n\r\n").expect("headers + body");
-    (head.to_string(), body.to_string())
+    Ok((head.to_string(), body.to_string()))
+}
+
+fn http_get(addr: &str, path: &str) -> (String, String) {
+    request(addr, "GET", path, "").expect("GET against a live endpoint")
 }
 
 /// Every non-comment line of a Prometheus text exposition must be
@@ -100,16 +109,42 @@ fn serve_mode_exposes_scrapable_metrics() {
     io::write_batches(&stream_path, &[b1, b2]).unwrap();
     let trace_path = dir.join("trace.jsonl");
 
-    let report = run(&Options {
-        algorithm: "pagerank".into(),
-        graph: graph_path.to_string_lossy().into_owned(),
-        stream: Some(stream_path.to_string_lossy().into_owned()),
-        serve: true,
-        metrics_addr: Some("127.0.0.1:0".into()),
-        trace_out: Some(trace_path.to_string_lossy().into_owned()),
-        ..Options::default()
-    })
-    .unwrap();
+    // Reserve a port for --listen: the bound address only reaches the
+    // report after shutdown, too late to drive a request at it.
+    let door = {
+        let probe = TcpListener::bind("127.0.0.1:0").unwrap();
+        probe.local_addr().unwrap().to_string()
+    };
+    let server = std::thread::spawn({
+        let opts = Options {
+            algorithm: "pagerank".into(),
+            graph: graph_path.to_string_lossy().into_owned(),
+            stream: Some(stream_path.to_string_lossy().into_owned()),
+            serve: true,
+            listen: Some(door.clone()),
+            metrics_addr: Some("127.0.0.1:0".into()),
+            trace_out: Some(trace_path.to_string_lossy().into_owned()),
+            ..Options::default()
+        };
+        move || run(&opts)
+    });
+    let deadline = Instant::now() + Duration::from_secs(30);
+    let healthy = |addr: &str| {
+        request(addr, "GET", "/healthz", "").is_ok_and(|(head, _)| head.starts_with("HTTP/1.1 200"))
+    };
+    while !healthy(&door) {
+        assert!(!server.is_finished(), "server exited early: {:?}", server.join());
+        assert!(Instant::now() < deadline, "front door never became healthy");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // One traced request through the front door, then drain.
+    let (head, _) = request(&door, "POST", "/update", "{\"src\":1,\"dst\":3}").unwrap();
+    assert!(head.starts_with("HTTP/1.1 202"), "{head}");
+    let (head, _) = request(&door, "GET", "/query?vertex=3", "").unwrap();
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let (head, _) = request(&door, "POST", "/shutdown", "").unwrap();
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let report = server.join().expect("serve thread").unwrap();
 
     // The report names the bound endpoint (port 0 was resolved).
     let addr = report
@@ -164,17 +199,45 @@ fn serve_mode_exposes_scrapable_metrics() {
     .unwrap();
     assert!(stats.contains("graphbolt_batch_refine_ns"), "{stats}");
 
-    // --trace-out produced one JSON object per line covering the
-    // session lifecycle.
+    // --trace-out holds one completed span tree per line: the stream
+    // replay's batch trees (structure + refinement phases) and the
+    // front-door requests' trees.
     let trace = std::fs::read_to_string(Path::new(&trace_path)).unwrap();
-    assert!(!trace.is_empty(), "trace file must not be empty");
-    for line in trace.lines() {
+    let batch = trace
+        .lines()
+        .find(|l| l.contains("\"kind\":\"batch\""))
+        .unwrap_or_else(|| panic!("no batch tree in:\n{trace}"));
+    for name in ["refine_batch", "structure", "tag", "propagate", "apply"] {
         assert!(
-            line.starts_with("{\"event\":\"") && line.ends_with('}'),
-            "malformed trace line: {line}"
+            batch.contains(&format!("\"name\":\"{name}\"")),
+            "no {name} span: {batch}"
         );
     }
-    assert!(trace.contains("\"event\":\"session_started\""), "{trace}");
-    assert!(trace.contains("\"event\":\"batch_applied\""), "{trace}");
-    assert!(trace.contains("\"event\":\"session_shutdown\""), "{trace}");
+    assert!(
+        trace
+            .lines()
+            .any(|l| l.contains("\"kind\":\"request\"") && l.contains("\"name\":\"admit\"")),
+        "no request tree in:\n{trace}"
+    );
+    // One writer, one schema: each line is verbatim an element of the
+    // /debug/flight ring, and survives the renderer `gbolt trace` puts
+    // /debug/flight through (whitespace is all it adds).
+    let (head, flight) = http_get(&addr, "/debug/flight");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let rendered: String = run(&Options {
+        algorithm: "trace".into(),
+        metrics_addr: Some(addr),
+        ..Options::default()
+    })
+    .unwrap()
+    .split_whitespace()
+    .collect();
+    for line in trace.lines() {
+        assert!(
+            line.starts_with("{\"trace_id\":") && line.ends_with("]}"),
+            "malformed line: {line}"
+        );
+        assert!(flight.contains(line), "{line}\nnot in /debug/flight:\n{flight}");
+        assert!(rendered.contains(line), "{line}\nnot in `gbolt trace`:\n{rendered}");
+    }
 }

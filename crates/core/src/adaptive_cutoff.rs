@@ -37,7 +37,7 @@
 
 use std::sync::OnceLock;
 
-use graphbolt_engine::parallel::WorkCounter;
+use graphbolt_engine::adaptive::CostCell;
 
 /// Baseline quiet threshold: an iteration changing at most `|V| / 256`
 /// vertices is "quiet" when refinement and hybrid cost the same.
@@ -57,28 +57,6 @@ const EWMA_ALPHA: f64 = 0.25;
 /// How far the refine/hybrid cost ratio may scale the base fraction.
 const MAX_RATIO: f64 = 16.0;
 
-/// An EWMA `f64` stored as bits in a [`WorkCounter`] (the workspace's
-/// sanctioned shared-counter primitive); zero bits means "unmeasured".
-/// The read-modify-write races benignly — last writer wins on a smoothed
-/// estimate that every later observation re-converges.
-#[derive(Debug, Default)]
-struct CostCell(WorkCounter);
-
-impl CostCell {
-    fn get(&self) -> Option<f64> {
-        let v = f64::from_bits(self.0.get());
-        (v > 0.0).then_some(v)
-    }
-
-    fn blend(&self, sample: f64) {
-        let next = match self.get() {
-            Some(prev) => prev + EWMA_ALPHA * (sample - prev),
-            None => sample,
-        };
-        self.0.set(next.max(f64::MIN_POSITIVE).to_bits());
-    }
-}
-
 /// Process-global per-iteration cost estimates for the two execution
 /// regimes a tracked iteration can fall into.
 #[derive(Debug, Default)]
@@ -92,12 +70,14 @@ pub struct CutoffCostModel {
 impl CutoffCostModel {
     /// Feeds an observed per-iteration refinement cost.
     pub fn observe_refine(&self, ns_per_iter: u64) {
-        self.refine_ns_per_iter.blend(ns_per_iter.max(1) as f64);
+        self.refine_ns_per_iter
+            .blend(ns_per_iter.max(1) as f64, EWMA_ALPHA);
     }
 
     /// Feeds an observed per-iteration hybrid-execution cost.
     pub fn observe_hybrid(&self, ns_per_iter: u64) {
-        self.hybrid_ns_per_iter.blend(ns_per_iter.max(1) as f64);
+        self.hybrid_ns_per_iter
+            .blend(ns_per_iter.max(1) as f64, EWMA_ALPHA);
     }
 
     /// Refine-over-hybrid cost ratio, clamped to

@@ -378,10 +378,6 @@ impl AdmissionController {
                     counter.inc();
                 }
                 drop(state);
-                telemetry::trace::emit(|| telemetry::TraceEvent::RequestShed {
-                    class: class.name(),
-                    retry_millis: millis,
-                });
                 telemetry::span::shed(trace, "admission_shed");
                 Err(RetryAfter { class, millis })
             }

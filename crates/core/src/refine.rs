@@ -41,7 +41,6 @@ use crate::options::EngineOptions;
 use crate::sharded::ShardedMut;
 use crate::stats::{EngineStats, RefineReport};
 use crate::store::DependencyStore;
-use crate::telemetry::trace;
 
 /// Mutable engine state handed to [`refine`].
 pub struct RefineState<'s, A: Algorithm> {
@@ -508,26 +507,18 @@ pub fn refine<A: Algorithm>(
         m.refine_tag_ns.record_duration(tag_ns);
         m.refine_propagate_ns.record_duration(propagate_ns);
         m.refine_apply_ns.record_duration(apply_ns);
-        for (phase, span_name, elapsed) in [
-            (trace::RefinePhase::Tag, "tag", tag_ns),
-            (trace::RefinePhase::Propagate, "propagate", propagate_ns),
-            (trace::RefinePhase::Apply, "apply", apply_ns),
-        ] {
-            // lint:allow(hot-path-blocking) — per-phase, not per-edge:
-            // three events per refinement iteration, and emit() skips
-            // closure evaluation entirely when no sink is installed.
-            trace::emit(|| trace::TraceEvent::RefinePhaseDone {
-                iteration: i as u64,
-                phase,
-                nanos: crate::telemetry::saturating_nanos(elapsed),
-            });
-            // Same cadence for the span layer: a phase span under the
-            // thread's current batch trace, feeding the critical-path
-            // report; one load-and-branch when tracing is off.
-            if crate::telemetry::span::enabled() {
+        // A phase span each under the thread's current batch trace,
+        // feeding the critical-path report: per-phase, not per-edge, and
+        // one load-and-branch when tracing is off.
+        if crate::telemetry::span::enabled() {
+            for (phase, elapsed) in [
+                ("tag", tag_ns),
+                ("propagate", propagate_ns),
+                ("apply", apply_ns),
+            ] {
                 crate::telemetry::span::batch_phase(
                     i as u64,
-                    span_name,
+                    phase,
                     crate::telemetry::saturating_nanos(elapsed),
                 );
             }

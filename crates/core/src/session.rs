@@ -47,7 +47,7 @@ use crate::algorithm::Algorithm;
 use crate::checkpoint::{self, CheckpointError, StateCodec};
 use crate::laws::SplitMix64;
 use crate::streaming::{DegradeLevel, StreamingEngine};
-use crate::telemetry::{self, trace, TraceEvent};
+use crate::telemetry;
 
 /// One edge mutation in flight: the edge, its direction, when the
 /// producer submitted it (feeds the ingest→visible histogram), the
@@ -377,8 +377,6 @@ pub struct StreamSession<A: Algorithm + 'static> {
     /// before the send keeps the counter at or above the true queue
     /// length, so the worker's decrement can never underflow it.
     depth: Arc<WorkCounter>,
-    /// Configured queue bound (0 = unbounded), kept for trace events.
-    queue_capacity: usize,
 }
 
 impl<A: Algorithm + 'static> StreamSession<A> {
@@ -411,7 +409,6 @@ impl<A: Algorithm + 'static> StreamSession<A> {
             Some(cap) => channel::bounded(cap.max(1)),
             None => channel::unbounded(),
         };
-        let queue_capacity = config.queue_capacity.unwrap_or(0);
         let depth = Arc::new(WorkCounter::new());
         let worker_depth = Arc::clone(&depth);
         let worker = std::thread::spawn(move || worker_loop(engine, rx, config, worker_depth));
@@ -419,7 +416,6 @@ impl<A: Algorithm + 'static> StreamSession<A> {
             tx,
             worker,
             depth,
-            queue_capacity,
         }
     }
 
@@ -448,8 +444,6 @@ impl<A: Algorithm + 'static> StreamSession<A> {
             match e {
                 TrySendError::Full(_) => {
                     telemetry::metrics().backpressure_rejections.inc();
-                    let queue_capacity = self.queue_capacity;
-                    trace::emit(|| TraceEvent::Backpressure { queue_capacity });
                     // A zero-length marker span: the request hit a full
                     // queue here (one per rejection, so a blocked
                     // deadline loop shows its whole fight in the tree).
@@ -534,7 +528,6 @@ impl<A: Algorithm + 'static> StreamSession<A> {
     /// queue capacity, and its span tree (if any) completes as shed.
     fn shed_before_enqueue(trace: telemetry::TraceCtx) -> SessionError {
         telemetry::metrics().deadline_shed.inc();
-        trace::emit(|| TraceEvent::DeadlineShed { stage: "submit" });
         telemetry::span::shed(trace, "deadline_shed");
         SessionError::DeadlineExceeded
     }
@@ -772,19 +765,18 @@ impl<A: Algorithm> WorkerState<A> {
     }
 
     /// Worker-side deadline shed: the command is dropped at dequeue
-    /// without touching engine state.
-    fn shed_deadline(&mut self, stage: &'static str) {
+    /// without touching engine state, and its span tree completes as shed.
+    fn shed_deadline(&mut self, trace: telemetry::TraceCtx) {
         self.stats.deadline_shed += 1;
         telemetry::metrics().deadline_shed.inc();
-        trace::emit(|| TraceEvent::DeadlineShed { stage });
+        telemetry::span::shed(trace, "deadline_shed");
     }
 
     /// Buffers one dequeued mutation into the coalescing batch, shedding
     /// it if its deadline already passed while it waited in the queue.
     fn buffer_mutation(&mut self, m: QueuedMutation) {
         if deadline_expired(m.deadline) {
-            self.shed_deadline("mutation");
-            telemetry::span::shed(m.trace, "deadline_shed");
+            self.shed_deadline(m.trace);
             return;
         }
         if m.add {
@@ -804,8 +796,7 @@ impl<A: Algorithm> WorkerState<A> {
     /// coalescing wait entirely.
     fn apply_singleton(&mut self, m: QueuedMutation, config: &SessionConfig<A>) {
         if deadline_expired(m.deadline) {
-            self.shed_deadline("singleton");
-            telemetry::span::shed(m.trace, "deadline_shed");
+            self.shed_deadline(m.trace);
             return;
         }
         self.apply_pending(config);
@@ -858,12 +849,6 @@ impl<A: Algorithm> WorkerState<A> {
             return;
         }
         self.stats.batches += 1;
-        let mutations = batch.len();
-        let queue_depth = self.depth.get();
-        trace::emit(|| TraceEvent::BatchIngested {
-            mutations,
-            queue_depth,
-        });
         // The refinement batch gets its own trace: many request traces
         // fan into one batch, recorded as follows-from links. While it
         // is the thread's current batch, refinement-phase and edge_map
@@ -873,11 +858,12 @@ impl<A: Algorithm> WorkerState<A> {
         let engine = &mut self.engine;
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| engine.apply_batch(&batch)));
         match outcome {
-            Ok(Ok(_report)) => {
+            Ok(Ok(report)) => {
                 self.stats.mutations_applied += batch.len();
                 Self::record_visible(stamps);
                 self.maybe_checkpoint(config, batch_trace);
-                telemetry::span::end_batch(batch_trace, "ok");
+                let status = if report.degraded { "degraded" } else { "ok" };
+                telemetry::span::end_batch(batch_trace, status);
             }
             Ok(Err(err)) => {
                 // Normalization should prevent this; quarantine rather
@@ -895,17 +881,12 @@ impl<A: Algorithm> WorkerState<A> {
                 self.stats.panics_recovered += 1;
                 telemetry::metrics().panics_recovered.inc();
                 let reason = panic_message(&*payload);
-                trace::emit(|| TraceEvent::SessionQuarantined {
-                    mutations,
-                    reason: reason.clone(),
-                });
                 // Close the batch trace (triggering a flight dump)
                 // before run_initial, so the rebuild's edge_map samples
                 // don't attribute to the dead batch.
                 Self::complete_quarantined(&stamps, batch_trace);
                 self.quarantine(batch, reason, config.max_dead_letters);
                 self.engine.run_initial();
-                trace::emit(|| TraceEvent::SessionRebuilt);
             }
         }
         // Keep the front door's admission tightening in lockstep with the
@@ -954,13 +935,11 @@ impl<A: Algorithm> WorkerState<A> {
                 let m = telemetry::metrics();
                 m.checkpoints_written.inc();
                 m.checkpoint_write_ns.record(nanos);
-                trace::emit(|| TraceEvent::CheckpointWritten { seq, nanos });
                 checkpoint::prune_session_checkpoints(&policy.dir, policy.keep);
             }
             Err(_) => {
                 self.stats.checkpoint_failures += 1;
                 telemetry::metrics().checkpoint_failures.inc();
-                trace::emit(|| TraceEvent::CheckpointFailed { seq });
             }
         }
     }
@@ -972,8 +951,6 @@ fn worker_loop<A: Algorithm>(
     config: SessionConfig<A>,
     depth: Arc<WorkCounter>,
 ) -> SessionOutcome<A> {
-    let queue_capacity = config.queue_capacity.unwrap_or(0);
-    trace::emit(|| TraceEvent::SessionStarted { queue_capacity });
     // Continue the on-disk sequence: a session resumed into an existing
     // checkpoint directory must number its checkpoints *after* whatever is
     // already there, or pruning would keep the stale pre-resume files and
@@ -1003,8 +980,7 @@ fn worker_loop<A: Algorithm>(
             Command::Singleton(m) => ws.apply_singleton(m, &config),
             Command::Query { reply, deadline, trace } => {
                 if deadline_expired(deadline) {
-                    ws.shed_deadline("query");
-                    telemetry::span::shed(trace, "deadline_shed");
+                    ws.shed_deadline(trace);
                     let _ = reply.send(Err(SessionError::DeadlineExceeded));
                 } else {
                     ws.apply_pending(&config);
@@ -1031,8 +1007,6 @@ fn worker_loop<A: Algorithm>(
             let _ = service(cmd, &mut ws);
         }
         ws.apply_pending(&config);
-        let batches = ws.stats.batches as u64;
-        trace::emit(|| TraceEvent::SessionShutdown { batches });
         SessionOutcome {
             engine: ws.engine,
             stats: ws.stats,

@@ -233,16 +233,17 @@ impl<A: Clone + PartialEq> DependencyStore<A> {
             .sum()
     }
 
-    /// Estimated heap footprint given a per-entry byte cost function.
-    pub fn memory_bytes(&self, entry_bytes: impl Fn(&A) -> usize) -> usize {
+    /// Estimated heap footprint in bytes, given a per-entry byte cost
+    /// function, and the number of aggregation values physically stored
+    /// ([`DependencyStore::stored_entries`]) — both from one walk.
+    pub fn footprint(&self, entry_bytes: impl Fn(&A) -> usize) -> (usize, usize) {
         let spine = self.histories.capacity() * std::mem::size_of::<History<A>>();
-        let entries: usize = self
-            .histories
+        self.histories
             .iter()
             .flat_map(|h| h.prefix.iter().chain(h.tail.iter().flatten()))
-            .map(entry_bytes)
-            .sum();
-        spine + entries
+            .fold((spine, 0), |(bytes, entries), a| {
+                (bytes + entry_bytes(a), entries + 1)
+            })
     }
 }
 
@@ -372,7 +373,8 @@ mod tests {
         s.record(1, 1, &2.0);
         s.record(1, 2, &3.0);
         assert_eq!(s.stored_entries(), 3);
-        let bytes = s.memory_bytes(|_| 8);
+        let (bytes, entries) = s.footprint(|_| 8);
         assert!(bytes >= 24);
+        assert_eq!(entries, 3);
     }
 }

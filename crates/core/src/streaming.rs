@@ -11,7 +11,7 @@ use crate::options::{EngineOptions, ExecutionMode};
 use crate::refine::{refine, RefineState};
 use crate::stats::{EngineStats, RefineReport, StatsSnapshot};
 use crate::store::DependencyStore;
-use crate::telemetry::{self, trace, TraceEvent};
+use crate::telemetry;
 
 /// Error returned by the `try_*` accessors when
 /// [`StreamingEngine::run_initial`] has not completed.
@@ -51,8 +51,8 @@ pub enum DegradeLevel {
 }
 
 impl DegradeLevel {
-    /// Stable numeric encoding for the `graphbolt_degrade_level` gauge
-    /// and `degrade_changed` trace events: 0 none, 1 pruned, 2 dropped.
+    /// Stable numeric encoding for the `graphbolt_degrade_level` gauge:
+    /// 0 none, 1 pruned, 2 dropped.
     pub fn index(self) -> u8 {
         match self {
             DegradeLevel::None => 0,
@@ -252,28 +252,20 @@ impl<A: Algorithm> StreamingEngine<A> {
         }
     }
 
-    /// Commits a degrade-level transition, publishing it to the gauge
-    /// and the trace stream.
+    /// Commits a degrade-level transition, publishing it to the gauge.
     fn set_degrade(&mut self, to: DegradeLevel) {
-        let from = self.degrade;
-        if from == to {
+        if self.degrade == to {
             return;
         }
         self.degrade = to;
-        // lint:allow(panic-reachability) — false edge: the `.set` calls
-        // here are the telemetry `Gauge::set` (atomic stores), which
+        // lint:allow(panic-reachability) — false edge: the `.set` call
+        // here is the telemetry `Gauge::set` (atomic store), which
         // name-based resolution confuses with `DependencyStore::set`.
         telemetry::metrics().degrade_level.set(u64::from(to.index()));
         // Degrade transitions change the footprint step-wise (pruning or
         // dropping the store), so re-publish it at the transition rather
         // than waiting for the next batch commit.
-        telemetry::metrics()
-            .store_bytes
-            .set(self.dependency_memory_bytes() as u64);
-        trace::emit(|| TraceEvent::DegradeChanged {
-            from: from.index(),
-            to: to.index(),
-        });
+        self.publish_footprint();
     }
 
     /// The memory-budget watchdog: while the dependency store exceeds the
@@ -350,12 +342,14 @@ impl<A: Algorithm> StreamingEngine<A> {
             unreachable!("state checked above")
         };
         let stats_before = self.stats.snapshot();
-        trace::emit(|| TraceEvent::RefineStarted {
-            mutations: batch.len(),
-        });
         let start = Instant::now();
         let new_graph = self.graph.apply_arc(batch)?;
         let structure_duration = start.elapsed();
+        telemetry::span::batch_phase(
+            0,
+            "structure",
+            telemetry::saturating_nanos(structure_duration),
+        );
         let old_graph = Arc::clone(&self.graph);
         let mut report = refine(
             &self.alg,
@@ -383,12 +377,14 @@ impl<A: Algorithm> StreamingEngine<A> {
     /// every value from scratch on the new snapshot. No dependency state
     /// is kept, so the result is the from-scratch answer by construction.
     fn apply_batch_recompute(&mut self, batch: &MutationBatch) -> Result<RefineReport, MutationError> {
-        trace::emit(|| TraceEvent::RefineStarted {
-            mutations: batch.len(),
-        });
         let start = Instant::now();
         let new_graph = self.graph.apply_arc(batch)?;
         let structure_duration = start.elapsed();
+        telemetry::span::batch_phase(
+            0,
+            "structure",
+            telemetry::saturating_nanos(structure_duration),
+        );
         self.graph = new_graph;
         let before = self.stats.snapshot();
         self.recompute_full();
@@ -407,9 +403,9 @@ impl<A: Algorithm> StreamingEngine<A> {
         Ok(report)
     }
 
-    /// Publishes one committed batch to the global metrics registry and
-    /// trace stream: work counters, refinement latency, and the current
-    /// store footprint / degrade gauges.
+    /// Publishes one committed batch to the global metrics registry:
+    /// work counters, refinement latency, and the current store
+    /// footprint / degrade gauges.
     fn publish_batch_telemetry(
         &self,
         mutations: usize,
@@ -421,15 +417,6 @@ impl<A: Algorithm> StreamingEngine<A> {
         m.mutations_applied.add(mutations as u64);
         m.batch_refine_ns.record_duration(report.duration);
         self.publish_work_telemetry(spent);
-        // lint:allow(panic-reachability) — false edge: `.set` here is
-        // the telemetry `Gauge::set` (atomic store), which name-based
-        // resolution confuses with `DependencyStore::set`.
-        m.store_bytes.set(self.dependency_memory_bytes() as u64);
-        trace::emit(|| TraceEvent::BatchApplied {
-            mutations,
-            nanos: telemetry::saturating_nanos(report.duration),
-            degraded: report.degraded,
-        });
     }
 
     /// Publishes a work-counter delta plus the current footprint gauges.
@@ -438,20 +425,33 @@ impl<A: Algorithm> StreamingEngine<A> {
         m.edge_computations.add(spent.edge_computations);
         m.vertex_computations.add(spent.vertex_computations);
         m.iterations.add(spent.iterations);
+        // lint:allow(panic-reachability) — false edge: the `.set` call
+        // below is the telemetry `Gauge::set` (atomic store), which
+        // name-based resolution confuses with `DependencyStore::set`.
+        m.degrade_level.set(u64::from(self.degrade.index()));
+        self.publish_footprint();
+    }
+
+    /// Sets the store-footprint gauges (bytes and entries) from one walk
+    /// over the dependency store.
+    fn publish_footprint(&self) {
+        let (bytes, entries) = match &self.state {
+            Some(s) => s.store.footprint(|a| agg_total_bytes(&self.alg, a)),
+            None => (0, 0),
+        };
+        let m = telemetry::metrics();
         // lint:allow(panic-reachability) — false edges: the `.set` calls
         // below are telemetry `Gauge::set` (atomic stores), which
         // name-based resolution confuses with `DependencyStore::set`.
-        m.dependency_store_bytes
-            .set(self.dependency_memory_bytes() as u64);
-        m.stored_aggregations.set(self.stored_aggregations() as u64);
-        m.degrade_level.set(u64::from(self.degrade.index()));
+        m.store_bytes.set(bytes as u64);
+        m.stored_aggregations.set(entries as u64);
     }
 
     /// Estimated bytes of dependency information currently tracked — the
     /// *memory overhead* of GraphBolt relative to GB-Reset (Table 9).
     pub fn dependency_memory_bytes(&self) -> usize {
         match &self.state {
-            Some(s) => s.store.memory_bytes(|a| agg_total_bytes(&self.alg, a)),
+            Some(s) => s.store.footprint(|a| agg_total_bytes(&self.alg, a)).0,
             None => 0,
         }
     }

@@ -6,14 +6,14 @@
 //! refinement latency, dependency-store footprint. This module makes
 //! those first-class: a process-global [`MetricsRegistry`] of lock-free
 //! counters, gauges, and log-scale [`Histogram`]s built on the engine's
-//! padded [`WorkCounter`] primitive, a typed [`trace`] event stream with
-//! pluggable subscribers, Prometheus/JSON [`encode`]rs, and a tiny
-//! std-only [`http`] responder for `/metrics` + `/healthz`.
+//! padded [`WorkCounter`] primitive, request- and batch-scoped [`span`]
+//! trees, Prometheus/JSON [`encode`]rs, and a tiny std-only [`http`]
+//! responder for `/metrics` + `/healthz`.
 //!
 //! Everything is dependency-free and pay-for-what-you-use: with no HTTP
-//! server bound and no trace subscriber registered, instrumented sites
-//! cost one padded relaxed counter update (metrics) or one
-//! load-and-branch (tracing).
+//! server bound and span recording off, instrumented sites cost one
+//! padded relaxed counter update (metrics) or one load-and-branch
+//! (tracing).
 //!
 //! Metric names follow `graphbolt_[a-z_]+` and must be documented in
 //! DESIGN.md §10 — both enforced by the `cargo xtask lint`
@@ -23,7 +23,6 @@ pub mod encode;
 pub mod hist;
 pub mod http;
 pub mod span;
-pub mod trace;
 
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -33,7 +32,6 @@ use graphbolt_engine::profile;
 
 pub use hist::{BucketCount, Histogram, HistogramSnapshot};
 pub use span::TraceCtx;
-pub use trace::{JsonlSink, RefinePhase, RingBufferSink, TraceEvent, TraceSubscriber};
 
 /// A monotonically increasing counter with a registered name.
 #[derive(Debug)]
@@ -193,8 +191,6 @@ pub struct MetricsRegistry {
     pub deadline_shed: Counter,
     /// Singleton updates served by the batch-bypass fast path.
     pub singleton_fast_path: Counter,
-    /// Trace events silently evicted by a wrapping `RingBufferSink`.
-    pub trace_dropped: Counter,
     /// Span trees completed into the flight recorder.
     pub span_trees_completed: Counter,
     /// Span recordings that referenced a trace no longer (or never)
@@ -208,16 +204,14 @@ pub struct MetricsRegistry {
     pub queue_occupancy: Gauge,
     /// Memory-budget degrade level (0 none, 1 pruned, 2 dropped).
     pub degrade_level: Gauge,
-    /// Current dependency-store footprint in bytes.
-    pub dependency_store_bytes: Gauge,
     /// Aggregation records currently held by the dependency store.
     pub stored_aggregations: Gauge,
-    /// Per-session dependency-store footprint in bytes, updated on
-    /// batch commit and on degrade transitions (ROADMAP item 5's
-    /// measurement hook).
+    /// Dependency-store footprint in bytes; set together with
+    /// `stored_aggregations` from one store walk on batch commit and on
+    /// degrade transitions.
     pub store_bytes: Gauge,
-    /// Wall-clock-dominant refinement phase of the latest batch
-    /// (0 tag, 1 propagate, 2 apply), from the critical-path report.
+    /// Wall-clock-dominant phase of the latest batch (0 tag,
+    /// 1 propagate, 2 apply, 3 structure), from the critical-path report.
     pub span_critical_phase: Gauge,
 
     /// Per-batch end-to-end refinement latency (ns).
@@ -356,10 +350,6 @@ impl MetricsRegistry {
                 "graphbolt_singleton_fast_path_total",
                 "Singleton updates served by the batch-bypass fast path",
             ),
-            trace_dropped: Counter::new(
-                "graphbolt_trace_dropped_total",
-                "Trace events evicted by a wrapping ring-buffer sink",
-            ),
             span_trees_completed: Counter::new(
                 "graphbolt_span_trees_completed_total",
                 "Span trees completed into the flight recorder",
@@ -380,21 +370,17 @@ impl MetricsRegistry {
                 "graphbolt_degrade_level",
                 "Memory-budget degrade level (0 none, 1 pruned, 2 dropped)",
             ),
-            dependency_store_bytes: Gauge::new(
-                "graphbolt_dependency_store_bytes",
-                "Current dependency-store footprint in bytes",
-            ),
             stored_aggregations: Gauge::new(
                 "graphbolt_stored_aggregations",
                 "Aggregation records held by the dependency store",
             ),
             store_bytes: Gauge::new(
                 "graphbolt_store_bytes",
-                "Per-session dependency-store footprint in bytes",
+                "Dependency-store footprint in bytes",
             ),
             span_critical_phase: Gauge::new(
                 "graphbolt_span_critical_phase",
-                "Dominant refinement phase of the latest batch (0 tag, 1 propagate, 2 apply)",
+                "Dominant phase of the latest batch (0 tag, 1 propagate, 2 apply, 3 structure)",
             ),
             batch_refine_ns: Histogram::new(
                 "graphbolt_batch_refine_ns",
@@ -444,7 +430,7 @@ impl MetricsRegistry {
     }
 
     /// All counters, registration order.
-    pub fn counters(&self) -> [&Counter; 29] {
+    pub fn counters(&self) -> [&Counter; 28] {
         [
             &self.batches_applied,
             &self.mutations_applied,
@@ -471,7 +457,6 @@ impl MetricsRegistry {
             &self.retry_after[2],
             &self.deadline_shed,
             &self.singleton_fast_path,
-            &self.trace_dropped,
             &self.span_trees_completed,
             &self.span_orphans,
             &self.span_flight_dumps,
@@ -479,11 +464,10 @@ impl MetricsRegistry {
     }
 
     /// All gauges, registration order.
-    pub fn gauges(&self) -> [&Gauge; 6] {
+    pub fn gauges(&self) -> [&Gauge; 5] {
         [
             &self.queue_occupancy,
             &self.degrade_level,
-            &self.dependency_store_bytes,
             &self.stored_aggregations,
             &self.store_bytes,
             &self.span_critical_phase,
@@ -588,8 +572,8 @@ pub fn saturating_nanos(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Serializes tests that manipulate the process-global trace subscriber
-/// or assert on global metric deltas. Not part of the stable API.
+/// Serializes tests that manipulate the process-global span recorder or
+/// assert on global metric deltas. Not part of the stable API.
 #[doc(hidden)]
 pub fn test_trace_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());

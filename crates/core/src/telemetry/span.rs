@@ -1,6 +1,6 @@
 //! Request-scoped causal tracing: span trees, a flight recorder of
 //! recently completed traces, and per-batch critical-path attribution
-//! (DESIGN.md §10.3).
+//! (DESIGN.md §10.2).
 //!
 //! A [`TraceCtx`] is minted at the front door (honoring an
 //! `X-Request-Id` header, else drawn from a seeded splitmix64 stream)
@@ -12,20 +12,22 @@
 //! serves — fan-in is causality, not parentage, so request trees stay
 //! trees.
 //!
-//! Cost model mirrors [`super::trace`]: until [`enable`] runs, every
-//! instrumented site pays one `OnceLock` load returning `None`; after
-//! that, one padded relaxed load gates each site (this is the bound the
-//! perf-smoke guard holds on the `edge_map` hot path). When recording
-//! is on, sites take a short process-global mutex — request-rate work,
-//! never per-edge work.
+//! Cost model: until [`enable`] runs, every instrumented site pays one
+//! `OnceLock` load returning `None`; after that, one padded relaxed
+//! load gates each site (this is the bound the perf-smoke guard holds
+//! on the `edge_map` hot path). When recording is on, sites take a
+//! short process-global mutex — request-rate work, never per-edge work.
 //!
 //! The **flight recorder** is a fixed-size ring of completed traces,
 //! served on demand at `/debug/flight` (and `gbolt trace`), and dumped
 //! to JSONL automatically on quarantine, on a deadline-shed spike, or
-//! on an SLO breach when a dump path is configured — see
+//! on an SLO breach when a dump path is configured. Independently of
+//! the ring, every completed trace can be teed to a file as it
+//! completes, in the same one-object-per-line schema — see
 //! [`FlightConfig`].
 
 use std::collections::{HashMap, VecDeque};
+use std::fs::File;
 use std::io::Write as _;
 use std::path::PathBuf;
 use std::sync::{Mutex, MutexGuard, OnceLock};
@@ -117,8 +119,9 @@ pub struct CompletedTrace {
     pub trace_id: u64,
     /// Request or batch.
     pub kind: TraceKind,
-    /// Terminal status: `ok`, `shed`, `quarantined`, or an abandon
-    /// reason (`bad_request`, `session_error`, ...).
+    /// Terminal status: `ok`, `degraded` (a batch served by the
+    /// full-recompute path), `shed`, `quarantined`, or an abandon reason
+    /// (`bad_request`, `session_error`, ...).
     pub status: &'static str,
     /// Total nanoseconds spent waiting in the session queue.
     pub queue_ns: u64,
@@ -143,6 +146,9 @@ pub struct CriticalPathReport {
     pub trace_id: u64,
     /// Root span duration of that batch trace.
     pub total_ns: u64,
+    /// Nanoseconds adjusting the graph structure (applying the batch to
+    /// the snapshot) before refinement.
+    pub structure_ns: u64,
     /// Nanoseconds in the tag phase across tracked iterations.
     pub tag_ns: u64,
     /// Nanoseconds in the propagate phase.
@@ -164,12 +170,16 @@ pub struct CriticalPathReport {
 }
 
 impl CriticalPathReport {
-    /// Index of the wall-clock-dominant refinement phase
-    /// (0 tag, 1 propagate, 2 apply), also exported as the
+    /// Index of the wall-clock-dominant phase (0 tag, 1 propagate,
+    /// 2 apply, 3 structure), also exported as the
     /// `graphbolt_span_critical_phase` gauge.
     pub fn dominant_phase_index(&self) -> u64 {
         let mut best = (0u64, self.tag_ns);
-        for (i, ns) in [(1, self.propagate_ns), (2, self.apply_ns)] {
+        for (i, ns) in [
+            (1, self.propagate_ns),
+            (2, self.apply_ns),
+            (3, self.structure_ns),
+        ] {
             if ns > best.1 {
                 best = (i, ns);
             }
@@ -177,12 +187,13 @@ impl CriticalPathReport {
         best.0
     }
 
-    /// Name of the dominant refinement phase.
+    /// Name of the dominant phase.
     pub fn dominant_phase(&self) -> &'static str {
         match self.dominant_phase_index() {
             0 => "tag",
             1 => "propagate",
-            _ => "apply",
+            2 => "apply",
+            _ => "structure",
         }
     }
 
@@ -196,9 +207,13 @@ impl CriticalPathReport {
     }
 }
 
-/// Flight-recorder tuning: when the ring dumps itself to JSONL.
+/// Flight-recorder tuning: when the ring dumps itself to JSONL, and
+/// where completed traces are teed.
 #[derive(Debug, Clone, Default)]
 pub struct FlightConfig {
+    /// Create (truncating) this file and append every completed trace to
+    /// it, one JSON object per line, as it completes (`--trace-out`).
+    pub trace_out: Option<PathBuf>,
     /// Append automatic dumps (and on-trigger snapshots) here; `None`
     /// disables automatic dumping (the `/debug/flight` route still
     /// serves the ring).
@@ -214,6 +229,7 @@ pub struct FlightConfig {
 /// Accumulated engine-side attribution for one in-flight batch trace.
 #[derive(Debug, Clone, Copy, Default)]
 struct BatchAccum {
+    structure_ns: u64,
     tag_ns: u64,
     propagate_ns: u64,
     apply_ns: u64,
@@ -251,6 +267,8 @@ struct Recorder {
     last_dump: Option<&'static str>,
     critical: CriticalPathReport,
     config: FlightConfig,
+    /// Open `config.trace_out` file.
+    tee: Option<File>,
     shed_window_start: Option<Instant>,
     shed_in_window: u64,
 }
@@ -266,6 +284,7 @@ impl Recorder {
             last_dump: None,
             critical: CriticalPathReport::default(),
             config: FlightConfig::default(),
+            tee: None,
             shed_window_start: None,
             shed_in_window: 0,
         }
@@ -330,10 +349,19 @@ pub fn enabled() -> bool {
     SPANS.get().is_some_and(|s| s.enabled.get() != 0)
 }
 
-/// Installs flight-recorder triggers (dump path, SLO, shed spike).
-pub fn configure(config: FlightConfig) {
-    let s = state();
-    lock(s).config = config;
+/// Installs flight-recorder triggers (dump path, SLO, shed spike) and
+/// the completed-trace tee, replacing the previous configuration.
+///
+/// # Errors
+///
+/// The I/O error from creating `config.trace_out`; the previous
+/// configuration stays installed.
+pub fn configure(config: FlightConfig) -> std::io::Result<()> {
+    let tee = config.trace_out.as_ref().map(File::create).transpose()?;
+    let mut g = lock(state());
+    g.tee = tee;
+    g.config = config;
+    Ok(())
 }
 
 /// Clears every active trace, the ring, and the critical-path report
@@ -646,8 +674,10 @@ pub fn current_batch() -> TraceCtx {
     CURRENT_BATCH.with(std::cell::Cell::get)
 }
 
-/// Records one refinement-phase timing against the thread's current
-/// batch: a phase span plus the critical-path accumulator.
+/// Records one phase timing that just ended (`structure`, or `tag` /
+/// `propagate` / `apply` of refinement iteration `iteration`) against
+/// the thread's current batch: a phase span plus the critical-path
+/// accumulator.
 pub fn batch_phase(iteration: u64, phase: &'static str, nanos: u64) {
     let ctx = current_batch();
     if !ctx.is_active() {
@@ -674,6 +704,7 @@ pub fn batch_phase(iteration: u64, phase: &'static str, nanos: u64) {
         iteration,
     });
     match phase {
+        "structure" => t.accum.structure_ns = t.accum.structure_ns.saturating_add(nanos),
         "tag" => t.accum.tag_ns = t.accum.tag_ns.saturating_add(nanos),
         "propagate" => t.accum.propagate_ns = t.accum.propagate_ns.saturating_add(nanos),
         _ => t.accum.apply_ns = t.accum.apply_ns.saturating_add(nanos),
@@ -722,7 +753,8 @@ pub fn batch_checkpoint(ctx: TraceCtx, start: Instant, end: Instant) {
 
 /// Closes a batch trace: publishes the per-batch critical-path report,
 /// updates the `graphbolt_span_*` summary metrics, and clears the
-/// thread's current batch. `status` is `ok` or `quarantined`.
+/// thread's current batch. `status` is `ok`, `degraded` or
+/// `quarantined`.
 pub fn end_batch(ctx: TraceCtx, status: &'static str) {
     CURRENT_BATCH.with(|c| c.set(TraceCtx::disabled()));
     if !enabled() || !ctx.is_active() {
@@ -738,6 +770,7 @@ pub fn end_batch(ctx: TraceCtx, status: &'static str) {
         batches: g.critical.batches + 1,
         trace_id: ctx.trace_id,
         total_ns: now_ns.saturating_sub(t.start_ns),
+        structure_ns: t.accum.structure_ns,
         tag_ns: t.accum.tag_ns,
         propagate_ns: t.accum.propagate_ns,
         apply_ns: t.accum.apply_ns,
@@ -758,7 +791,9 @@ pub fn end_batch(ctx: TraceCtx, status: &'static str) {
     }
 }
 
-/// Moves one active trace into the ring as completed.
+/// Moves one active trace into the ring as completed, teeing it to the
+/// `trace_out` file when one is configured. Write errors are dropped:
+/// trace output must never take down the session it observes.
 fn finish_into_ring(
     g: &mut Recorder,
     trace_id: u64,
@@ -780,6 +815,9 @@ fn finish_into_ring(
         follows_from: t.follows_from,
         spans: t.spans,
     };
+    if let Some(f) = &mut g.tee {
+        let _ = writeln!(f, "{}", trace_json(&completed, None));
+    }
     if g.ring.len() == g.capacity {
         g.ring.pop_front();
         g.evicted += 1;
@@ -934,10 +972,11 @@ pub fn flight_json() -> String {
 pub fn critical_json() -> String {
     let r = critical_report();
     format!(
-        "{{\"batches\":{},\"trace_id\":{},\"total_ns\":{},\"tag_ns\":{},\"propagate_ns\":{},\"apply_ns\":{},\"dominant_phase\":\"{}\",\"edge_map_dense_ns\":{},\"edge_map_sparse_ns\":{},\"dominant_path\":\"{}\",\"probes\":{},\"mispredicts\":{},\"fan_in\":{},\"checkpoint_ns\":{}}}",
+        "{{\"batches\":{},\"trace_id\":{},\"total_ns\":{},\"structure_ns\":{},\"tag_ns\":{},\"propagate_ns\":{},\"apply_ns\":{},\"dominant_phase\":\"{}\",\"edge_map_dense_ns\":{},\"edge_map_sparse_ns\":{},\"dominant_path\":\"{}\",\"probes\":{},\"mispredicts\":{},\"fan_in\":{},\"checkpoint_ns\":{}}}",
         r.batches,
         r.trace_id,
         r.total_ns,
+        r.structure_ns,
         r.tag_ns,
         r.propagate_ns,
         r.apply_ns,
@@ -1027,6 +1066,7 @@ mod tests {
         let a = mint(None);
         let b = mint(None);
         let batch = begin_batch(&[a, b, TraceCtx::disabled()]);
+        batch_phase(0, "structure", 3_000);
         batch_phase(1, "tag", 1_000);
         batch_phase(1, "propagate", 5_000);
         batch_phase(1, "apply", 2_000);
@@ -1052,6 +1092,7 @@ mod tests {
         assert_eq!(bt.spans[0].name, "refine_batch");
         let r = critical_report();
         assert_eq!(r.batches, 1);
+        assert_eq!(r.structure_ns, 3_000);
         assert_eq!(r.dominant_phase(), "propagate");
         assert_eq!(r.dominant_path(), "dense");
         assert_eq!(r.fan_in, 2);
@@ -1102,7 +1143,8 @@ mod tests {
         configure(FlightConfig {
             dump_path: Some(path.clone()),
             ..FlightConfig::default()
-        });
+        })
+        .expect("no trace_out to create");
         let ctx = mint(None);
         complete(ctx, "ok");
         let batch = begin_batch(&[ctx]);
@@ -1111,7 +1153,59 @@ mod tests {
         assert!(dumped.contains("\"dump_reason\":\"quarantine\""), "{dumped}");
         assert!(dumped.lines().count() >= 2, "{dumped}");
         let _ = std::fs::remove_file(&path);
-        configure(FlightConfig::default());
+        configure(FlightConfig::default()).expect("no trace_out to create");
+    }
+
+    #[test]
+    fn trace_out_tees_each_completed_tree_and_nothing_while_disabled() {
+        let _g = setup();
+        let path = std::env::temp_dir().join("graphbolt-span-tee-test.jsonl");
+        configure(FlightConfig {
+            trace_out: Some(path.clone()),
+            ..FlightConfig::default()
+        })
+        .expect("create tee file");
+        disable();
+        complete(mint(None), "ok");
+        let batch = begin_batch(&[]);
+        batch_phase(0, "structure", 10);
+        end_batch(batch, "ok");
+        let teed = std::fs::read_to_string(&path).expect("tee file exists");
+        assert!(teed.is_empty(), "spans off must write nothing: {teed}");
+
+        enable();
+        complete(mint(None), "ok");
+        let batch = begin_batch(&[]);
+        batch_phase(0, "structure", 10);
+        end_batch(batch, "degraded");
+        let teed = std::fs::read_to_string(&path).expect("tee file exists");
+        let lines: Vec<&str> = teed.lines().collect();
+        assert_eq!(lines.len(), 2, "one line per completed tree: {teed}");
+        assert!(lines[0].contains("\"kind\":\"request\""), "{teed}");
+        assert!(lines[1].contains("\"status\":\"degraded\""), "{teed}");
+        assert!(lines[1].contains("\"name\":\"structure\""), "{teed}");
+        // Same schema as the flight ring: each line is a ring element.
+        let flight = flight_json();
+        for line in lines {
+            assert!(flight.contains(line), "{line} not in {flight}");
+        }
+        let _ = std::fs::remove_file(&path);
+        configure(FlightConfig::default()).expect("no trace_out to create");
+    }
+
+    #[test]
+    fn structure_can_dominate_the_critical_path() {
+        let _g = setup();
+        let batch = begin_batch(&[]);
+        batch_phase(0, "structure", 9_000);
+        batch_phase(1, "tag", 1_000);
+        batch_phase(1, "propagate", 2_000);
+        batch_phase(1, "apply", 500);
+        end_batch(batch, "ok");
+        let r = critical_report();
+        assert_eq!(r.dominant_phase(), "structure");
+        assert_eq!(r.dominant_phase_index(), 3);
+        assert!(critical_json().contains("\"structure_ns\":9000"));
     }
 
     #[test]

@@ -1,8 +1,11 @@
 //! Span-tree integrity suite: every admitted front-door request yields
 //! exactly one rooted, cycle-free span tree in the flight recorder,
 //! with queue and service time separately attributed and summing
-//! within the root span (DESIGN.md §10.3) — including through the
-//! fault-injected quarantine → rebuild path.
+//! within the root span (DESIGN.md §10.2) — including through the
+//! fault-injected quarantine → rebuild path. Batch trees record
+//! structure adjustment, then tag → propagate → apply per iteration,
+//! then the checkpoint, in that order; nothing is recorded while span
+//! recording is off.
 //!
 //! The span recorder is process-global, so every test holds
 //! `telemetry::test_trace_lock()` for its full duration and calls
@@ -16,8 +19,11 @@ use graphbolt_core::admission::{AdmissionConfig, AdmissionController};
 use graphbolt_core::doctest_support::DocRank;
 use graphbolt_core::telemetry::span::{self, CompletedTrace, TraceKind};
 use graphbolt_core::telemetry::{self};
-use graphbolt_core::{EngineOptions, FrontDoor, FrontDoorConfig, StreamSession, StreamingEngine};
-use graphbolt_graph::GraphBuilder;
+use graphbolt_core::{
+    CheckpointPolicy, DegradeLevel, EngineOptions, F64Codec, FrontDoor, FrontDoorConfig,
+    SessionConfig, StreamSession, StreamingEngine,
+};
+use graphbolt_graph::{Edge, GraphBuilder};
 
 fn engine() -> StreamingEngine<DocRank> {
     let g = GraphBuilder::new(6)
@@ -66,6 +72,32 @@ fn post(addr: SocketAddr, path: &str, headers: &str, body: &str) -> String {
 
 fn get(addr: SocketAddr, path: &str) -> String {
     roundtrip(addr, &format!("GET {path} HTTP/1.1\r\nHost: test\r\n\r\n"))
+}
+
+/// The unsigned integer after `"key":` in a flat JSON object.
+fn json_u64(body: &str, key: &str) -> u64 {
+    let needle = format!("\"{key}\":");
+    let start = body.find(&needle).unwrap_or_else(|| panic!("no {key} in {body}")) + needle.len();
+    let digits: String = body[start..].chars().take_while(char::is_ascii_digit).collect();
+    digits.parse().unwrap_or_else(|_| panic!("{key} is not a number in {body}"))
+}
+
+/// The batch-kind trees of the flight ring, oldest first.
+fn batch_trees(traces: &[CompletedTrace]) -> Vec<&CompletedTrace> {
+    traces.iter().filter(|t| t.kind == TraceKind::Batch).collect()
+}
+
+/// Runs one untraced single-mutation session to completion under
+/// `config` and returns the flight ring it left behind.
+fn run_one_batch(
+    engine: StreamingEngine<DocRank>,
+    config: SessionConfig<DocRank>,
+) -> Vec<CompletedTrace> {
+    let session = StreamSession::spawn_with(engine, config);
+    session.add(Edge::new(1, 4, 1.0)).expect("enqueue");
+    session.flush().expect("flush");
+    drop(session.finish().expect("finish"));
+    span::flight_traces()
 }
 
 /// Structural integrity of one completed tree: exactly one root (span 1,
@@ -146,10 +178,29 @@ fn every_admitted_update_yields_one_rooted_cycle_free_tree() {
     }
     let q = get(addr, "/query");
     assert!(q.starts_with("HTTP/1.1 200"), "{q}");
+    // The served batches' time is accounted for, structure included.
+    let critical = get(addr, "/debug/critical");
+    let structure_ns = json_u64(&critical, "structure_ns");
+    assert!(structure_ns > 0, "{critical}");
+    assert!(
+        structure_ns
+            + json_u64(&critical, "tag_ns")
+            + json_u64(&critical, "propagate_ns")
+            + json_u64(&critical, "apply_ns")
+            <= json_u64(&critical, "total_ns"),
+        "phases exceed the batch root: {critical}"
+    );
+    let flight = get(addr, "/debug/flight");
+    assert!(flight.contains("\"name\":\"structure\""), "{flight}");
     door.shutdown();
     drop(Arc::into_inner(session).expect("sole owner").finish().expect("finish"));
 
     let traces = span::flight_traces();
+    for b in batch_trees(&traces) {
+        let structure: Vec<_> = b.spans.iter().filter(|s| s.name == "structure").collect();
+        assert_eq!(structure.len(), 1, "one structure span per batch: {b:?}");
+        assert_eq!(structure[0].parent_span_id, 1, "parented on the batch root");
+    }
     // Three updates plus the query, each a request-kind tree.
     let requests = traces.iter().filter(|t| t.kind == TraceKind::Request).count();
     assert_eq!(
@@ -245,6 +296,105 @@ fn batch_fan_in_links_follow_from_each_request_once() {
     span::reset();
 }
 
+/// A batch tree records, in span order: structure adjustment once, then
+/// tag → propagate → apply for each tracked iteration in ascending
+/// order; the critical-path report sums the same spans.
+#[test]
+fn batch_tree_orders_structure_then_tag_propagate_apply_per_iteration() {
+    let _guard = telemetry::test_trace_lock();
+    span::enable();
+    span::reset();
+
+    let traces = run_one_batch(engine(), SessionConfig::default());
+    let batches = batch_trees(&traces);
+    assert_eq!(batches.len(), 1, "one flush, one batch tree");
+    let b = batches[0];
+    assert_eq!(b.status, "ok");
+    assert_eq!(b.spans[0].name, "refine_batch");
+    assert_tree_integrity(b);
+
+    assert_eq!(b.spans[1].name, "structure", "structure precedes refinement");
+    assert_eq!(b.spans[1].parent_span_id, 1);
+    let phases: Vec<(u64, &str)> = b.spans[2..].iter().map(|s| (s.iteration, s.name)).collect();
+    assert!(!phases.is_empty(), "tracked refinement must report phase spans");
+    for (k, triple) in phases.chunks(3).enumerate() {
+        let i = k as u64 + 1;
+        assert_eq!(
+            triple,
+            [(i, "tag"), (i, "propagate"), (i, "apply")],
+            "iteration {i} of {phases:?}"
+        );
+    }
+
+    let r = span::critical_report();
+    assert_eq!(r.trace_id, b.trace_id);
+    assert!(r.structure_ns > 0);
+    assert!(r.structure_ns + r.tag_ns + r.propagate_ns + r.apply_ns <= r.total_ns);
+    span::reset();
+}
+
+/// A batch served by the full-recompute path completes as `degraded`:
+/// structure adjustment is still a span, refinement phases are not.
+#[test]
+fn degraded_batch_completes_with_degraded_status() {
+    let _guard = telemetry::test_trace_lock();
+    span::enable();
+    span::reset();
+
+    let mut degraded = engine();
+    degraded.force_degrade(DegradeLevel::DroppedStore);
+    let traces = run_one_batch(degraded, SessionConfig::default());
+    let batches = batch_trees(&traces);
+    assert_eq!(batches.len(), 1);
+    assert_eq!(batches[0].status, "degraded");
+    let names: Vec<&str> = batches[0].spans.iter().map(|s| s.name).collect();
+    assert_eq!(names, ["refine_batch", "structure"]);
+    span::reset();
+}
+
+/// The post-batch checkpoint is a span of the batch it follows,
+/// recorded after that batch's last refinement phase.
+#[test]
+fn checkpoint_span_is_recorded_after_its_batch() {
+    let _guard = telemetry::test_trace_lock();
+    span::enable();
+    span::reset();
+
+    let dir = std::env::temp_dir().join(format!("gb-span-checkpoint-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let traces = run_one_batch(
+        engine(),
+        SessionConfig {
+            checkpoint: Some(CheckpointPolicy::new(&dir, 1, 1, F64Codec, F64Codec)),
+            ..SessionConfig::default()
+        },
+    );
+    let batches = batch_trees(&traces);
+    assert_eq!(batches.len(), 1);
+    let b = batches[0];
+    assert_tree_integrity(b);
+    let last = b.spans.last().expect("non-empty tree");
+    assert_eq!(last.name, "checkpoint", "{:?}", b.spans);
+    assert_eq!(last.parent_span_id, 1);
+    assert_eq!(b.spans.iter().filter(|s| s.name == "checkpoint").count(), 1);
+    assert!(b.spans.iter().any(|s| s.name == "apply"), "refinement preceded it");
+    assert!(span::critical_report().checkpoint_ns > 0);
+    let _ = std::fs::remove_dir_all(&dir);
+    span::reset();
+}
+
+#[test]
+fn nothing_is_recorded_while_spans_are_disabled() {
+    let _guard = telemetry::test_trace_lock();
+    span::enable();
+    span::reset();
+    span::disable();
+    let traces = run_one_batch(engine(), SessionConfig::default());
+    span::enable();
+    assert!(traces.is_empty(), "{traces:?}");
+    assert_eq!(span::critical_report().batches, 0);
+}
+
 #[cfg(feature = "fault-injection")]
 mod quarantine {
     use super::*;
@@ -252,9 +402,10 @@ mod quarantine {
     use graphbolt_core::telemetry::span::FlightConfig;
     use graphbolt_graph::Edge;
 
-    /// A panicking batch completes its request trees with `quarantined`
-    /// status and auto-dumps the flight ring, and the session's rebuild
-    /// leaves later requests tracing normally.
+    /// A panicking batch completes its request trees and its own tree
+    /// with `quarantined` status — before the next batch is served — and
+    /// auto-dumps the flight ring, and the session's rebuild leaves later
+    /// requests tracing normally.
     #[test]
     fn quarantined_batch_completes_trees_and_dumps_flight_ring() {
         let _guard = telemetry::test_trace_lock();
@@ -270,7 +421,8 @@ mod quarantine {
         span::configure(FlightConfig {
             dump_path: Some(dump_path.clone()),
             ..FlightConfig::default()
-        });
+        })
+        .expect("no trace_out to create");
 
         let session = StreamSession::spawn(engine());
         let doomed = span::mint(Some("doomed"));
@@ -286,8 +438,19 @@ mod quarantine {
             .expect("enqueue after rebuild");
         let outcome = session.finish().expect("finish");
         assert_eq!(outcome.stats.panics_recovered, 1);
+        assert_eq!(outcome.dead_letters.len(), 1);
+        assert_eq!(outcome.dead_letters[0].batch.len(), 1);
+        assert!(
+            outcome.dead_letters[0].reason.contains("injected fault"),
+            "dead letter records the panic message: {}",
+            outcome.dead_letters[0].reason
+        );
 
         let traces = span::flight_traces();
+        // The ring is in completion order: the quarantined batch closed
+        // before the rebuilt engine served the next one.
+        let statuses: Vec<&str> = batch_trees(&traces).iter().map(|b| b.status).collect();
+        assert_eq!(statuses, ["quarantined", "ok"]);
         let doomed_tree = traces
             .iter()
             .find(|t| t.trace_id == doomed.trace_id)
@@ -313,6 +476,6 @@ mod quarantine {
             "dump lines are tagged with the trigger: {dumped}"
         );
         let _ = std::fs::remove_file(&dump_path);
-        span::configure(FlightConfig::default());
+        span::configure(FlightConfig::default()).expect("no trace_out to create");
     }
 }

@@ -46,14 +46,15 @@ const PROBE_ALPHA: f64 = 0.5;
 /// bounded near `1 / PROBE_SPEND_RATIO` of traversal time.
 const PROBE_SPEND_RATIO: f64 = 32.0;
 
-/// One estimate cell: a `f64` nanoseconds-per-unit value stored as bits
-/// in a [`WorkCounter`]. Zero bits (`0.0`) is the "unmeasured" sentinel;
-/// observed costs are clamped strictly positive.
+/// One estimate cell: a `f64` cost stored as bits in a [`WorkCounter`].
+/// Zero bits (`0.0`) is the "unmeasured" sentinel; observed costs are
+/// clamped strictly positive.
 #[derive(Debug, Default)]
-struct CostCell(WorkCounter);
+pub struct CostCell(WorkCounter);
 
 impl CostCell {
-    fn get(&self) -> Option<f64> {
+    /// The current estimate, `None` until the first observation.
+    pub fn get(&self) -> Option<f64> {
         let v = f64::from_bits(self.0.get());
         (v > 0.0).then_some(v)
     }
@@ -65,7 +66,7 @@ impl CostCell {
     /// Blends `sample` into the estimate with weight `alpha`, seeding on
     /// the first observation. Racy read-modify-write by design (see the
     /// module docs); the cell converges under any interleaving.
-    fn blend(&self, sample: f64, alpha: f64) {
+    pub fn blend(&self, sample: f64, alpha: f64) {
         let next = match self.get() {
             Some(prev) => prev + alpha * (sample - prev),
             None => sample,

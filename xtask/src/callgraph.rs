@@ -1,8 +1,7 @@
 //! Workspace-wide call-graph construction over the token stream.
 //!
-//! The four call-graph rules (`panic-reachability`, `hot-path-blocking`,
-//! `ordering-protocol`, `epoch-discipline` — the latter two live in
-//! [`crate::flow`]) need to answer "which functions can this function
+//! The call-graph rules (`panic-reachability`, `hot-path-blocking`,
+//! `lock-order`, `deadline-propagation`) need to answer "which functions can this function
 //! reach", not just "which tokens does this file contain". This module
 //! recovers that from the scanner's output: every `fn` definition in the
 //! workspace (with its enclosing `impl`/`trait` self type), every call

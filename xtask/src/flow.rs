@@ -50,15 +50,6 @@ pub struct AtomicAccess {
     pub in_test: bool,
 }
 
-/// One raw-pointer manipulation site.
-#[derive(Debug, Clone)]
-pub struct RawPtrSite {
-    /// 1-based line.
-    pub line: usize,
-    /// The construct seen (`as_ptr`, `Arc::into_raw`, `*mut`, ...).
-    pub what: String,
-}
-
 /// Write-capable atomic methods (can carry Release).
 const ATOMIC_WRITES: &[&str] = &[
     "store",
@@ -442,44 +433,6 @@ pub(crate) fn enclosing_impl_type(impls: &[ImplBlock], line: usize) -> Option<St
         .map(|b| b.type_name.clone())
 }
 
-/// Raw-pointer manipulation markers the `epoch-discipline` rule watches.
-pub fn raw_ptr_sites(scanned: &Scanned, line_range: (usize, usize)) -> Vec<RawPtrSite> {
-    let toks = &scanned.tokens;
-    let mut out = Vec::new();
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.line < line_range.0 || tok.line > line_range.1 || tok.in_test {
-            continue;
-        }
-        if tok.kind == TokKind::Ident {
-            match tok.text.as_str() {
-                "into_raw" | "from_raw" | "as_ptr" | "as_mut_ptr" | "from_raw_parts"
-                | "from_raw_parts_mut" => {
-                    out.push(RawPtrSite {
-                        line: tok.line,
-                        what: tok.text.clone(),
-                    });
-                }
-                "NonNull" => out.push(RawPtrSite {
-                    line: tok.line,
-                    what: "NonNull".to_string(),
-                }),
-                _ => {}
-            }
-        }
-        if tok.text == "*"
-            && toks
-                .get(i + 1)
-                .is_some_and(|t| t.text == "const" || t.text == "mut")
-        {
-            out.push(RawPtrSite {
-                line: tok.line,
-                what: format!("*{} pointer type", toks[i + 1].text),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -599,20 +552,5 @@ fn f() {
             1,
             "{whats:?}"
         );
-    }
-
-    #[test]
-    fn raw_ptr_sites_cover_epoch_markers() {
-        let src = "\
-impl EpochGuard {
-    fn publish(&self) -> *const u8 {
-        Arc::into_raw(self.inner.clone()) as *const u8
-    }
-}
-";
-        let s = scan(src);
-        let sites = raw_ptr_sites(&s, (1, 5));
-        assert!(sites.iter().any(|r| r.what == "into_raw"));
-        assert!(sites.iter().any(|r| r.what.starts_with("*const")));
     }
 }

@@ -1,7 +1,6 @@
 //! The call-graph-powered rules: `panic-reachability`,
-//! `hot-path-blocking`, `ordering-protocol`, `epoch-discipline`,
-//! `span-discipline`, and the dataflow-verified trio `lock-order`,
-//! `deadline-propagation`, and `dead-annotation`.
+//! `hot-path-blocking`, `ordering-protocol`, and the dataflow-verified
+//! trio `lock-order`, `deadline-propagation`, and `dead-annotation`.
 //!
 //! Unlike the token-local rules in [`crate::rules`], these are
 //! workspace-level passes: the lint driver scans every file first, then
@@ -21,16 +20,13 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{file_fns, CallGraph};
 use crate::dataflow::{deadline_blind_sites, lock_sites, returns_guard, LockSite};
-use crate::flow::{
-    atomic_accesses, blocking_sites, call_spans, panic_sites, raw_ptr_sites, spans_contain,
-};
+use crate::flow::{atomic_accesses, blocking_sites, call_spans, panic_sites, spans_contain};
 use crate::items::impl_blocks;
 use crate::rules::{
-    emit, emit_flow, path_matches, statement_window, take_waiver_log, waived, FileCtx, Finding,
-    FlowStep, RuleId, DEADLINE_ROOTS, EPOCH_OK, HOT_PATH_ROOTS, PANIC_ISOLATED,
-    PANIC_ROOT_MODULES, SPAN_PLUMBING_OK,
+    emit, emit_flow, path_matches, take_waiver_log, waived, FileCtx, Finding, FlowStep, RuleId,
+    DEADLINE_ROOTS, HOT_PATH_ROOTS, PANIC_ISOLATED, PANIC_ROOT_MODULES,
 };
-use crate::scanner::{Scanned, TokKind, Token};
+use crate::scanner::{Scanned, TokKind};
 
 /// One scanned workspace file, as the driver holds it.
 pub struct WorkspaceFile {
@@ -71,17 +67,11 @@ pub fn run_graph_rules(
     if enabled(RuleId::OrderingProtocol) {
         ordering_protocol(files, out);
     }
-    if enabled(RuleId::EpochDiscipline) {
-        epoch_discipline(files, out);
-    }
     if enabled(RuleId::LockOrder) {
         lock_order(files, graph, out);
     }
     if enabled(RuleId::DeadlinePropagation) {
         deadline_propagation(files, graph, out);
-    }
-    if enabled(RuleId::SpanDiscipline) {
-        span_discipline(files, graph, out);
     }
     if enabled(RuleId::DeadAnnotation) {
         dead_annotation(files, graph, &enabled, out);
@@ -274,44 +264,6 @@ fn ordering_protocol(files: &[WorkspaceFile], out: &mut Vec<Finding>) {
                 store.method,
             ),
         );
-    }
-}
-
-/// Rule `epoch-discipline`: any type whose name matches `*Epoch*` /
-/// `*Snapshot*` must confine raw-pointer manipulation (`as_ptr`,
-/// `Arc::into_raw`, `*const`/`*mut` types, `NonNull`) to the sanctioned
-/// modules in [`EPOCH_OK`]. Forward-looking guard for the ROADMAP-2
-/// MVCC work: epoch flip/reclaim protocols live or die on where their
-/// raw-pointer lifecycle is allowed to leak.
-fn epoch_discipline(files: &[WorkspaceFile], out: &mut Vec<Finding>) {
-    for f in files {
-        if f.in_test_tree || path_matches(&f.rel, EPOCH_OK) {
-            continue;
-        }
-        for block in impl_blocks(&f.scanned) {
-            if block.in_test {
-                continue;
-            }
-            let name = &block.type_name;
-            if !(name.contains("Epoch") || name.contains("Snapshot")) {
-                continue;
-            }
-            for site in raw_ptr_sites(&f.scanned, (block.line, block.end_line)) {
-                emit(
-                    out,
-                    &f.scanned,
-                    &ctx_of(f),
-                    RuleId::EpochDiscipline,
-                    site.line,
-                    format!(
-                        "raw-pointer manipulation (`{}`) in `impl {name}`: \
-                         `*Epoch*`/`*Snapshot*` types must keep raw-pointer lifecycle \
-                         in sanctioned modules (core::epoch, core::sharded)",
-                        site.what,
-                    ),
-                );
-            }
-        }
     }
 }
 
@@ -742,110 +694,6 @@ fn deadline_propagation(files: &[WorkspaceFile], graph: &CallGraph, out: &mut Ve
                      with the request deadline (`recv_deadline`, a deadline check in \
                      the loop) or waive the edge with a justification",
                     sink.what,
-                    graph.path_label(path),
-                ),
-                flow,
-            );
-        }
-    }
-}
-
-/// True when the fn signature starting on `fn_line` (tokens before the
-/// body's open brace) mentions `TraceCtx` — the function accepts or
-/// forwards a request trace context.
-fn signature_has_trace_ctx(toks: &[Token], fn_line: usize, body_open: usize) -> bool {
-    toks[..body_open]
-        .iter()
-        .rev()
-        .take_while(|t| t.line >= fn_line)
-        .any(|t| t.kind == TokKind::Ident && t.text == "TraceCtx")
-}
-
-/// Rule `span-discipline`: every function reachable from a frontdoor
-/// request handler ([`DEADLINE_ROOTS`]) that emits a `TraceEvent` must
-/// accept a `TraceCtx` in its signature. An emitting hop without the
-/// context cannot attach its event to the request's span tree, so the
-/// causal trace silently loses that hop (DESIGN.md §10.3). Spawned-
-/// thread edges are cut: the session worker attributes through the
-/// thread-local current-batch context instead of a threaded parameter.
-/// The telemetry plumbing itself ([`SPAN_PLUMBING_OK`]) is exempt — it
-/// is the sink the events flow into, not a hop on the request path.
-fn span_discipline(files: &[WorkspaceFile], graph: &CallGraph, out: &mut Vec<Finding>) {
-    let roots: Vec<usize> = graph
-        .defs
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| {
-            !d.in_test
-                && DEADLINE_ROOTS
-                    .iter()
-                    .any(|(p, f)| graph.files[d.file].ends_with(p) && d.name == *f)
-        })
-        .map(|(i, _)| i)
-        .collect();
-    let reached = graph.reach(&roots, true, |file, line| {
-        waived(
-            &files[file].scanned,
-            &files[file].rel,
-            line,
-            RuleId::SpanDiscipline,
-        )
-    });
-    for (def_idx, path) in &reached {
-        let def = &graph.defs[*def_idx];
-        if SPAN_PLUMBING_OK
-            .iter()
-            .any(|p| graph.files[def.file].contains(p))
-        {
-            continue;
-        }
-        let file = &files[def.file];
-        let toks = &file.scanned.tokens;
-        if signature_has_trace_ctx(toks, def.line, def.body.0) {
-            continue;
-        }
-        for i in def.body.0..def.body.1.min(toks.len()) {
-            let tok = &toks[i];
-            if tok.kind != TokKind::Ident
-                || tok.text != "emit"
-                || toks.get(i + 1).is_none_or(|t| t.text != "(")
-            {
-                continue;
-            }
-            let (lo, hi) = statement_window(toks, i);
-            let constructs_event = toks[lo..hi]
-                .iter()
-                .any(|t| t.kind == TokKind::Ident && t.text == "TraceEvent");
-            if !constructs_event {
-                continue;
-            }
-            let mut flow: Vec<FlowStep> = path
-                .iter()
-                .map(|&p| {
-                    let d = &graph.defs[p];
-                    FlowStep {
-                        file: graph.files[d.file].clone(),
-                        line: d.line,
-                        label: format!("enter {}", def_label(graph, p)),
-                    }
-                })
-                .collect();
-            flow.push(FlowStep {
-                file: file.rel.clone(),
-                line: tok.line,
-                label: "emits a TraceEvent with no TraceCtx in scope".to_string(),
-            });
-            emit_flow(
-                out,
-                &file.scanned,
-                &ctx_of(file),
-                RuleId::SpanDiscipline,
-                tok.line,
-                format!(
-                    "{} emits a `TraceEvent` but accepts no `TraceCtx` ({}); thread the \
-                     request's trace context through it so the span tree keeps this hop, \
-                     or waive the edge with a justification",
-                    def_label(graph, *def_idx),
                     graph.path_label(path),
                 ),
                 flow,

@@ -22,7 +22,7 @@
 //! 8. `metrics-naming` — registered metric names match
 //!    `graphbolt_[a-z_]+` and appear in DESIGN.md §10's metric table.
 //!
-//! Four further rules are *call-graph-powered* — they reason about what
+//! Three further rules are *call-graph-powered* — they reason about what
 //! a function can transitively reach, not just what its tokens say (see
 //! DESIGN.md §9.5):
 //!
@@ -32,25 +32,23 @@
 //!     edge_map inner loops or the frontdoor accept loop may block or
 //!     allocate per-iteration;
 //! 11. `ordering-protocol` — every Release store is paired with an
-//!     Acquire load of the same atomic field somewhere in the workspace;
-//! 12. `epoch-discipline` — `*Epoch*`/`*Snapshot*` types confine
-//!     raw-pointer manipulation to sanctioned modules.
+//!     Acquire load of the same atomic field somewhere in the workspace.
 //!
 //! And four are *dataflow-verified* — they check the checkers, so the
 //! clean-tree guarantee no longer rests on trusted annotations (see
 //! DESIGN.md §9.6):
 //!
-//! 13. `bounds-proof` — every `// bounds:` annotation discharging an
+//! 12. `bounds-proof` — every `// bounds:` annotation discharging an
 //!     indexing site must be machine-provable by the guard-dominance
 //!     lattice in [`dataflow`] (clamp, literal-vs-declared-length,
 //!     dominating comparison guard, or in-range provenance);
-//! 14. `lock-order` — `.lock()` acquisitions are lifted onto the call
+//! 13. `lock-order` — `.lock()` acquisitions are lifted onto the call
 //!     graph; any cycle in the inter-procedural lock-acquisition order
 //!     is reported with the full witness chain;
-//! 15. `deadline-propagation` — every blocking or unbounded-loop op
+//! 14. `deadline-propagation` — every blocking or unbounded-loop op
 //!     reachable from a frontdoor request handler must observe the
 //!     request deadline;
-//! 16. `dead-annotation` — a `lint:allow` waiver, `// bounds:` comment,
+//! 15. `dead-annotation` — a `lint:allow` waiver, `// bounds:` comment,
 //!     `// ordering:` justification, or `PANIC_ISOLATED` entry that no
 //!     longer suppresses a live finding is itself an error
 //!     (`cargo xtask lint --fix` removes dead waiver comments).

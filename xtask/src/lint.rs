@@ -363,8 +363,8 @@ pub fn render_json_report(findings: &[Finding], stats: &LintStats) -> String {
 
 /// Renders findings as SARIF 2.1.0 (the format GitHub code scanning
 /// ingests, turning findings into PR annotations). One run, one rule
-/// table (all seventeen, appended in declaration order so the `ruleIndex`
-/// of pre-existing rules stays stable), one result per finding.
+/// table (all fifteen, in declaration order — the `ruleIndex`), one
+/// result per finding.
 /// Graph-rule findings carry their witness chain as `codeFlows`, so
 /// code scanning shows the panic/lock/deadline path, not just the sink
 /// line. Hand-rolled like the JSON renderer to keep xtask

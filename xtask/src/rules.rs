@@ -1,4 +1,4 @@
-//! The seventeen workspace invariants enforced by `cargo xtask lint`.
+//! The fifteen workspace invariants enforced by `cargo xtask lint`.
 //!
 //! Policy lives here as code: the sanctioned-module tables below are the
 //! single source of truth for where `unsafe`, raw atomics, and thread
@@ -50,9 +50,6 @@ pub enum RuleId {
     /// Every Release store has a matching Acquire load of the same
     /// atomic field somewhere in the workspace.
     OrderingProtocol,
-    /// `*Epoch*`/`*Snapshot*` types confine raw-pointer manipulation to
-    /// sanctioned modules.
-    EpochDiscipline,
     /// Every `// bounds:` annotation is machine-proven: a dominating
     /// guard, clamp, or provenance argument must actually cover the
     /// indexing site it discharges.
@@ -65,15 +62,11 @@ pub enum RuleId {
     /// Every waiver / `bounds:` / `ordering:` comment / `PANIC_ISOLATED`
     /// entry still suppresses a live finding; dead ones are errors.
     DeadAnnotation,
-    /// Every function reachable from a frontdoor request handler that
-    /// emits a `TraceEvent` must accept a `TraceCtx`, so the causal span
-    /// tree never loses a hop on the request path.
-    SpanDiscipline,
 }
 
-/// All rules, in reporting order. Later additions are appended so the
-/// SARIF `ruleIndex` of pre-existing rules stays stable.
-pub const ALL_RULES: [RuleId; 17] = [
+/// All rules, in reporting order; a rule's position is its SARIF
+/// `ruleIndex` (pinned by `rule_index_table_is_stable`).
+pub const ALL_RULES: [RuleId; 15] = [
     RuleId::SafetyComment,
     RuleId::UnsafeConfined,
     RuleId::ServiceNoPanic,
@@ -85,12 +78,10 @@ pub const ALL_RULES: [RuleId; 17] = [
     RuleId::PanicReachability,
     RuleId::HotPathBlocking,
     RuleId::OrderingProtocol,
-    RuleId::EpochDiscipline,
     RuleId::BoundsProof,
     RuleId::LockOrder,
     RuleId::DeadlinePropagation,
     RuleId::DeadAnnotation,
-    RuleId::SpanDiscipline,
 ];
 
 impl RuleId {
@@ -108,12 +99,10 @@ impl RuleId {
             RuleId::PanicReachability => "panic-reachability",
             RuleId::HotPathBlocking => "hot-path-blocking",
             RuleId::OrderingProtocol => "ordering-protocol",
-            RuleId::EpochDiscipline => "epoch-discipline",
             RuleId::BoundsProof => "bounds-proof",
             RuleId::LockOrder => "lock-order",
             RuleId::DeadlinePropagation => "deadline-propagation",
             RuleId::DeadAnnotation => "dead-annotation",
-            RuleId::SpanDiscipline => "span-discipline",
         }
     }
 
@@ -159,9 +148,6 @@ impl RuleId {
             RuleId::OrderingProtocol => {
                 "every Release store paired with an Acquire/AcqRel load of the same atomic field"
             }
-            RuleId::EpochDiscipline => {
-                "*Epoch*/*Snapshot* types keep raw-pointer lifecycle in sanctioned modules"
-            }
             RuleId::BoundsProof => {
                 "every `// bounds:` annotation is backed by a dominating guard, clamp, or \
                  provenance argument the dataflow analysis can verify"
@@ -177,10 +163,6 @@ impl RuleId {
                 "no waiver, bounds/ordering comment, or PANIC_ISOLATED entry that suppresses \
                  nothing"
             }
-            RuleId::SpanDiscipline => {
-                "every TraceEvent-emitting function reachable from a frontdoor handler \
-                 accepts a TraceCtx"
-            }
         }
     }
 
@@ -193,11 +175,9 @@ impl RuleId {
             RuleId::PanicReachability
                 | RuleId::HotPathBlocking
                 | RuleId::OrderingProtocol
-                | RuleId::EpochDiscipline
                 | RuleId::LockOrder
                 | RuleId::DeadlinePropagation
                 | RuleId::DeadAnnotation
-                | RuleId::SpanDiscipline
         )
     }
 }
@@ -373,15 +353,6 @@ pub(crate) const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("crates/core/src/frontdoor.rs", "accept_loop"),
 ];
 
-/// Modules sanctioned to manipulate raw pointers inside
-/// `*Epoch*`/`*Snapshot*` types (the ROADMAP-2 MVCC surface).
-/// `core::sharded` already owns the workspace's only `unsafe` block;
-/// `core::epoch` is reserved for the epoch flip/reclaim implementation.
-pub(crate) const EPOCH_OK: &[&str] = &[
-    "crates/core/src/epoch.rs",
-    "crates/core/src/sharded.rs",
-];
-
 /// Entry points of the `deadline-propagation` traversal: the frontdoor
 /// request handlers, which receive an optional `X-Deadline-Ms` budget
 /// (DESIGN.md §7). Everything they can reach that blocks must observe
@@ -391,11 +362,6 @@ pub(crate) const DEADLINE_ROOTS: &[(&str, &str)] = &[
     ("crates/core/src/frontdoor.rs", "serve_batch"),
     ("crates/core/src/frontdoor.rs", "serve_query"),
 ];
-
-/// Path fragments exempt from `span-discipline`: the telemetry plumbing
-/// itself (the trace/span recorders construct and route `TraceEvent`s —
-/// they are the sink, not an attribution-losing hop on a request path).
-pub(crate) const SPAN_PLUMBING_OK: &[&str] = &["crates/core/src/telemetry/"];
 
 pub(crate) fn path_matches(path: &str, table: &[&str]) -> bool {
     table.iter().any(|ok| path == *ok || path.ends_with(ok))

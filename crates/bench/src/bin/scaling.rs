@@ -89,14 +89,13 @@ fn main() {
     for row in &rows {
         eprintln!(
             "[scaling] t={} initial {:.3}s refine {:.3}s (tag {:.1}ms, propagate {:.1}ms, \
-             apply {:.1}ms) edge_map {:.1} ME/s",
+             apply {:.1}ms)",
             row.threads,
             row.initial_secs,
             row.refine_secs,
             row.phases.tag as f64 / 1e6,
             row.phases.propagate as f64 / 1e6,
             row.phases.apply as f64 / 1e6,
-            row.edge_map_medges_per_sec,
         );
     }
     let json = to_json(spec, args.batch_size, &rows);

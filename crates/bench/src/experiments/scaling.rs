@@ -4,21 +4,18 @@
 //! plus a fixed batch schedule — once per requested worker-thread count
 //! inside a scoped rayon pool, and reports wall-clock plus the tagging /
 //! propagation / application phase breakdown read from the
-//! `graphbolt_refine_{tag,propagate,apply}_ns` histogram sums.
-//! Adaptive-controller activity (direction picks, probes, mispredicts)
-//! is reported as deltas so the rows also show what the online cost
-//! model did at each width.
+//! `graphbolt_refine_{tag,propagate,apply}_ns` histogram sums. Every
+//! row builds its own engine, and an engine run owns its direction
+//! controller, so the order of the rows does not affect their results.
 //!
 //! A sweep on a one-thread parallel backend (a one-core host, or the
 //! sequential `vendor-stubs/rayon`) would run every row on one thread and
 //! report a flat curve by construction, so [`run_scaling`] refuses.
 
-use std::time::Instant;
-
 use graphbolt_core::telemetry::metrics;
 use graphbolt_core::StreamingEngine;
-use graphbolt_engine::{edge_map, parallel, EdgeMapOptions, VertexSubset};
-use graphbolt_graph::{GraphSnapshot, VertexId, WorkloadBias};
+use graphbolt_engine::parallel;
+use graphbolt_graph::WorkloadBias;
 
 use crate::experiments::common::bench_options;
 use crate::harness::time;
@@ -66,17 +63,6 @@ pub struct ScalingRow {
     pub batches: usize,
     /// Per-phase nanoseconds from the refinement histograms.
     pub phases: PhaseNanos,
-    /// Adaptive `edge_map` throughput (M edges+frontier/s) on a 10%
-    /// frontier of the final snapshot at this thread width.
-    pub edge_map_medges_per_sec: f64,
-    /// Adaptive sparse (push) picks during the row.
-    pub sparse_picks: u64,
-    /// Adaptive dense (pull) picks during the row.
-    pub dense_picks: u64,
-    /// Probe iterations spent re-measuring the predicted-slower path.
-    pub probes: u64,
-    /// Picks the post-observation cost model scored as the slower path.
-    pub mispredicts: u64,
 }
 
 /// Runs the sweep: one [`ScalingRow`] per entry of `threads`.
@@ -108,8 +94,7 @@ fn sweep(spec: GraphSpec, threads: &[usize], batches: usize, batch_size: usize) 
     let mut rows = Vec::with_capacity(threads.len());
     for &t in threads {
         let phases_before = PhaseNanos::now();
-        let before = graphbolt_engine::adaptive::global().snapshot();
-        let (initial_secs, refine_secs, edge_map_medges_per_sec) = parallel::with_threads(t, || {
+        let (initial_secs, refine_secs) = parallel::with_threads(t, || {
             let mut stream = standard_stream(spec, WorkloadBias::Uniform);
             let g = stream.initial_snapshot();
             let opts = bench_options();
@@ -126,14 +111,8 @@ fn sweep(spec: GraphSpec, threads: &[usize], batches: usize, batch_size: usize) 
                 let report = engine.apply_batch(&batch).expect("bench batch validates");
                 refine_secs += (report.duration - report.structure_duration).as_secs_f64();
             }
-            // The BSP driver's aggregation steps use their own push/pull
-            // traversals, so exercise the adaptive edge_map path
-            // explicitly at this width — the controller columns below
-            // reflect these picks.
-            let throughput = edge_map_throughput(engine.graph());
-            (initial.secs(), refine_secs, throughput)
+            (initial.secs(), refine_secs)
         });
-        let after = graphbolt_engine::adaptive::global().snapshot();
         let phases_after = PhaseNanos::now();
         let phases = PhaseNanos {
             tag: phases_after.tag - phases_before.tag,
@@ -146,49 +125,9 @@ fn sweep(spec: GraphSpec, threads: &[usize], batches: usize, batch_size: usize) 
             refine_secs,
             batches,
             phases,
-            edge_map_medges_per_sec,
-            sparse_picks: after.sparse_picks - before.sparse_picks,
-            dense_picks: after.dense_picks - before.dense_picks,
-            probes: after.probes - before.probes,
-            mispredicts: after.mispredicts - before.mispredicts,
         });
     }
     rows
-}
-
-/// Adaptive `edge_map` rounds per scaling row (first rounds warm the
-/// controller at the new width, the rest are measured).
-const EDGE_MAP_ROUNDS: usize = 8;
-const EDGE_MAP_WARMUPS: usize = 3;
-
-/// Median adaptive-`edge_map` throughput on a deterministic 10% frontier
-/// (every 10th vertex) of `g`, in M (edges + frontier members) / s.
-fn edge_map_throughput(g: &GraphSnapshot) -> f64 {
-    let n = g.num_vertices();
-    let ids: Vec<VertexId> = (0..n as VertexId).step_by(10).collect();
-    let frontier = VertexSubset::from_ids(n, ids);
-    let touched = (frontier.len() + frontier.out_degree_sum(g)) as f64;
-    let work = parallel::WorkCounter::new();
-    let traverse = |work: &parallel::WorkCounter| {
-        std::hint::black_box(edge_map(
-            g,
-            &frontier,
-            |u, v, _w| (u ^ v) & 1 == 0,
-            |_| true,
-            EdgeMapOptions::adaptive(),
-            work,
-        ))
-    };
-    let mut samples = Vec::with_capacity(EDGE_MAP_ROUNDS);
-    for round in 0..EDGE_MAP_WARMUPS + EDGE_MAP_ROUNDS {
-        let t = Instant::now();
-        traverse(&work);
-        if round >= EDGE_MAP_WARMUPS {
-            samples.push(t.elapsed().as_secs_f64());
-        }
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    touched / samples[samples.len() / 2] / 1e6
 }
 
 /// Renders the rows as the `BENCH_scaling.json` document.
@@ -201,9 +140,7 @@ pub fn to_json(spec: GraphSpec, batch_size: usize, rows: &[ScalingRow]) -> Strin
                     "    {{\"threads\": {}, \"initial_secs\": {:.6}, ",
                     "\"refine_secs\": {:.6}, \"batches\": {}, ",
                     "\"tag_ms\": {:.4}, \"propagate_ms\": {:.4}, ",
-                    "\"apply_ms\": {:.4}, \"edge_map_medges_per_sec\": {:.2}, ",
-                    "\"sparse_picks\": {}, ",
-                    "\"dense_picks\": {}, \"probes\": {}, \"mispredicts\": {}}}"
+                    "\"apply_ms\": {:.4}}}"
                 ),
                 r.threads,
                 r.initial_secs,
@@ -212,11 +149,6 @@ pub fn to_json(spec: GraphSpec, batch_size: usize, rows: &[ScalingRow]) -> Strin
                 r.phases.tag as f64 / 1e6,
                 r.phases.propagate as f64 / 1e6,
                 r.phases.apply as f64 / 1e6,
-                r.edge_map_medges_per_sec,
-                r.sparse_picks,
-                r.dense_picks,
-                r.probes,
-                r.mispredicts,
             )
         })
         .collect();
@@ -245,9 +177,6 @@ pub fn table(rows: &[ScalingRow]) -> crate::report::Table {
             "tag ms",
             "propagate ms",
             "apply ms",
-            "edge_map ME/s",
-            "probes",
-            "mispredicts",
         ],
     );
     for r in rows {
@@ -258,9 +187,6 @@ pub fn table(rows: &[ScalingRow]) -> crate::report::Table {
             format!("{:.1}", r.phases.tag as f64 / 1e6),
             format!("{:.1}", r.phases.propagate as f64 / 1e6),
             format!("{:.1}", r.phases.apply as f64 / 1e6),
-            format!("{:.1}", r.edge_map_medges_per_sec),
-            r.probes.to_string(),
-            r.mispredicts.to_string(),
         ]);
     }
     t
@@ -285,9 +211,6 @@ mod tests {
             assert!(row.batches == 2);
             // Refinement ran, so phase time was recorded.
             assert!(row.phases.total() > 0, "no phase time recorded");
-            // The explicit edge_map workload drove the controller.
-            assert!(row.edge_map_medges_per_sec > 0.0);
-            assert!(row.sparse_picks + row.dense_picks > 0);
         }
         let json = to_json(GraphSpec::at_scale(8), 16, &rows);
         assert!(json.contains("\"threads\": 1"));

@@ -3,7 +3,8 @@
 //! text exposing the refinement-latency histogram, edge-computation
 //! counters, and the queue/degrade gauges — scraped here over real TCP
 //! after replaying a known mutation stream and serving one front-door
-//! update. `--trace-out` must hold every completed span tree, one per
+//! update, together with `/debug/critical` in exactly its documented
+//! key set. `--trace-out` must hold every completed span tree, one per
 //! line, in the schema `/debug/flight` serves and `gbolt trace` renders.
 
 use std::io::{Read, Write};
@@ -83,6 +84,23 @@ fn sample_value(body: &str, series_prefix: &str) -> Option<f64> {
         .find(|l| l.starts_with(series_prefix))
         .and_then(|l| l.rsplit_once(' '))
         .and_then(|(_, v)| v.parse().ok())
+}
+
+/// `(key, raw value)` pairs of a flat JSON object whose values are
+/// numbers or comma-free strings — the shape `/debug/critical` serves.
+fn flat_json_fields(body: &str) -> Vec<(&str, &str)> {
+    let inner = body
+        .trim()
+        .strip_prefix('{')
+        .and_then(|b| b.strip_suffix('}'))
+        .unwrap_or_else(|| panic!("not a JSON object: {body}"));
+    inner
+        .split(',')
+        .map(|field| {
+            let (key, value) = field.split_once(':').expect("key:value");
+            (key.trim_matches('"'), value)
+        })
+        .collect()
 }
 
 #[test]
@@ -179,6 +197,44 @@ fn serve_mode_exposes_scrapable_metrics() {
     assert!(
         sample_value(&body, "graphbolt_refine_tag_ns_count").unwrap() > 0.0,
         "per-phase refinement histograms must be populated"
+    );
+    // Only what the served path runs is exported: the BSP driver does
+    // not go through `edge_map`, so no series may claim to observe it.
+    assert!(
+        !body.contains("graphbolt_edge_map_"),
+        "edge_map series on the served path:\n{body}"
+    );
+
+    // The critical-path report of the served update's batch: exactly
+    // this key set, and the phases fit inside the batch root.
+    let (head, critical) = http_get(&addr, "/debug/critical");
+    assert!(head.starts_with("HTTP/1.1 200"), "{head}");
+    let fields = flat_json_fields(&critical);
+    let keys: Vec<&str> = fields.iter().map(|(k, _)| *k).collect();
+    assert_eq!(
+        keys,
+        [
+            "batches",
+            "trace_id",
+            "total_ns",
+            "structure_ns",
+            "tag_ns",
+            "propagate_ns",
+            "apply_ns",
+            "dominant_phase",
+            "fan_in",
+            "checkpoint_ns",
+        ],
+        "{critical}"
+    );
+    let ns = |key: &str| -> u64 {
+        let (_, v) = fields.iter().find(|(k, _)| *k == key).unwrap();
+        v.parse().unwrap_or_else(|_| panic!("{key} is not a count: {critical}"))
+    };
+    assert!(ns("batches") >= 3, "two replayed batches + the served update: {critical}");
+    assert!(
+        ns("structure_ns") + ns("tag_ns") + ns("propagate_ns") + ns("apply_ns") <= ns("total_ns"),
+        "phases exceed the batch root: {critical}"
     );
 
     // Liveness and JSON exposition on the same endpoint.

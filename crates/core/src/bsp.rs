@@ -16,12 +16,10 @@
 //!   (`step_delta`, sparse) or pull-recompute the touched destinations
 //!   (`step_pull_frontier`, dense). With
 //!   [`EngineOptions::adaptive_direction`] on, the pick is routed
-//!   through a BSP-owned [`AdaptiveController`] fed with measured
-//!   per-unit costs, instead of hard-wiring the push path whenever
-//!   `decomposable()` holds. Non-decomposable aggregations cannot
-//!   retract and always pull.
-
-use std::sync::OnceLock;
+//!   through an [`AdaptiveController`] owned by the run's driver and
+//!   fed with measured per-unit costs, instead of hard-wiring the push
+//!   path whenever `decomposable()` holds. Non-decomposable
+//!   aggregations cannot retract and always pull.
 
 use graphbolt_engine::adaptive::AdaptiveController;
 use graphbolt_engine::parallel;
@@ -86,16 +84,8 @@ pub fn run_bsp_from<A: Algorithm>(
     mode: ExecutionMode,
     stats: &EngineStats,
 ) -> BspState<A> {
-    let mut driver = Driver::new(alg, g, init, stats, opts.adaptive_direction);
-    let mut iterations_run = 0;
-    for _ in 1..=opts.max_iterations {
-        let changed = driver.step(mode);
-        iterations_run += 1;
-        stats.add_iteration();
-        if opts.convergence_exit && changed == 0 {
-            break;
-        }
-    }
+    let mut driver = Driver::new(alg, g, init, stats, opts);
+    let iterations_run = driver.run(opts, mode);
     BspState {
         vals: driver.vals,
         aggs: driver.aggs,
@@ -117,16 +107,17 @@ pub fn run_tracking<A: Algorithm>(
     let cutoff = opts.effective_cutoff();
     let mut store = DependencyStore::new(n, cutoff, opts.vertical_pruning);
     let init: Vec<A::Value> = parallel::par_map(0..n, |v| alg.initial_value(v as VertexId));
-    let mut driver = Driver::new(alg, g, init, stats, opts.adaptive_direction);
+    let mut driver = Driver::new(alg, g, init, stats, opts);
     let mut changed_at_cutoff = vec![false; n];
     let mut vals_at_cutoff = driver.vals.clone();
     let mut iterations_run = 0;
-    // Adaptive c_k: with no explicit cut-off, stop recording once the
-    // changed count has peaked and stayed quiet (see `adaptive_cutoff`).
-    // Only recording stops — the store's configured cut-off, and thus
-    // checkpoint compatibility, is untouched.
+    // With no explicit cut-off, stop recording once the changed count
+    // has peaked and stayed quiet (see `adaptive_cutoff`). Only recording
+    // stops — the store's configured cut-off, and thus checkpoint
+    // compatibility, is untouched.
     let mut cap = crate::adaptive_cutoff::CapTracker::new(
-        (opts.horizontal_cutoff.is_none() && opts.adaptive_cutoff)
+        opts.horizontal_cutoff
+            .is_none()
             .then(|| crate::adaptive_cutoff::changed_threshold(n)),
     );
     for iter in 1..=opts.max_iterations {
@@ -203,8 +194,11 @@ struct Driver<'a, A: Algorithm> {
     touched: Vec<VertexId>,
     stats: &'a EngineStats,
     iter: usize,
-    /// Consult [`direction_controller`] for the delta-vs-pull pick.
-    adaptive_direction: bool,
+    /// This run's delta-vs-pull arbiter; `None` pins decomposable
+    /// aggregations to the delta-push path. It lives exactly as long as
+    /// the run, so back-to-back runs in one process never steer each
+    /// other.
+    direction: Option<AdaptiveController>,
 }
 
 impl<'a, A: Algorithm> Driver<'a, A> {
@@ -213,7 +207,7 @@ impl<'a, A: Algorithm> Driver<'a, A> {
         g: &'a GraphSnapshot,
         init: Vec<A::Value>,
         stats: &'a EngineStats,
-        adaptive_direction: bool,
+        opts: &EngineOptions,
     ) -> Self {
         let n = g.num_vertices();
         Self {
@@ -225,8 +219,23 @@ impl<'a, A: Algorithm> Driver<'a, A> {
             touched: Vec::new(),
             stats,
             iter: 0,
-            adaptive_direction,
+            direction: opts.adaptive_direction.then(AdaptiveController::new),
         }
+    }
+
+    /// Steps until `opts.max_iterations` (or convergence, when the exit
+    /// is on); returns the iterations executed.
+    fn run(&mut self, opts: &EngineOptions, mode: ExecutionMode) -> usize {
+        let mut iterations_run = 0;
+        for _ in 1..=opts.max_iterations {
+            let changed = self.step(mode);
+            iterations_run += 1;
+            self.stats.add_iteration();
+            if opts.convergence_exit && changed == 0 {
+                break;
+            }
+        }
+        iterations_run
     }
 
     /// Executes one BSP iteration; returns the number of changed vertex
@@ -260,9 +269,11 @@ impl<'a, A: Algorithm> Driver<'a, A> {
         if !self.alg.decomposable() {
             return self.step_pull_frontier(touched);
         }
-        if !self.adaptive_direction {
+        // Taken out for the step so the `&mut self` traversals below can
+        // run; put back once the observation is fed.
+        let Some(ctl) = self.direction.take() else {
             return self.step_delta(changed, touched);
-        }
+        };
         let sparse_units = changed.len() as u64
             + changed
                 .iter()
@@ -273,7 +284,6 @@ impl<'a, A: Algorithm> Driver<'a, A> {
                 .iter()
                 .map(|&v| self.g.in_degree(v) as u64)
                 .sum::<u64>();
-        let ctl = direction_controller();
         let decision = ctl.choose(sparse_units, dense_units, false);
         let start = std::time::Instant::now();
         let n = if decision.dense {
@@ -287,6 +297,7 @@ impl<'a, A: Algorithm> Driver<'a, A> {
             dense_units,
             start.elapsed().as_nanos() as u64,
         );
+        self.direction = Some(ctl);
         n
     }
 
@@ -295,13 +306,7 @@ impl<'a, A: Algorithm> Driver<'a, A> {
         let n = self.g.num_vertices();
         let (alg, g, vals) = (self.alg, self.g, &self.vals);
         let new_aggs: Vec<A::Agg> = parallel::par_map(0..n, |vi| {
-            let v = vi as VertexId;
-            let mut agg = alg.identity();
-            for (u, w) in g.in_edges(v) {
-                let c = alg.contribution(g, u, v, w, &vals[u as usize]);
-                alg.combine(&mut agg, &c);
-            }
-            agg
+            pull_aggregate(alg, g, vi as VertexId, |u| &vals[u as usize])
         });
         self.stats.add_edge_computations(self.g.num_edges() as u64);
         self.aggs = new_aggs;
@@ -359,12 +364,7 @@ impl<'a, A: Algorithm> Driver<'a, A> {
         let vals = &self.vals;
         let recomputed: Vec<(VertexId, A::Agg)> = parallel::par_map(0..touched.len(), |i| {
             let v = touched[i];
-            let mut agg = alg.identity();
-            for (u, w) in g.in_edges(v) {
-                let c = alg.contribution(g, u, v, w, &vals[u as usize]);
-                alg.combine(&mut agg, &c);
-            }
-            (v, agg)
+            (v, pull_aggregate(alg, g, v, |u| &vals[u as usize]))
         });
         let work: u64 = touched.iter().map(|&v| g.in_degree(v) as u64).sum();
         self.stats.add_edge_computations(work);
@@ -401,28 +401,50 @@ impl<'a, A: Algorithm> Driver<'a, A> {
     }
 }
 
-/// The process-global controller behind the incremental step's
-/// delta-vs-pull pick. Separate from [`adaptive::global`]
-/// (`graphbolt_engine::adaptive::global`), which models `edge_map`'s
-/// push/pull costs — the BSP step's two paths have different per-unit
-/// costs (delta arithmetic and sharded writes vs full in-list pulls), so
-/// mixing their samples into one model would corrupt both estimates.
-pub fn direction_controller() -> &'static AdaptiveController {
-    static CONTROLLER: OnceLock<AdaptiveController> = OnceLock::new();
-    CONTROLLER.get_or_init(AdaptiveController::new)
+/// `⊕` over every in-edge of `v` into a fresh aggregation, reading each
+/// source's value through `val_of` — the pull-recompute kernel shared by
+/// the BSP driver, non-decomposable refinement and hybrid execution.
+#[inline]
+pub(crate) fn pull_aggregate<'v, A: Algorithm>(
+    alg: &A,
+    g: &GraphSnapshot,
+    v: VertexId,
+    val_of: impl Fn(VertexId) -> &'v A::Value,
+) -> A::Agg
+where
+    A::Value: 'v,
+{
+    let mut agg = alg.identity();
+    for (u, w) in g.in_edges(v) {
+        let c = alg.contribution(g, u, v, w, val_of(u));
+        alg.combine(&mut agg, &c);
+    }
+    agg
 }
 
-/// Union of the out-neighborhoods of the `changed` sources as a sorted id
-/// list: a concurrent bit union set in parallel (idempotent `fetch_or`),
-/// flattened with the blocked parallel dense→sparse conversion.
-fn touched_targets<V: Sync>(g: &GraphSnapshot, changed: &[(VertexId, V)]) -> Vec<VertexId> {
-    let bits = AtomicBitSet::new(g.num_vertices());
-    parallel::par_for(0..changed.len(), |i| {
-        for v in g.out_neighbors(changed[i].0) {
+/// Sets in `bits` every out-neighbor of every source, in parallel
+/// (idempotent `fetch_or`, so the union needs no coordination). `id`
+/// projects a source's vertex id out of the caller's list element.
+#[inline]
+pub(crate) fn mark_out_neighbors<T: Sync>(
+    g: &GraphSnapshot,
+    sources: &[T],
+    id: impl Fn(&T) -> VertexId + Sync + Send,
+    bits: &AtomicBitSet,
+) {
+    parallel::par_for(0..sources.len(), |i| {
+        for v in g.out_neighbors(id(&sources[i])) {
             bits.set(*v as usize);
         }
     });
-    bits.to_vec().into_iter().map(|v| v as VertexId).collect()
+}
+
+/// Union of the out-neighborhoods of the `changed` sources as a sorted id
+/// list.
+fn touched_targets<V: Sync>(g: &GraphSnapshot, changed: &[(VertexId, V)]) -> Vec<VertexId> {
+    let bits = AtomicBitSet::new(g.num_vertices());
+    mark_out_neighbors(g, changed, |c| c.0, &bits);
+    bits.to_ids()
 }
 
 #[cfg(test)]
@@ -644,22 +666,20 @@ mod tests {
     /// while the star settles, then stays at the tail's handful of
     /// vertices. The adaptive cap must stop tracking shortly after the
     /// peak, the cut-off snapshot must describe the last *tracked*
-    /// iteration exactly (refinement correctness hinges on it), and
-    /// opting out must restore full tracking. The graph is sized so the
-    /// verdict is the same across the whole clamp range of the
-    /// process-global cost ratio.
+    /// iteration exactly (refinement correctness hinges on it), and an
+    /// explicit `.cutoff(max_iterations)` must restore full tracking.
     #[test]
     fn adaptive_cap_stops_tracking_after_peak() {
         let n = 1 << 15;
         let mut b = GraphBuilder::new(n);
         // Star: hub 0 → every vertex outside the tail (peak changed
-        // count well above the maximum threshold n/16).
+        // count well above the threshold n/256).
         for v in 1..(n - 5) as u32 {
             b = b.add_edge(0, v, 1.0);
         }
         // Tail on the last 5 vertices: a cycle with an uneven degree
         // split keeps a few values in motion every iteration (quiet
-        // changed count below the minimum threshold n/4096 = 8).
+        // changed count below the threshold n/256 = 128).
         let t = (n - 5) as u32;
         b = b
             .add_edge(t, t + 1, 1.0)
@@ -700,12 +720,12 @@ mod tests {
         for v in 0..n {
             assert!((out.state.vals[v] - scratch.vals[v]).abs() < 1e-9);
         }
-        // Opt-out restores the old behavior: the tail keeps the store
-        // advancing through every iteration.
+        // An explicit cut-off at L tracks everything: the tail keeps
+        // the store advancing through every iteration.
         let full = run_tracking(
             &TestRank,
             &g,
-            &EngineOptions::with_iterations(8).adaptive(false),
+            &EngineOptions::with_iterations(8).cutoff(8),
             &EngineStats::new(),
         );
         assert_eq!(full.store.tracked_iterations(), 8);
@@ -740,24 +760,16 @@ mod tests {
     /// The adaptive direction pick must be invisible in the results:
     /// whatever mix of delta-push and pull-recompute the controller
     /// selects, values agree with the static (always-push) choice to
-    /// float tolerance. The controller is seeded so the dense path is
-    /// predicted cheap, guaranteeing the pull-on-decomposable traversal
-    /// is genuinely exercised rather than left to timing luck.
+    /// float tolerance. Each adaptive run's controller is seeded so the
+    /// dense path is predicted cheap, guaranteeing the
+    /// pull-on-decomposable traversal is genuinely exercised rather than
+    /// left to timing luck.
     #[test]
     fn adaptive_direction_matches_static_choice() {
         use graphbolt_engine::adaptive::Decision;
         use rand::{Rng, SeedableRng};
-        let ctl = direction_controller();
         let probe = |dense| Decision { dense, probe: true };
-        // Dense measures 1 ns/unit, sparse 10_000 ns/unit: routine picks
-        // go dense, and the spend-budgeted probe policy still re-runs
-        // sparse occasionally — both traversals execute below.
-        ctl.observe(probe(true), 1, 1, 1);
-        ctl.observe(probe(false), 1, 1, 10_000);
-        let picks_before = {
-            let s = ctl.snapshot();
-            (s.sparse_picks, s.dense_picks)
-        };
+        let mut dense_picks = 0;
         for seed in 0..12u64 {
             let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
             let n = rng.gen_range(3..40usize);
@@ -778,27 +790,27 @@ mod tests {
             let fixed = EngineOptions::with_iterations(8).adaptive_direction(false);
             let adaptive = EngineOptions::with_iterations(8);
             let want = run_bsp(&alg, &g, &fixed, ExecutionMode::Incremental, &EngineStats::new());
-            let got = run_bsp(
-                &alg,
-                &g,
-                &adaptive,
-                ExecutionMode::Incremental,
-                &EngineStats::new(),
-            );
+            let stats = EngineStats::new();
+            let init = (0..n).map(|v| alg.initial_value(v as VertexId)).collect();
+            let mut driver = Driver::new(&alg, &g, init, &stats, &adaptive);
+            let ctl = driver.direction.as_ref().expect("adaptive_direction is on");
+            // Dense measures 1 ns/unit, sparse 10_000 ns/unit: routine
+            // picks go dense, and the spend-budgeted probe policy still
+            // re-runs sparse occasionally.
+            ctl.observe(probe(true), 1, 1, 1);
+            ctl.observe(probe(false), 1, 1, 10_000);
+            driver.run(&adaptive, ExecutionMode::Incremental);
             for v in 0..n {
                 assert!(
-                    (want.vals[v] - got.vals[v]).abs() < 1e-9,
+                    (want.vals[v] - driver.vals[v]).abs() < 1e-9,
                     "seed {seed} vertex {v}: static {} vs adaptive {}",
                     want.vals[v],
-                    got.vals[v]
+                    driver.vals[v]
                 );
             }
+            dense_picks += driver.direction.as_ref().map_or(0, |c| c.snapshot().dense_picks);
         }
-        let s = ctl.snapshot();
-        assert!(
-            s.dense_picks > picks_before.1,
-            "adaptive runs never took the pull path"
-        );
+        assert!(dense_picks > 0, "adaptive runs never took the pull path");
     }
 
     proptest::proptest! {

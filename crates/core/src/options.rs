@@ -23,20 +23,18 @@ pub struct EngineOptions {
     /// Horizontal-pruning cut-off `k`: aggregations are tracked for
     /// iterations `1..=k`; past it, refinement switches to hybrid
     /// execution. `None` tracks up to `max_iterations`, with the
-    /// tracking run free to stop earlier when `adaptive_cutoff` is on.
+    /// tracking run free to stop earlier once the changed count has
+    /// peaked and gone quiet (see
+    /// [`adaptive_cutoff`](crate::adaptive_cutoff)); results are
+    /// unaffected — the cut-off is a pure performance knob.
+    /// `Some(max_iterations)` tracks everything.
     pub horizontal_cutoff: Option<usize>,
-    /// When `horizontal_cutoff` is `None`, let the tracking run pick
-    /// `c_k` online from observed per-iteration changed fractions and
-    /// refine/hybrid cost estimates (see
-    /// [`adaptive_cutoff`](crate::adaptive_cutoff)). Results are
-    /// unaffected — the cut-off is a pure performance knob. Default on.
-    pub adaptive_cutoff: bool,
     /// Vertical pruning: stop a vertex's history once its aggregation
     /// stabilizes (default on).
     pub vertical_pruning: bool,
     /// Route the incremental BSP step's delta-push vs pull-recompute
-    /// choice through the measured cost model in
-    /// [`graphbolt_engine::adaptive`] instead of always pushing deltas
+    /// choice through a per-run measured cost model
+    /// ([`graphbolt_engine::adaptive`]) instead of always pushing deltas
     /// for decomposable aggregations. Results are unaffected — both
     /// directions compute the same aggregations; only the traversal
     /// order (and float rounding) differs. Default on.
@@ -62,7 +60,6 @@ impl Default for EngineOptions {
         Self {
             max_iterations: 10,
             horizontal_cutoff: None,
-            adaptive_cutoff: true,
             vertical_pruning: true,
             adaptive_direction: true,
             fused_delta: true,
@@ -84,13 +81,6 @@ impl EngineOptions {
     /// Sets the horizontal-pruning cut-off.
     pub fn cutoff(mut self, k: usize) -> Self {
         self.horizontal_cutoff = Some(k);
-        self
-    }
-
-    /// Enables or disables adaptive cut-off selection (only consulted
-    /// while `horizontal_cutoff` is `None`).
-    pub fn adaptive(mut self, on: bool) -> Self {
-        self.adaptive_cutoff = on;
         self
     }
 

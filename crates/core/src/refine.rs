@@ -37,6 +37,7 @@ use graphbolt_engine::AtomicBitSet;
 use graphbolt_graph::{GraphSnapshot, MutationBatch, VertexId};
 
 use crate::algorithm::Algorithm;
+use crate::bsp::{mark_out_neighbors, pull_aggregate};
 use crate::options::EngineOptions;
 use crate::sharded::ShardedMut;
 use crate::stats::{EngineStats, RefineReport};
@@ -189,7 +190,7 @@ pub fn refine<A: Algorithm>(
             };
             is_structural.set(e.src as usize);
         });
-        is_structural.to_vec().into_iter().map(|v| v as VertexId).collect()
+        is_structural.to_ids()
     } else {
         Vec::new()
     };
@@ -231,9 +232,6 @@ pub fn refine<A: Algorithm>(
     let mut changed_last: Vec<VertexId> = Vec::new();
     let mut edge_work = 0u64;
 
-    // Total tag+propagate+apply time, feeding the adaptive-cut-off cost
-    // model's refine-per-iteration estimate after the loop.
-    let mut refine_phase_ns: u64 = 0;
     for i in 1..=refine_upto {
         pair_cache.clear();
         // Phase timing (DESIGN.md §10): tag = impacted-set derivation +
@@ -289,19 +287,11 @@ pub fn refine<A: Algorithm>(
                 };
                 impacted.set(e.dst as usize);
             });
-            {
-                let dirty_ref = &dirty;
-                parallel::par_for(0..dirty_ref.len(), |k| {
-                    for v in new_g.out_neighbors(dirty_ref[k]) {
-                        impacted.set(*v as usize);
-                    }
-                });
-            }
+            mark_out_neighbors(new_g, &dirty, |&u| u, &impacted);
             // Seed every impacted slot in parallel (store reads + one old
             // value derivation each), then install sequentially — O(|set|)
             // pointer writes.
-            let targets: Vec<VertexId> =
-                impacted.to_vec().into_iter().map(|v| v as VertexId).collect();
+            let targets = impacted.to_ids();
             {
                 let store_ref: &DependencyStore<A::Agg> = state.store;
                 let seeded: Vec<(A::Agg, A::Value)> = parallel::par_map(0..targets.len(), |k| {
@@ -414,22 +404,9 @@ pub fn refine<A: Algorithm>(
                 };
                 target_bits.set(e.dst as usize);
             });
-            let prev_touched = prev_changed.touched();
-            parallel::par_for(0..prev_touched.len(), |k| {
-                for v in new_g.out_neighbors(prev_touched[k]) {
-                    target_bits.set(*v as usize);
-                }
-            });
-            {
-                let structural_ref = &structural_sources;
-                parallel::par_for(0..structural_ref.len(), |k| {
-                    for v in new_g.out_neighbors(structural_ref[k]) {
-                        target_bits.set(*v as usize);
-                    }
-                });
-            }
-            let target_list: Vec<VertexId> =
-                target_bits.to_vec().into_iter().map(|v| v as VertexId).collect();
+            mark_out_neighbors(new_g, prev_changed.touched(), |&u| u, &target_bits);
+            mark_out_neighbors(new_g, &structural_sources, |&u| u, &target_bits);
+            let target_list = target_bits.to_ids();
             // Derive every needed source value once, in parallel.
             let mut needed: Vec<VertexId> = target_list
                 .iter()
@@ -450,24 +427,17 @@ pub fn refine<A: Algorithm>(
             tag_done = std::time::Instant::now();
             let prev_ref = &prev_changed;
             let cache_ref = &pair_cache;
-            let recomputed: Vec<(VertexId, A::Agg, u64)> =
+            let recomputed: Vec<(VertexId, A::Agg)> =
                 parallel::par_map(0..target_list.len(), |ti| {
                     let v = target_list[ti];
-                    let mut agg = alg.identity();
-                    let mut work = 0u64;
-                    for (u, w) in new_g.in_edges(v) {
-                        let cu = match prev_ref.get(u) {
-                            Some((_, new)) => new,
-                            None => &cache_ref.get(u).expect("prefilled above").1,
-                        };
-                        let c = alg.contribution(new_g, u, v, w, cu);
-                        alg.combine(&mut agg, &c);
-                        work += 1;
-                    }
-                    (v, agg, work)
+                    let agg = pull_aggregate(alg, new_g, v, |u| match prev_ref.get(u) {
+                        Some((_, new)) => new,
+                        None => &cache_ref.get(u).expect("prefilled above").1,
+                    });
+                    (v, agg)
                 });
-            for (v, agg, work) in recomputed {
-                edge_work += work;
+            for (v, agg) in recomputed {
+                edge_work += new_g.in_degree(v) as u64;
                 if new_aggs.get(v).is_none() {
                     let seeded = seed_slot(alg, state.store, v, i, old_g, &identity);
                     new_aggs.insert(v, (agg, seeded.1));
@@ -502,8 +472,6 @@ pub fn refine<A: Algorithm>(
         let tag_ns = tag_done.duration_since(iter_start);
         let propagate_ns = propagate_done.duration_since(tag_done);
         let apply_ns = propagate_done.elapsed();
-        refine_phase_ns = refine_phase_ns
-            .saturating_add(crate::telemetry::saturating_nanos(tag_ns + propagate_ns + apply_ns));
         m.refine_tag_ns.record_duration(tag_ns);
         m.refine_propagate_ns.record_duration(propagate_ns);
         m.refine_apply_ns.record_duration(apply_ns);
@@ -528,10 +496,6 @@ pub fn refine<A: Algorithm>(
     stats.add_edge_computations(edge_work);
     report.edge_computations = edge_work;
     report.refined_vertices = refined.len();
-    if report.refined_iterations > 0 {
-        crate::adaptive_cutoff::cost_model()
-            .observe_refine(refine_phase_ns / report.refined_iterations as u64);
-    }
 
     // Update c_k (and the cut-off changed-bits) for the refined
     // trajectory, then continue with hybrid execution if iterations remain.
@@ -577,7 +541,6 @@ pub fn refine<A: Algorithm>(
         let mut seed: Vec<VertexId> =
             parallel::par_filter_map(0..new_n, |v| changed_ref[v].then_some(v as VertexId));
         seed.sort_unstable();
-        let hybrid_start = std::time::Instant::now();
         let hybrid = run_hybrid(
             alg,
             new_g,
@@ -587,12 +550,6 @@ pub fn refine<A: Algorithm>(
             total_iters,
             stats,
         );
-        if hybrid.iterations > 0 {
-            crate::adaptive_cutoff::cost_model().observe_hybrid(
-                crate::telemetry::saturating_nanos(hybrid_start.elapsed())
-                    / hybrid.iterations as u64,
-            );
-        }
         report.hybrid_iterations = hybrid.iterations;
         report.edge_computations += hybrid.edge_work;
         let mut changed_final = 0;
@@ -642,34 +599,20 @@ fn run_hybrid<A: Algorithm>(
         // Frontier out-neighborhood as a concurrent bit union, flattened
         // with the blocked parallel conversion (ascending ids).
         let target_bits = AtomicBitSet::new(g.num_vertices());
-        {
-            let moving_ref = &moving;
-            parallel::par_for(0..moving_ref.len(), |k| {
-                for v in g.out_neighbors(moving_ref[k]) {
-                    target_bits.set(*v as usize);
-                }
-            });
-        }
-        let targets: Vec<VertexId> =
-            target_bits.to_vec().into_iter().map(|v| v as VertexId).collect();
+        mark_out_neighbors(g, &moving, |&u| u, &target_bits);
+        let targets = target_bits.to_ids();
         let cur_ref = &cur;
-        let updated: Vec<(VertexId, A::Value, u64)> = parallel::par_map(0..targets.len(), |ti| {
+        let updated: Vec<(VertexId, A::Value)> = parallel::par_map(0..targets.len(), |ti| {
             let v = targets[ti];
-            let mut agg = alg.identity();
-            let mut work = 0u64;
-            for (u, w) in g.in_edges(v) {
-                let c = alg.contribution(g, u, v, w, &cur_ref[u as usize]);
-                alg.combine(&mut agg, &c);
-                work += 1;
-            }
-            (v, alg.compute(v, &agg, g), work)
+            let agg = pull_aggregate(alg, g, v, |u| &cur_ref[u as usize]);
+            (v, alg.compute(v, &agg, g))
         });
         stats.add_vertex_computations(targets.len() as u64);
         // Reuse the frontier buffer across iterations instead of
         // allocating a fresh Vec per round.
         moving.clear();
-        for (v, new_val, work) in updated {
-            edge_work += work;
+        for (v, new_val) in updated {
+            edge_work += g.in_degree(v) as u64;
             if alg.changed(&cur[v as usize], &new_val) {
                 cur[v as usize] = new_val;
                 moving.push(v);

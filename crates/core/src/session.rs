@@ -319,10 +319,11 @@ pub fn retry_with_backoff_seeded<T>(
 }
 
 /// [`retry_with_backoff_seeded`] with a per-call seed drawn from the
-/// calling thread's identity and a process-global counter, and a cap of
-/// `base_delay * 1024`. Clients sharing one backpressure signal get
-/// distinct jitter streams without coordinating seeds; tests that need
-/// reproducible delays use the seeded variant directly.
+/// calling thread's identity and a fresh `RandomState` (std keys every
+/// construction differently), and a cap of `base_delay * 1024`. Clients
+/// sharing one backpressure signal get distinct jitter streams without
+/// coordinating seeds; tests that need reproducible delays use the
+/// seeded variant directly.
 ///
 /// # Errors
 ///
@@ -332,17 +333,13 @@ pub fn retry_with_backoff<T>(
     attempts: usize,
     base_delay: Duration,
 ) -> Result<T, SessionError> {
-    use std::hash::{Hash, Hasher};
-    use std::sync::OnceLock;
-    static CALL: OnceLock<WorkCounter> = OnceLock::new();
-    let calls = CALL.get_or_init(WorkCounter::new);
-    calls.add(1);
+    use std::hash::{BuildHasher, Hash, Hasher};
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     std::thread::current().id().hash(&mut hasher);
-    // The thread-id hash already separates concurrent callers; the call
-    // counter only has to separate sequential calls within one thread,
-    // so the add/get pair needs no read-modify-write atomicity.
-    let seed = hasher.finish() ^ calls.get().rotate_left(32);
+    let per_call = std::collections::hash_map::RandomState::new()
+        .build_hasher()
+        .finish();
+    let seed = hasher.finish() ^ per_call;
     let cap = base_delay.saturating_mul(1024);
     retry_with_backoff_seeded(op, attempts, BackoffSchedule::new(base_delay, cap, seed))
 }
@@ -851,8 +848,8 @@ impl<A: Algorithm> WorkerState<A> {
         self.stats.batches += 1;
         // The refinement batch gets its own trace: many request traces
         // fan into one batch, recorded as follows-from links. While it
-        // is the thread's current batch, refinement-phase and edge_map
-        // samples attribute to it.
+        // is the thread's current batch, refinement-phase samples
+        // attribute to it.
         let follows: Vec<telemetry::TraceCtx> = stamps.iter().map(|s| s.trace).collect();
         let batch_trace = telemetry::span::begin_batch(&follows);
         let engine = &mut self.engine;
@@ -882,8 +879,8 @@ impl<A: Algorithm> WorkerState<A> {
                 telemetry::metrics().panics_recovered.inc();
                 let reason = panic_message(&*payload);
                 // Close the batch trace (triggering a flight dump)
-                // before run_initial, so the rebuild's edge_map samples
-                // don't attribute to the dead batch.
+                // before run_initial, so nothing the rebuild records
+                // attributes to the dead batch.
                 Self::complete_quarantined(&stamps, batch_trace);
                 self.quarantine(batch, reason, config.max_dead_letters);
                 self.engine.run_initial();

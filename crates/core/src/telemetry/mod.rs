@@ -28,7 +28,6 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use graphbolt_engine::parallel::WorkCounter;
-use graphbolt_engine::profile;
 
 pub use hist::{BucketCount, Histogram, HistogramSnapshot};
 pub use span::TraceCtx;
@@ -170,16 +169,6 @@ pub struct MetricsRegistry {
     pub vertex_computations: Counter,
     /// BSP iterations executed (initial + refinement + hybrid).
     pub iterations: Counter,
-    /// `edge_map` invocations routed to the sparse (push) path.
-    pub edge_map_sparse: Counter,
-    /// `edge_map` invocations routed to the dense (pull) path.
-    pub edge_map_dense: Counter,
-    /// Adaptive-controller probe invocations (stale/unmeasured path
-    /// re-measurement).
-    pub edge_map_probes: Counter,
-    /// Adaptive picks that the post-observation cost model scored as
-    /// the slower path.
-    pub edge_map_mispredicts: Counter,
     /// Front-door requests admitted, per client class (indexed by
     /// `admission::ClientClass::index`: interactive, bulk, best-effort).
     pub admit: [Counter; 3],
@@ -216,8 +205,6 @@ pub struct MetricsRegistry {
 
     /// Per-batch end-to-end refinement latency (ns).
     pub batch_refine_ns: Histogram,
-    /// Per-call `edge_map` latency (ns), via the engine profiling hook.
-    pub edge_map_ns: Histogram,
     /// Per-iteration BSP step latency (ns).
     pub bsp_iteration_ns: Histogram,
     /// Refinement tag phase (impacted-set derivation) latency (ns).
@@ -283,22 +270,6 @@ impl MetricsRegistry {
             iterations: Counter::new(
                 "graphbolt_iterations_total",
                 "BSP iterations executed (initial + refinement + hybrid)",
-            ),
-            edge_map_sparse: Counter::new(
-                "graphbolt_edge_map_sparse_total",
-                "edge_map invocations routed to the sparse (push) path",
-            ),
-            edge_map_dense: Counter::new(
-                "graphbolt_edge_map_dense_total",
-                "edge_map invocations routed to the dense (pull) path",
-            ),
-            edge_map_probes: Counter::new(
-                "graphbolt_edge_map_probes_total",
-                "Adaptive-controller probes of a stale or unmeasured path",
-            ),
-            edge_map_mispredicts: Counter::new(
-                "graphbolt_edge_map_mispredicts_total",
-                "Adaptive picks scored as the slower path after observation",
             ),
             admit: [
                 Counter::new(
@@ -386,10 +357,6 @@ impl MetricsRegistry {
                 "graphbolt_batch_refine_ns",
                 "Per-batch end-to-end refinement latency in nanoseconds",
             ),
-            edge_map_ns: Histogram::new(
-                "graphbolt_edge_map_ns",
-                "Per-call edge_map latency in nanoseconds",
-            ),
             bsp_iteration_ns: Histogram::new(
                 "graphbolt_bsp_iteration_ns",
                 "Per-iteration BSP step latency in nanoseconds",
@@ -430,7 +397,7 @@ impl MetricsRegistry {
     }
 
     /// All counters, registration order.
-    pub fn counters(&self) -> [&Counter; 28] {
+    pub fn counters(&self) -> [&Counter; 24] {
         [
             &self.batches_applied,
             &self.mutations_applied,
@@ -442,10 +409,6 @@ impl MetricsRegistry {
             &self.edge_computations,
             &self.vertex_computations,
             &self.iterations,
-            &self.edge_map_sparse,
-            &self.edge_map_dense,
-            &self.edge_map_probes,
-            &self.edge_map_mispredicts,
             &self.admit[0],
             &self.admit[1],
             &self.admit[2],
@@ -475,10 +438,9 @@ impl MetricsRegistry {
     }
 
     /// All histograms, registration order.
-    pub fn histograms(&self) -> [&Histogram; 11] {
+    pub fn histograms(&self) -> [&Histogram; 10] {
         [
             &self.batch_refine_ns,
-            &self.edge_map_ns,
             &self.bsp_iteration_ns,
             &self.refine_tag_ns,
             &self.refine_propagate_ns,
@@ -529,41 +491,9 @@ impl MetricsRegistry {
 
 static METRICS: OnceLock<MetricsRegistry> = OnceLock::new();
 
-/// The process-global registry. First access also installs the engine's
-/// `edge_map` profiling hook, so engine-level timings flow into
-/// [`MetricsRegistry::edge_map_ns`] from then on; code that never
-/// touches telemetry (the criterion benches) never installs the hook
-/// and pays nothing.
+/// The process-global registry.
 pub fn metrics() -> &'static MetricsRegistry {
-    METRICS.get_or_init(|| {
-        profile::install_edge_map_hook(record_edge_map_sample);
-        MetricsRegistry::new()
-    })
-}
-
-/// Engine profiling hook: forwards one `edge_map` sample into the
-/// registry. Runs only after `metrics()` initialized, so the inner
-/// `get_or_init` never recurses.
-fn record_edge_map_sample(sample: profile::EdgeMapSample) {
-    let m = metrics();
-    m.edge_map_ns.record(sample.nanos);
-    // Critical-path attribution piggybacks on the same hook, so the
-    // engine hot path gains no new instrumentation site; when span
-    // recording is off this is one load-and-branch.
-    if span::enabled() {
-        span::edge_map_note(&sample);
-    }
-    if sample.dense {
-        m.edge_map_dense.inc();
-    } else {
-        m.edge_map_sparse.inc();
-    }
-    if sample.probe {
-        m.edge_map_probes.inc();
-    }
-    if sample.mispredict {
-        m.edge_map_mispredicts.inc();
-    }
+    METRICS.get_or_init(MetricsRegistry::new)
 }
 
 /// `Duration` → saturated nanoseconds for histogram recording.

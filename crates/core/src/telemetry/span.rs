@@ -5,7 +5,7 @@
 //! A [`TraceCtx`] is minted at the front door (honoring an
 //! `X-Request-Id` header, else drawn from a seeded splitmix64 stream)
 //! and propagated through admission → session queue → worker dequeue →
-//! refinement batch → `edge_map` phases → checkpoint. Every request
+//! refinement batch → tag/propagate/apply phases → checkpoint. Every request
 //! yields one rooted span tree with queue time and service time
 //! attributed separately; a refinement batch gets its *own* trace whose
 //! root records **follows-from** links to the many request traces it
@@ -14,8 +14,7 @@
 //!
 //! Cost model: until [`enable`] runs, every instrumented site pays one
 //! `OnceLock` load returning `None`; after that, one padded relaxed
-//! load gates each site (this is the bound the perf-smoke guard holds
-//! on the `edge_map` hot path). When recording is on, sites take a
+//! load gates each site. When recording is on, sites take a
 //! short process-global mutex — request-rate work, never per-edge work.
 //!
 //! The **flight recorder** is a fixed-size ring of completed traces,
@@ -34,7 +33,6 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use graphbolt_engine::parallel::WorkCounter;
-use graphbolt_engine::profile::EdgeMapSample;
 
 use crate::laws::SplitMix64;
 
@@ -136,8 +134,8 @@ pub struct CompletedTrace {
     pub spans: Vec<SpanRecord>,
 }
 
-/// Per-batch critical-path attribution: which refinement phase, which
-/// adaptive-controller path, and how wide the request fan-in was.
+/// Per-batch critical-path attribution: which refinement phase
+/// dominated and how wide the request fan-in was.
 #[derive(Debug, Clone, Default)]
 pub struct CriticalPathReport {
     /// Batches attributed so far (0 means the report is empty).
@@ -155,14 +153,6 @@ pub struct CriticalPathReport {
     pub propagate_ns: u64,
     /// Nanoseconds in the apply phase.
     pub apply_ns: u64,
-    /// `edge_map` nanoseconds spent on the dense (pull) path.
-    pub edge_map_dense_ns: u64,
-    /// `edge_map` nanoseconds spent on the sparse (push) path.
-    pub edge_map_sparse_ns: u64,
-    /// Adaptive-controller probe invocations inside the batch.
-    pub probes: u64,
-    /// Adaptive picks scored as the slower path inside the batch.
-    pub mispredicts: u64,
     /// Request traces the batch served (follows-from width).
     pub fan_in: u64,
     /// Nanoseconds spent writing the post-batch checkpoint (0 = none).
@@ -196,15 +186,6 @@ impl CriticalPathReport {
             _ => "structure",
         }
     }
-
-    /// Which `edge_map` path dominated the batch's wall clock.
-    pub fn dominant_path(&self) -> &'static str {
-        if self.edge_map_dense_ns >= self.edge_map_sparse_ns {
-            "dense"
-        } else {
-            "sparse"
-        }
-    }
 }
 
 /// Flight-recorder tuning: when the ring dumps itself to JSONL, and
@@ -233,10 +214,6 @@ struct BatchAccum {
     tag_ns: u64,
     propagate_ns: u64,
     apply_ns: u64,
-    dense_ns: u64,
-    sparse_ns: u64,
-    probes: u64,
-    mispredicts: u64,
     checkpoint_ns: u64,
 }
 
@@ -304,7 +281,7 @@ static SPANS: OnceLock<SpanState> = OnceLock::new();
 
 std::thread_local! {
     /// The batch trace the current thread is refining under, read by
-    /// the phase and `edge_map` attribution hooks.
+    /// the phase attribution hook.
     static CURRENT_BATCH: std::cell::Cell<TraceCtx> =
         const { std::cell::Cell::new(TraceCtx::disabled()) };
 }
@@ -614,7 +591,7 @@ pub fn complete(ctx: TraceCtx, status: &'static str) {
 /// Opens a batch trace serving the given request contexts; its root
 /// records follows-from links to each (fan-in is causality, not
 /// parentage). The new context also becomes the calling thread's
-/// current batch, so phase and `edge_map` samples attribute to it.
+/// current batch, so phase samples attribute to it.
 /// Returns the disabled context when recording is off.
 pub fn begin_batch(follows: &[TraceCtx]) -> TraceCtx {
     if !enabled() {
@@ -711,32 +688,6 @@ pub fn batch_phase(iteration: u64, phase: &'static str, nanos: u64) {
     }
 }
 
-/// Attributes one `edge_map` sample to the thread's current batch
-/// (adaptive path, probes, mispredicts). The unsubscribed cost is the
-/// single relaxed load inside [`enabled`].
-pub fn edge_map_note(sample: &EdgeMapSample) {
-    let ctx = current_batch();
-    if !ctx.is_active() {
-        return;
-    }
-    let s = state();
-    let mut g = lock(s);
-    let Some(t) = g.active.get_mut(&ctx.trace_id) else {
-        return;
-    };
-    if sample.dense {
-        t.accum.dense_ns = t.accum.dense_ns.saturating_add(sample.nanos);
-    } else {
-        t.accum.sparse_ns = t.accum.sparse_ns.saturating_add(sample.nanos);
-    }
-    if sample.probe {
-        t.accum.probes += 1;
-    }
-    if sample.mispredict {
-        t.accum.mispredicts += 1;
-    }
-}
-
 /// Records the post-batch checkpoint span against the batch trace.
 pub fn batch_checkpoint(ctx: TraceCtx, start: Instant, end: Instant) {
     if !enabled() || !ctx.is_active() {
@@ -774,10 +725,6 @@ pub fn end_batch(ctx: TraceCtx, status: &'static str) {
         tag_ns: t.accum.tag_ns,
         propagate_ns: t.accum.propagate_ns,
         apply_ns: t.accum.apply_ns,
-        edge_map_dense_ns: t.accum.dense_ns,
-        edge_map_sparse_ns: t.accum.sparse_ns,
-        probes: t.accum.probes,
-        mispredicts: t.accum.mispredicts,
         fan_in: t.follows_from.len() as u64,
         checkpoint_ns: t.accum.checkpoint_ns,
     };
@@ -972,7 +919,7 @@ pub fn flight_json() -> String {
 pub fn critical_json() -> String {
     let r = critical_report();
     format!(
-        "{{\"batches\":{},\"trace_id\":{},\"total_ns\":{},\"structure_ns\":{},\"tag_ns\":{},\"propagate_ns\":{},\"apply_ns\":{},\"dominant_phase\":\"{}\",\"edge_map_dense_ns\":{},\"edge_map_sparse_ns\":{},\"dominant_path\":\"{}\",\"probes\":{},\"mispredicts\":{},\"fan_in\":{},\"checkpoint_ns\":{}}}",
+        "{{\"batches\":{},\"trace_id\":{},\"total_ns\":{},\"structure_ns\":{},\"tag_ns\":{},\"propagate_ns\":{},\"apply_ns\":{},\"dominant_phase\":\"{}\",\"fan_in\":{},\"checkpoint_ns\":{}}}",
         r.batches,
         r.trace_id,
         r.total_ns,
@@ -981,11 +928,6 @@ pub fn critical_json() -> String {
         r.propagate_ns,
         r.apply_ns,
         r.dominant_phase(),
-        r.edge_map_dense_ns,
-        r.edge_map_sparse_ns,
-        r.dominant_path(),
-        r.probes,
-        r.mispredicts,
         r.fan_in,
         r.checkpoint_ns,
     )
@@ -1070,14 +1012,6 @@ mod tests {
         batch_phase(1, "tag", 1_000);
         batch_phase(1, "propagate", 5_000);
         batch_phase(1, "apply", 2_000);
-        edge_map_note(&EdgeMapSample {
-            nanos: 700,
-            edges: 10,
-            dense: true,
-            adaptive: true,
-            probe: false,
-            mispredict: false,
-        });
         end_batch(batch, "ok");
         complete(a, "ok");
         complete(b, "ok");
@@ -1094,7 +1028,6 @@ mod tests {
         assert_eq!(r.batches, 1);
         assert_eq!(r.structure_ns, 3_000);
         assert_eq!(r.dominant_phase(), "propagate");
-        assert_eq!(r.dominant_path(), "dense");
         assert_eq!(r.fan_in, 2);
         assert!(!current_batch().is_active(), "end_batch clears the TLS");
     }

@@ -1,7 +1,11 @@
 //! Fault-injection acceptance suite (`--features fault-injection`).
 //!
-//! Each test arms a distinct probe site, so the process-global registry
-//! never races across the parallel test harness:
+//! The fault registry is process-global and the scenarios cross each
+//! other's sites (a session test's `add` passes `session::ingest`, a
+//! checkpoint test's `apply_batch` passes `refine::start`), so every test
+//! that arms a site holds [`armed`] for its whole body: a plan is only
+//! ever consumed by the test that armed it, under the default parallel
+//! test threading. Sites exercised:
 //!
 //! * `refine::start`     — panic mid-refinement → quarantine + recovery
 //! * `checkpoint::write` — torn checkpoint → recovery skips to the
@@ -19,7 +23,7 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use graphbolt_core::doctest_support::DocRank;
 use graphbolt_core::checkpoint::{
@@ -33,6 +37,14 @@ use graphbolt_core::{
 };
 use bytes::Bytes;
 use graphbolt_graph::{Edge, GraphBuilder};
+
+static ARMED: Mutex<()> = Mutex::new(());
+
+/// Serializes the tests that arm a site. Poison-tolerant: a failed
+/// scenario must not fail the others with a `PoisonError`.
+fn armed() -> MutexGuard<'static, ()> {
+    ARMED.lock().unwrap_or_else(|e| e.into_inner())
+}
 
 fn engine() -> StreamingEngine<DocRank> {
     let g = GraphBuilder::new(6)
@@ -64,6 +76,7 @@ fn scratch_values(engine: &StreamingEngine<DocRank>) -> Vec<f64> {
 /// returns exactly the from-scratch result on the last good snapshot.
 #[test]
 fn injected_refine_panic_is_quarantined_and_session_keeps_serving() {
+    let _armed = armed();
     let session = StreamSession::spawn(engine());
 
     arm("refine::start", FaultAction::Panic, 1);
@@ -122,6 +135,7 @@ fn injected_refine_panic_is_quarantined_and_session_keeps_serving() {
 /// checkpoint.
 #[test]
 fn truncated_checkpoint_is_skipped_in_favour_of_previous_good_one() {
+    let _armed = armed();
     let dir = std::env::temp_dir().join("graphbolt-fault-trunc");
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -172,6 +186,7 @@ fn truncated_checkpoint_is_skipped_in_favour_of_previous_good_one() {
 /// leaves the session usable.
 #[test]
 fn injected_ingest_error_rejects_one_submission() {
+    let _armed = armed();
     let session = StreamSession::spawn(engine());
     arm("session::ingest", FaultAction::Error, 1);
     assert_eq!(
@@ -253,6 +268,7 @@ fn finish_and_check(
 /// sees the mutation nor corrupts later traffic.
 #[test]
 fn injected_accept_fault_drops_the_connection_only() {
+    let _armed = armed();
     let (door, session, _ctl) = front_door();
     let addr = door.local_addr();
 
@@ -276,6 +292,7 @@ fn injected_accept_fault_drops_the_connection_only() {
 /// 400. The mutation it carried must not reach the session.
 #[test]
 fn injected_parse_fault_rejects_without_mutating() {
+    let _armed = armed();
     let (door, session, _ctl) = front_door();
     let addr = door.local_addr();
 
@@ -297,6 +314,7 @@ fn injected_parse_fault_rejects_without_mutating() {
 /// records the shed and the session stays pristine.
 #[test]
 fn injected_admission_fault_sheds_with_retry_after() {
+    let _armed = armed();
     let (door, session, ctl) = front_door();
     let addr = door.local_addr();
 
@@ -327,6 +345,7 @@ fn injected_admission_fault_sheds_with_retry_after() {
 /// the final state equals from-scratch on the served mutations only.
 #[test]
 fn injected_deadline_expiry_sheds_the_queued_mutation() {
+    let _armed = armed();
     let session = StreamSession::spawn(engine());
 
     arm("session::deadline", FaultAction::Error, 1);

@@ -1,19 +1,21 @@
-//! Online cost models for adaptive direction optimization.
+//! Online two-arm cost arbiter for traversal-direction choices.
 //!
-//! [`AdaptiveController`] replaces the fixed Ligra density threshold
-//! with measured per-path throughput. Every timed `edge_map` invocation
-//! feeds an EWMA estimate of nanoseconds-per-work-unit for the path it
-//! ran — sparse units are `|F| + outdeg(F)` (the work the push traversal
-//! actually touches), dense units are `|V| + |E|` (the pull traversal
-//! scans every vertex's in-list regardless of frontier size) — and each
-//! subsequent invocation picks the path with the lower predicted cost
-//! `units × ns_per_unit`.
+//! [`AdaptiveController`] replaces a fixed density threshold with
+//! measured per-path throughput. Its owner times every invocation of
+//! the kernel it arbitrates and feeds an EWMA estimate of
+//! nanoseconds-per-work-unit for the path that ran — the *sparse* arm's
+//! units are the work a push traversal touches (`|F| + outdeg(F)`), the
+//! *dense* arm's those of the pull traversal — and each subsequent
+//! invocation picks the path with the lower predicted cost
+//! `units × ns_per_unit`. A controller is plain owned state: the BSP
+//! driver in `graphbolt-core` builds one per run for its delta-push vs
+//! pull-recompute pick, so runs never influence each other.
 //!
 //! Two policies keep the estimates honest:
 //!
 //! * **Cold start**: with no measurements the controller defers to the
-//!   static heuristic; with one path measured it probes the other, so
-//!   both estimates exist after two invocations.
+//!   caller's static choice; with one path measured it probes the
+//!   other, so both estimates exist after two invocations.
 //! * **Time-budgeted probes**: once the winner has accumulated
 //!   [`PROBE_SPEND_RATIO`] times the loser's *predicted* cost in
 //!   observed wall-clock time, the loser is re-run once. Budgeting by
@@ -22,14 +24,11 @@
 //!   every-N-calls probe would make tiny-frontier workloads arbitrarily
 //!   slower (one dense probe can cost 100× a small sparse call).
 //!
-//! Estimate cells live in [`parallel::WorkCounter`]s holding `f64` bit
-//! patterns, the workspace's sanctioned shared-counter primitive. The
-//! read-modify-write in [`AdaptiveController::observe`] is not atomic:
-//! concurrent observers race and the last writer wins, which is benign —
-//! the cell is a smoothed estimate of a stationary quantity, and every
-//! subsequent observation re-converges it.
-
-use std::sync::OnceLock;
+//! Estimate cells live in [`WorkCounter`]s holding `f64` bit patterns, the workspace's sanctioned shared-counter
+//! primitive. The read-modify-write in [`AdaptiveController::observe`]
+//! is not atomic: concurrent observers race and the last writer wins,
+//! which is benign — the cell is a smoothed estimate of a stationary
+//! quantity, and every subsequent observation re-converges it.
 
 use crate::parallel::WorkCounter;
 
@@ -50,11 +49,11 @@ const PROBE_SPEND_RATIO: f64 = 32.0;
 /// Zero bits (`0.0`) is the "unmeasured" sentinel; observed costs are
 /// clamped strictly positive.
 #[derive(Debug, Default)]
-pub struct CostCell(WorkCounter);
+struct CostCell(WorkCounter);
 
 impl CostCell {
     /// The current estimate, `None` until the first observation.
-    pub fn get(&self) -> Option<f64> {
+    fn get(&self) -> Option<f64> {
         let v = f64::from_bits(self.0.get());
         (v > 0.0).then_some(v)
     }
@@ -66,7 +65,7 @@ impl CostCell {
     /// Blends `sample` into the estimate with weight `alpha`, seeding on
     /// the first observation. Racy read-modify-write by design (see the
     /// module docs); the cell converges under any interleaving.
-    pub fn blend(&self, sample: f64, alpha: f64) {
+    fn blend(&self, sample: f64, alpha: f64) {
         let next = match self.get() {
             Some(prev) => prev + alpha * (sample - prev),
             None => sample,
@@ -85,8 +84,7 @@ pub struct Decision {
     pub probe: bool,
 }
 
-/// Monotonic counters describing a controller's decision history; the
-/// bench harness records deltas of these per BENCH row.
+/// Monotonic counters describing a controller's decision history.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ControllerSnapshot {
     /// Invocations routed to the sparse (push) path.
@@ -241,15 +239,6 @@ impl AdaptiveController {
             dense_ns_per_unit: self.dense_cost.get(),
         }
     }
-}
-
-static GLOBAL: OnceLock<AdaptiveController> = OnceLock::new();
-
-/// The process-global controller used by `edge_map` in adaptive mode.
-/// One controller per process matches the hook architecture in
-/// `profile.rs` and lets long-lived services amortize the cold start.
-pub fn global() -> &'static AdaptiveController {
-    GLOBAL.get_or_init(AdaptiveController::new)
 }
 
 #[cfg(test)]

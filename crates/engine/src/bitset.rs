@@ -7,6 +7,8 @@ use loom::sync::atomic::{AtomicU64, Ordering};
 #[cfg(not(feature = "loom-check"))]
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use graphbolt_graph::VertexId;
+
 use crate::parallel;
 
 /// A fixed-capacity bit set supporting concurrent set/test from parallel
@@ -138,16 +140,16 @@ impl AtomicBitSet {
         })
     }
 
-    /// Collects set bits into a vector, ascending.
+    /// Collects set bits into a vertex-id vector, ascending.
     ///
     /// Large sets convert in parallel: block-wise popcount, an exclusive
     /// prefix sum over the block counts, then a scatter where each block
     /// writes its indices into a disjoint, pre-sized slice of the output.
     /// Output is identical to the sequential walk (ascending order) — the
     /// prefix sum fixes each block's output position up front.
-    pub fn to_vec(&self) -> Vec<usize> {
+    pub fn to_ids(&self) -> Vec<VertexId> {
         if self.words.len() < PAR_BLOCK_WORDS * 2 {
-            return self.iter().collect();
+            return self.iter().map(|i| i as VertexId).collect();
         }
         let blocks = self.words.len().div_ceil(PAR_BLOCK_WORDS);
         let mut offsets = parallel::par_map(0..blocks, |b| {
@@ -159,9 +161,9 @@ impl AtomicBitSet {
                 .sum::<usize>()
         });
         let total = parallel::exclusive_prefix_sum(&mut offsets);
-        let mut out = vec![0usize; total];
-        let mut tail: &mut [usize] = &mut out;
-        let mut tasks: Vec<(usize, &mut [usize])> = Vec::with_capacity(blocks);
+        let mut out: Vec<VertexId> = vec![0; total];
+        let mut tail: &mut [VertexId] = &mut out;
+        let mut tasks: Vec<(usize, &mut [VertexId])> = Vec::with_capacity(blocks);
         for b in 0..blocks {
             let end = offsets.get(b + 1).copied().unwrap_or(total);
             let (head, rest) = tail.split_at_mut(end - offsets[b]);
@@ -177,7 +179,7 @@ impl AtomicBitSet {
                 // above already fixed this block's output size.
                 let mut bits = self.words[wi].load(Ordering::Relaxed);
                 while bits != 0 {
-                    slot[cursor] = wi * 64 + bits.trailing_zeros() as usize;
+                    slot[cursor] = (wi * 64 + bits.trailing_zeros() as usize) as VertexId;
                     cursor += 1;
                     bits &= bits - 1;
                 }
@@ -231,7 +233,7 @@ mod tests {
         for i in [5usize, 63, 64, 150, 199] {
             bs.set(i);
         }
-        assert_eq!(bs.to_vec(), vec![5, 63, 64, 150, 199]);
+        assert_eq!(bs.to_ids(), vec![5, 63, 64, 150, 199]);
     }
 
     #[test]
@@ -270,7 +272,7 @@ mod tests {
 
     #[test]
     #[cfg_attr(miri, ignore)]
-    fn parallel_to_vec_matches_sequential_iter() {
+    fn parallel_to_ids_matches_sequential_iter() {
         // Big enough to take the blocked parallel path (> 2 blocks of
         // words), with an irregular pattern crossing block boundaries.
         let n = PAR_BLOCK_WORDS * 64 * 3 + 101;
@@ -278,8 +280,8 @@ mod tests {
         for i in (0..n).filter(|i| i % 7 == 0 || i % 1013 == 5) {
             bs.set(i);
         }
-        let expected: Vec<usize> = bs.iter().collect();
-        assert_eq!(bs.to_vec(), expected);
+        let expected: Vec<VertexId> = bs.iter().map(|i| i as VertexId).collect();
+        assert_eq!(bs.to_ids(), expected);
         assert_eq!(bs.count(), expected.len());
     }
 

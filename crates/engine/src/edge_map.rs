@@ -13,23 +13,18 @@ pub enum Mode {
     Sparse,
     /// Always pull along in-edges.
     Dense,
-    /// Ligra's fixed density heuristic:
-    /// `|F| + outdeg(F) > |E| / dense_denominator`.
-    Static,
-    /// Online cost model (see [`crate::adaptive`]): pick the path with
-    /// the lower predicted cost from measured per-unit throughput,
-    /// falling back to the static heuristic until measurements exist.
+    /// Ligra's density heuristic, computed from the call's own input:
+    /// pull when `|F| + outdeg(F) > |E| / dense_denominator`.
     #[default]
-    Adaptive,
+    Static,
 }
 
 /// Tuning knobs for [`edge_map`].
 #[derive(Debug, Clone, Copy)]
 pub struct EdgeMapOptions {
-    /// Denominator of the static density cut-off — a frontier is
-    /// processed densely (pull) when `|F| + outdeg(F) > |E| /
-    /// denominator` (Ligra uses 20). Consulted by [`Mode::Static`] and
-    /// by [`Mode::Adaptive`] before the controller has measurements.
+    /// Denominator of the density cut-off — under [`Mode::Static`] a
+    /// frontier is processed densely (pull) when `|F| + outdeg(F) >
+    /// |E| / denominator` (Ligra uses 20).
     pub dense_denominator: usize,
     /// Direction-selection policy.
     pub mode: Mode,
@@ -59,19 +54,6 @@ impl EdgeMapOptions {
             mode: Mode::Dense,
             ..Self::default()
         }
-    }
-
-    /// Options using the fixed Ligra density heuristic.
-    pub fn static_heuristic() -> Self {
-        Self {
-            mode: Mode::Static,
-            ..Self::default()
-        }
-    }
-
-    /// Options using the adaptive online cost model (the default).
-    pub fn adaptive() -> Self {
-        Self::default()
     }
 }
 
@@ -106,70 +88,21 @@ where
     if frontier.is_empty() {
         return VertexSubset::empty(n);
     }
-    // Unit counts for the cost models: what each traversal touches.
-    // Forced modes skip the out-degree scan entirely.
-    let units = |sparse_needed: bool| -> (u64, u64) {
-        let sparse = if sparse_needed {
-            (frontier.len() + frontier.out_degree_sum(g)) as u64
-        } else {
-            0
-        };
-        (sparse, (n + g.num_edges()) as u64)
-    };
-    let static_pick = |sparse_units: u64| {
-        sparse_units > (g.num_edges() / opts.dense_denominator.max(1)) as u64
-    };
-    let mut adaptive_state: Option<(crate::adaptive::Decision, u64, u64)> = None;
+    // Only the heuristic pays for the out-degree scan; forced modes skip
+    // it entirely.
     let use_dense = match opts.mode {
         Mode::Sparse => false,
         Mode::Dense => true,
         Mode::Static => {
-            let (sparse_units, _) = units(true);
-            static_pick(sparse_units)
-        }
-        Mode::Adaptive => {
-            let (sparse_units, dense_units) = units(true);
-            let decision = crate::adaptive::global().choose(
-                sparse_units,
-                dense_units,
-                static_pick(sparse_units),
-            );
-            adaptive_state = Some((decision, sparse_units, dense_units));
-            decision.dense
+            frontier.len() + frontier.out_degree_sum(g)
+                > g.num_edges() / opts.dense_denominator.max(1)
         }
     };
-    // Clocks are read when a profiling hook is installed or the adaptive
-    // controller needs an observation; forced/static modes without a
-    // hook cost one load-and-branch per call.
-    let hook = crate::profile::edge_map_hook();
-    let timed = (hook.is_some() || adaptive_state.is_some())
-        .then(|| (std::time::Instant::now(), edge_work.get()));
-    let out = if use_dense {
+    if use_dense {
         edge_map_dense(g, frontier, update, cond, edge_work)
     } else {
         edge_map_sparse(g, frontier, update, cond, edge_work)
-    };
-    if let Some((start, work_before)) = timed {
-        let nanos = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        let mut probe = false;
-        let mut mispredict = false;
-        if let Some((decision, sparse_units, dense_units)) = adaptive_state {
-            probe = decision.probe;
-            mispredict =
-                crate::adaptive::global().observe(decision, sparse_units, dense_units, nanos);
-        }
-        if let Some(hook) = hook {
-            hook(crate::profile::EdgeMapSample {
-                nanos,
-                edges: edge_work.get().wrapping_sub(work_before),
-                dense: use_dense,
-                adaptive: adaptive_state.is_some(),
-                probe,
-                mispredict,
-            });
-        }
     }
-    out
 }
 
 /// Edges per chunk floor for the edge-balanced sparse partition; below
@@ -468,19 +401,15 @@ mod tests {
             };
             let (pushed, push_work) = run(EdgeMapOptions::sparse());
             let (pulled, pull_work) = run(EdgeMapOptions::dense());
-            let (static_pick, static_work) = run(EdgeMapOptions::static_heuristic());
-            let (adaptive, adaptive_work) = run(EdgeMapOptions::adaptive());
+            // The default is the density heuristic, not a forced mode.
+            proptest::prop_assert_eq!(EdgeMapOptions::default().mode, Mode::Static);
+            let (static_pick, static_work) = run(EdgeMapOptions::default());
             proptest::prop_assert_eq!(&pushed, &pulled);
             proptest::prop_assert_eq!(&pushed, &static_pick);
-            // Adaptive mode shares the process-global controller with
-            // every other test in the binary, so whichever direction it
-            // lands on must still be a pure performance choice.
-            proptest::prop_assert_eq!(&pushed, &adaptive);
             // All modes visit the same live edge set, so the work
             // counters must agree exactly.
             proptest::prop_assert_eq!(push_work, pull_work);
             proptest::prop_assert_eq!(push_work, static_work);
-            proptest::prop_assert_eq!(push_work, adaptive_work);
             // Dense→sparse→dense round-trip preserves membership.
             let round_trip = frontier
                 .clone()

@@ -103,22 +103,13 @@ impl VertexSubset {
     }
 
     /// Borrows the id list when the subset is already sparse, letting
-    /// hot paths (sparse `edge_map`, `vertex_map`) skip re-collecting
+    /// hot paths (sparse `edge_map`) skip re-collecting
     /// ids on every call.
     #[inline]
     pub fn sparse_ids(&self) -> Option<&[VertexId]> {
         match self {
             Self::Sparse { ids, .. } => Some(ids),
             Self::Dense { .. } => None,
-        }
-    }
-
-    /// Borrows the bit set when the subset is already dense.
-    #[inline]
-    pub fn dense_bits(&self) -> Option<&AtomicBitSet> {
-        match self {
-            Self::Dense { bits } => Some(bits),
-            Self::Sparse { .. } => None,
         }
     }
 
@@ -147,9 +138,9 @@ impl VertexSubset {
     /// Collects member ids into a sorted vector.
     pub fn to_ids(&self) -> Vec<VertexId> {
         match self {
-            // `AtomicBitSet::to_vec` is already ascending (and parallel
+            // `AtomicBitSet::to_ids` is already ascending (and parallel
             // for large sets) — no extra sort needed.
-            Self::Dense { bits } => bits.to_vec().into_iter().map(|i| i as VertexId).collect(),
+            Self::Dense { bits } => bits.to_ids(),
             Self::Sparse { ids, .. } => {
                 let mut ids = ids.clone();
                 ids.sort_unstable();
@@ -180,14 +171,14 @@ impl VertexSubset {
 
     /// Converts to the sparse representation (no-op if already sparse).
     /// Large dense subsets convert via the blocked parallel
-    /// popcount/prefix-sum/scatter in [`AtomicBitSet::to_vec`]; the
+    /// popcount/prefix-sum/scatter in [`AtomicBitSet::to_ids`]; the
     /// resulting id list is ascending either way.
     pub fn into_sparse(self) -> Self {
         match self {
             Self::Sparse { .. } => self,
             Self::Dense { bits } => {
                 let n = bits.capacity();
-                let ids = bits.to_vec().into_iter().map(|i| i as VertexId).collect();
+                let ids = bits.to_ids();
                 Self::Sparse { n, ids }
             }
         }

@@ -168,3 +168,46 @@ proptest! {
         }
     }
 }
+
+/// Tracking is a pure function of (graph, algorithm, options): where the
+/// peak-then-quiet cap stops recording must not depend on what another
+/// engine in the process did before. Engine A refines 20 batches under
+/// `.cutoff(2)` — tracked refinement *and* hybrid execution both run —
+/// between two identical initial runs of engine B.
+#[test]
+fn tracking_is_independent_of_other_engines_in_the_process() {
+    use graphbolt::graph::generators::watts_strogatz;
+    use rand::{Rng, SeedableRng};
+    const L: usize = 40;
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+    let n = 4096;
+    let g = GraphSnapshot::from_edges(n, &watts_strogatz(n, 4, 0.05, true, &mut rng));
+    let opts = EngineOptions::with_iterations(L);
+    let store_shape = || {
+        let mut b = StreamingEngine::new(g.clone(), ShortestPaths::new(0), opts);
+        b.run_initial();
+        (b.store().tracked_iterations(), b.store().stored_entries())
+    };
+    let first = store_shape();
+    assert!(first.0 < L, "the cap never engaged (tracked {})", first.0);
+
+    let mut a = StreamingEngine::new(g.clone(), ShortestPaths::new(0), opts.cutoff(2));
+    a.run_initial();
+    for _ in 0..20 {
+        let muts: Vec<(u32, u32, f64)> = (0..8)
+            .map(|_| {
+                let (u, v) = (rng.gen_range(0..n as u32), rng.gen_range(0..n as u32));
+                (u, v, rng.gen_range(0.1..1.0))
+            })
+            .collect();
+        let batch = flip_batch(a.graph(), &muts);
+        let report = a.apply_batch(&batch).unwrap();
+        assert!(report.refined_iterations > 0 && report.hybrid_iterations > 0);
+    }
+
+    assert_eq!(
+        store_shape(),
+        first,
+        "engine A's history leaked into engine B's tracking"
+    );
+}

@@ -104,9 +104,9 @@ impl BeliefPropagation {
         for (s, slot) in out.iter_mut().enumerate() {
             let mut acc = 0.0;
             for (sp, &c) in cu.iter().enumerate() {
-                // lint:allow(float-accum) — state-space dot product
-                // *within* one edge's contribution; cross-edge
-                // accumulation still flows through combine/retract.
+                // State-space dot product *within* one edge's
+                // contribution; cross-edge accumulation still flows
+                // through combine/retract.
                 acc += self.phi(u, sp) * self.psi(u, v, sp, s) * c;
             }
             *slot = acc;

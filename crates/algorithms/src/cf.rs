@@ -142,9 +142,7 @@ impl Algorithm for CollaborativeFiltering {
         let d = self.dim;
         let mut m = agg[..d * d].to_vec();
         for i in 0..d {
-            // lint:allow(float-accum) — adds the fixed regularizer λ to
-            // the normal-matrix diagonal once per solve; not an
-            // accumulation over edge contributions.
+            // The fixed regularizer λ on the normal-matrix diagonal.
             m[i * d + i] += self.lambda;
         }
         let b = agg[d * d..].to_vec();

@@ -17,6 +17,9 @@
 //! [`StreamingEngine`](graphbolt_core::StreamingEngine) (GraphBolt) or the
 //! from-scratch baselines ([`graphbolt_core::run_bsp`]).
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod bp;
 pub mod cc;
 pub mod cf;

@@ -64,9 +64,6 @@ pub fn solve_dense(mut a: Vec<f64>, mut b: Vec<f64>, d: usize) -> Option<Vec<f64
     for col in (0..d).rev() {
         let mut acc = b[col];
         for k in col + 1..d {
-            // lint:allow(float-accum) — back-substitution arithmetic of
-            // the dense solver; operates on one vertex's local system,
-            // not on cross-edge vertex-value accumulation.
             acc -= a[col * d + k] * x[k];
         }
         x[col] = acc / a[col * d + col];

@@ -16,6 +16,9 @@
 //!   all                              everything above
 //! ```
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use graphbolt_bench::experiments::{
     ablation, fig8, fig9, motivation, scaling, structure, table9, tables,
 };

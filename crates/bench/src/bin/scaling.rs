@@ -6,6 +6,9 @@
 //! scaling [--scale N] [--threads 1,2,4,8] [--batches B] [--batch-size S]
 //! ```
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use graphbolt_bench::experiments::scaling::{run_scaling, to_json};
 use graphbolt_bench::workloads::GraphSpec;
 

@@ -2,6 +2,9 @@
 //! table rendering, and the per-experiment drivers used by both the
 //! `repro` CLI and the criterion benches.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod experiments;
 pub mod harness;
 pub mod report;

@@ -68,6 +68,9 @@
 //! The binary is a thin wrapper over [`run`], which is exercised directly
 //! by the test suite.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 use std::fmt::Write as _;
 use std::path::Path;
 
@@ -612,11 +615,14 @@ fn drive_serve<A: Algorithm<Value = f64, Agg = f64> + Clone + 'static>(
     let session = StreamSession::spawn_with(engine, config);
     for (i, batch) in batches.into_iter().enumerate() {
         let fail = |e: graphbolt_core::SessionError| format!("batch {i}: {e}");
-        for e in batch.additions() {
-            session.add(*e).map_err(fail)?;
-        }
+        // Deletions first: a batch's own semantics are delete-before-add
+        // (a delete + add on one key is a reweight), and the session
+        // keeps submission order per edge key.
         for e in batch.deletions() {
             session.delete(*e).map_err(fail)?;
+        }
+        for e in batch.additions() {
+            session.add(*e).map_err(fail)?;
         }
         // Flush per stream batch so batch boundaries survive coalescing.
         session.flush().map_err(fail)?;

@@ -1,5 +1,8 @@
 //! Thin binary wrapper over [`graphbolt_cli::run`].
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 fn main() {
     let opts = match graphbolt_cli::Options::parse(std::env::args().skip(1)) {
         Ok(o) => o,

@@ -224,9 +224,6 @@ impl TokenBucket {
     ) -> Result<(), u64> {
         self.refill(now_nanos, rate_scale);
         if cost <= self.tokens {
-            // lint:allow(float-accum) — token-bucket balance, not a
-            // vertex-value aggregation; admission decisions tolerate
-            // float rounding and never feed the refinement operators.
             self.tokens -= cost;
             return Ok(());
         }
@@ -310,10 +307,12 @@ impl AdmissionController {
     }
 
     fn lock_class(&self, class: ClientClass) -> std::sync::MutexGuard<'_, ClassState> {
-        // `index()` is 0/1/2 by construction; the `unwrap_or` arm is
-        // unreachable and exists only to keep the lookup total.
-        // bounds: literal 0 into `[_; 3]`.
-        let slot = self.classes.get(class.index()).unwrap_or(&self.classes[0]);
+        let [interactive, bulk, best_effort] = &self.classes;
+        let slot = match class {
+            ClientClass::Interactive => interactive,
+            ClientClass::Bulk => bulk,
+            ClientClass::BestEffort => best_effort,
+        };
         match slot.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),

@@ -156,10 +156,9 @@ impl Checkpoint {
         CV: StateCodec<A::Value>,
         CG: StateCodec<A::Agg>,
     {
-        // lint:allow(service-no-panic) — documented `# Panics` API
-        // contract; service paths use `try_capture`.
-        // lint:allow(panic-reachability) — same contract; the session
-        // checkpoint writer takes the fallible twin.
+        // lint:allow(panic-reachability) — documented `# Panics` API
+        // contract; service paths (the session checkpoint writer) use
+        // `try_capture`.
         Self::try_capture(engine, value_codec, agg_codec)
             .expect("run_initial() must complete before capture()")
     }
@@ -398,10 +397,9 @@ where
     CV: StateCodec<A::Value>,
     CG: StateCodec<A::Agg>,
 {
-    // lint:allow(service-no-panic) — documented `# Panics` API contract;
-    // the session writer uses `try_session_file_bytes`.
-    // lint:allow(panic-reachability) — same contract; convenience
-    // wrapper, not on the worker loop.
+    // lint:allow(panic-reachability) — documented `# Panics` API
+    // contract; convenience wrapper, not on the worker loop — the
+    // session writer uses `try_session_file_bytes`.
     try_session_file_bytes(engine, seq, value_codec, agg_codec)
         .expect("run_initial() must complete before checkpointing")
 }

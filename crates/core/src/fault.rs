@@ -88,11 +88,10 @@ pub fn disarm_all() {
 #[inline]
 pub(crate) fn fire_panic(site: &str) {
     #[cfg(feature = "fault-injection")]
-    // lint:allow(panic-reachability) — the panic IS the product here: a
-    // deliberately injected fault proving the session quarantine turns
-    // engine panics into typed errors. Gated behind `fault-injection`.
-    // lint:allow(hot-path-blocking) — same gate: the registry lock is
-    // compiled out of production builds.
+    // The panic IS the product here: a deliberately injected fault
+    // proving the session quarantine survives engine panics.
+    // lint:allow(hot-path-blocking) — gated behind `fault-injection`:
+    // the registry lock is compiled out of production builds.
     if registry::take(site) == Some(FaultAction::Panic) {
         panic!("injected fault at {site}");
     }

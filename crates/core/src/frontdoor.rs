@@ -32,6 +32,9 @@
 //! The JSON dialect is deliberately flat (no nesting, no escapes in the
 //! accepted fields) and hand-parsed — the repo vendors no serde.
 
+// Owns the accept-loop thread and its scoped per-connection handlers.
+#![allow(clippy::disallowed_methods)]
+
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -310,6 +313,12 @@ fn parse_mutation(obj: &str) -> Result<WireMutation, String> {
         .strip_prefix('{')
         .and_then(|s| s.strip_suffix('}'))
         .ok_or("mutation is not a JSON object")?;
+    parse_fields(inner)
+}
+
+/// Parses the comma-separated `"key":value` fields between a mutation
+/// object's braces.
+fn parse_fields(inner: &str) -> Result<WireMutation, String> {
     let mut src: Option<u32> = None;
     let mut dst: Option<u32> = None;
     let mut weight = 1.0f64;
@@ -363,31 +372,25 @@ fn parse_mutation(obj: &str) -> Result<WireMutation, String> {
 /// Parses a `{"mutations":[{...},{...}]}` batch body. Mutation objects
 /// are flat, so splitting on braces is unambiguous.
 fn parse_batch(body: &str) -> Result<Vec<WireMutation>, String> {
-    let open = body
-        .find('[')
-        .ok_or_else(|| "missing mutations array".to_string())?;
+    let missing = || "missing mutations array".to_string();
+    let open = body.find('[').ok_or_else(missing)?;
     let close = body
         .rfind(']')
         .ok_or_else(|| "unterminated mutations array".to_string())?;
-    // bounds: `open`/`close` come from find/rfind on `body` itself and
-    // `close >= open` is checked, so every slice below is in range.
-    if close < open || !body[..open].contains("\"mutations\"") {
-        return Err("missing mutations array".to_string());
+    // `get` is `None` exactly when the last `]` precedes the first `[`.
+    let (Some(head), Some(mut rest)) = (body.get(..open), body.get(open + 1..close)) else {
+        return Err(missing());
+    };
+    if !head.contains("\"mutations\"") {
+        return Err(missing());
     }
     let mut mutations = Vec::new();
-    // bounds: open < close <= body.len(), both byte offsets of ASCII
-    // delimiters found above.
-    let mut rest = &body[open + 1..close];
-    while let Some(start) = rest.find('{') {
-        // bounds: `start` is a find() offset into `rest`; `end` is a
-        // find() offset into `rest[start..]`, so start + end + 1 is at
-        // most rest.len() (both delimiters are 1-byte ASCII).
-        let end = rest[start..]
-            .find('}')
+    while let Some((_, object)) = rest.split_once('{') {
+        let (fields, after) = object
+            .split_once('}')
             .ok_or_else(|| "unterminated mutation object".to_string())?;
-        mutations.push(parse_mutation(&rest[start..=start + end])?);
-        // bounds: same find()-derived offsets as above.
-        rest = &rest[start + end + 1..];
+        mutations.push(parse_fields(fields)?);
+        rest = after;
     }
     Ok(mutations)
 }
@@ -585,8 +588,6 @@ fn serve_batch<A>(
         // Every mutation of the batch rides the same trace: N queue /
         // service span pairs under one request root.
         match session.mutate_within(m.edge(), m.add, ctx.deadline, ctx.trace) {
-            // lint:allow(float-accum) — integer request tally; the
-            // statement merely sits near the f64 admission cost.
             Ok(()) => accepted += 1,
             Err(err) => {
                 // Partial acceptance is reported honestly: the client
@@ -666,20 +667,19 @@ fn serve_query<A>(
     telemetry::span::complete(ctx.trace, "ok");
     let body = match request.query_param("vertex") {
         Some(raw) => match raw.parse::<usize>() {
-            Ok(v) if v < values.len() => {
-                // bounds: the match guard above checks v < values.len().
-                format!("{{\"vertex\":{v},\"value\":{}}}", render_value(values[v]))
-            }
-            Ok(v) => {
-                respond(
-                    stream,
-                    "404 Not Found",
-                    "application/json",
-                    &[],
-                    &error_body("not_found", &format!("vertex {v} out of range")),
-                );
-                return;
-            }
+            Ok(v) => match values.get(v) {
+                Some(value) => format!("{{\"vertex\":{v},\"value\":{}}}", render_value(*value)),
+                None => {
+                    respond(
+                        stream,
+                        "404 Not Found",
+                        "application/json",
+                        &[],
+                        &error_body("not_found", &format!("vertex {v} out of range")),
+                    );
+                    return;
+                }
+            },
             Err(_) => {
                 respond(
                     stream,
@@ -935,5 +935,20 @@ mod tests {
         assert!(parse_batch("{\"edges\":[]}").is_err(), "wrong key");
         assert!(parse_batch("{\"mutations\":[{\"src\":0]}").is_err());
         assert_eq!(parse_batch("{\"mutations\":[]}").expect("empty"), vec![]);
+    }
+
+    #[test]
+    fn parse_batch_error_strings_are_pinned() {
+        // The 400 bodies clients see for unbalanced, empty and truncated
+        // batch bodies.
+        let err = |body: &str| parse_batch(body).expect_err(body);
+        assert_eq!(err("{\"mutations\":]["), "missing mutations array");
+        assert_eq!(err(""), "missing mutations array");
+        assert_eq!(err("{\"edges\":[]}"), "missing mutations array");
+        assert_eq!(err("{\"mutations\":[{\"src\":0"), "unterminated mutations array");
+        assert_eq!(
+            err("{\"mutations\":[{\"src\":0,\"dst\":1]}"),
+            "unterminated mutation object"
+        );
     }
 }

@@ -20,6 +20,9 @@
 //!   naive reuse of stale values (Table 1 / Figure 2 of the paper),
 //! * the [`StreamingEngine`] façade combining all of the above.
 
+#![deny(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod adaptive_cutoff;
 pub mod admission;
 pub mod algorithm;
@@ -31,6 +34,10 @@ pub mod laws;
 pub mod options;
 pub mod refine;
 pub mod session;
+// The one module that may contain `unsafe` (every block carries a
+// `// SAFETY:` comment — clippy's `undocumented_unsafe_blocks` is denied
+// workspace-wide — and the module runs under Miri and Loom in CI).
+#[allow(unsafe_code)]
 pub mod sharded;
 pub mod stats;
 pub mod store;
@@ -52,8 +59,8 @@ pub use laws::{check_laws, Law, LawConfig, LawReport, LawSpec, LawViolation, Mon
 pub use options::{EngineOptions, ExecutionMode};
 pub use refine::{refine, RefineState};
 pub use session::{
-    retry_with_backoff, retry_with_backoff_seeded, BackoffSchedule, CheckpointPolicy, DeadLetter,
-    SessionConfig, SessionError, SessionOutcome, SessionStats, StreamSession,
+    CheckpointPolicy, DeadLetter, SessionConfig, SessionError, SessionOutcome, SessionStats,
+    StreamSession,
 };
 pub use sharded::ShardedMut;
 pub use stats::{EngineStats, RefineReport, StatsSnapshot};

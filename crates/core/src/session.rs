@@ -25,13 +25,17 @@
 //!   command channel into a bounded queue. [`StreamSession::add`] blocks
 //!   when full (backpressure), [`StreamSession::try_add`] reports
 //!   [`SessionError::QueueFull`] for callers that would rather shed or
-//!   retry — see [`retry_with_backoff`].
+//!   retry.
 //! * **Checkpoint cadence** — a [`CheckpointPolicy`] makes the worker
 //!   persist a recoverable checkpoint every N batches (atomic
 //!   temp-file + rename, pruned to the newest few). Recovery goes
 //!   through [`crate::checkpoint::recover_session`], which skips
 //!   truncated/corrupted files in favour of the previous good one.
 
+// Owns exactly one thread: the session worker.
+#![allow(clippy::disallowed_methods)]
+
+use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -40,12 +44,11 @@ use std::time::{Duration, Instant};
 
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use graphbolt_engine::parallel::WorkCounter;
-use graphbolt_graph::{Edge, MutationBatch};
+use graphbolt_graph::{Edge, MutationBatch, VertexId};
 
 use crate::admission::AdmissionController;
 use crate::algorithm::Algorithm;
 use crate::checkpoint::{self, CheckpointError, StateCodec};
-use crate::laws::SplitMix64;
 use crate::streaming::{DegradeLevel, StreamingEngine};
 use crate::telemetry;
 
@@ -89,7 +92,7 @@ pub enum SessionError {
     /// could not be joined. The session cannot serve anymore.
     WorkerGone,
     /// Non-blocking submission found the bounded queue full; the caller
-    /// should back off and retry ([`retry_with_backoff`]) or shed load.
+    /// should back off and retry, or shed load.
     QueueFull,
     /// The request's deadline expired before it could be served — either
     /// before enqueue (it never consumed queue capacity) or while it
@@ -238,112 +241,6 @@ impl<A: Algorithm> Default for SessionConfig<A> {
     }
 }
 
-/// Decorrelated-jitter backoff schedule (seeded, dependency-free).
-///
-/// A plain `base << attempt` schedule retries every client that saw the
-/// same backpressure signal at the same instants — the thundering herd
-/// re-fills the queue it just backed off from. Decorrelated jitter
-/// (AWS architecture-blog variant) draws each delay uniformly from
-/// `[base, prev * 3]` clamped to `[base, cap]`, so concurrent clients
-/// decorrelate after the first sleep while the expected delay still
-/// grows geometrically. The RNG is a [`SplitMix64`] seeded explicitly:
-/// a fixed seed reproduces the exact delay sequence in tests.
-#[derive(Debug, Clone)]
-pub struct BackoffSchedule {
-    rng: SplitMix64,
-    base: Duration,
-    cap: Duration,
-    prev: Duration,
-}
-
-impl BackoffSchedule {
-    /// Creates a schedule sleeping between `base` and `cap` (both
-    /// clamped to at least 1 ns; `cap` to at least `base`).
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Self {
-        let base = base.max(Duration::from_nanos(1));
-        Self {
-            rng: SplitMix64::new(seed),
-            base,
-            cap: cap.max(base),
-            prev: base,
-        }
-    }
-
-    /// Draws the next delay: uniform in `[base, min(cap, prev * 3)]`.
-    pub fn next_delay(&mut self) -> Duration {
-        let lo = telemetry::saturating_nanos(self.base);
-        let cap = telemetry::saturating_nanos(self.cap);
-        let hi = telemetry::saturating_nanos(self.prev)
-            .saturating_mul(3)
-            .clamp(lo, cap);
-        let span = hi - lo;
-        let pick = if span == 0 {
-            lo
-        } else {
-            lo + self.rng.next_u64() % (span + 1)
-        };
-        self.prev = Duration::from_nanos(pick);
-        self.prev
-    }
-}
-
-/// Retries `op` until it stops returning [`SessionError::QueueFull`],
-/// sleeping per the given decorrelated-jitter [`BackoffSchedule`]
-/// between attempts. Gives up after `attempts` tries, returning the
-/// last error. Non-backpressure errors abort immediately.
-///
-/// # Errors
-///
-/// Whatever `op` last returned.
-pub fn retry_with_backoff_seeded<T>(
-    mut op: impl FnMut() -> Result<T, SessionError>,
-    attempts: usize,
-    mut schedule: BackoffSchedule,
-) -> Result<T, SessionError> {
-    let attempts = attempts.max(1);
-    let mut last = SessionError::QueueFull;
-    for attempt in 0..attempts {
-        match op() {
-            Err(SessionError::QueueFull) => {
-                last = SessionError::QueueFull;
-                // No sleep on the give-up path: only back off when another
-                // attempt remains.
-                if attempt + 1 < attempts {
-                    std::thread::sleep(schedule.next_delay());
-                }
-            }
-            other => return other,
-        }
-    }
-    Err(last)
-}
-
-/// [`retry_with_backoff_seeded`] with a per-call seed drawn from the
-/// calling thread's identity and a fresh `RandomState` (std keys every
-/// construction differently), and a cap of `base_delay * 1024`. Clients
-/// sharing one backpressure signal get distinct jitter streams without
-/// coordinating seeds; tests that need reproducible delays use the
-/// seeded variant directly.
-///
-/// # Errors
-///
-/// Whatever `op` last returned.
-pub fn retry_with_backoff<T>(
-    op: impl FnMut() -> Result<T, SessionError>,
-    attempts: usize,
-    base_delay: Duration,
-) -> Result<T, SessionError> {
-    use std::hash::{BuildHasher, Hash, Hasher};
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    std::thread::current().id().hash(&mut hasher);
-    let per_call = std::collections::hash_map::RandomState::new()
-        .build_hasher()
-        .finish();
-    let seed = hasher.finish() ^ per_call;
-    let cap = base_delay.saturating_mul(1024);
-    retry_with_backoff_seeded(op, attempts, BackoffSchedule::new(base_delay, cap, seed))
-}
-
 /// Handle to a live streaming session.
 ///
 /// # Examples
@@ -393,11 +290,9 @@ impl<A: Algorithm + 'static> StreamSession<A> {
     ///
     /// Panics if the engine has not run its initial execution.
     pub fn spawn_with(engine: StreamingEngine<A>, config: SessionConfig<A>) -> Self {
-        // lint:allow(service-no-panic) — documented `# Panics` API
-        // contract: sessions only wrap initialized engines, so the
-        // worker loop never observes missing state.
-        // lint:allow(panic-reachability) — same contract, startup-only:
-        // this runs once before the worker exists.
+        // lint:allow(panic-reachability) — documented `# Panics` API
+        // contract, startup-only: sessions only wrap initialized
+        // engines, so the worker loop never observes missing state.
         assert!(
             engine.is_initialized(),
             "run_initial() must complete before streaming"
@@ -708,6 +603,14 @@ struct WorkerState<A: Algorithm> {
     stats: SessionStats,
     dead_letters: Vec<DeadLetter>,
     pending: MutationBatch,
+    /// Last op buffered in `pending` per edge key (`true` = add). A
+    /// [`MutationBatch`] is two unordered lists with delete-before-add
+    /// semantics, so the only ordered pair it can carry on one key is
+    /// delete → add (a reweight); any other second op on a pending key
+    /// commits the backlog first. A coalesced batch is therefore
+    /// order-free by construction, and what the session serves is always
+    /// the result of some prefix of the accepted stream.
+    pending_ops: HashMap<(VertexId, VertexId), bool>,
     /// Submission/dequeue timestamps and trace contexts of the
     /// mutations in `pending`: recorded into the ingest→visible
     /// histogram and each mutation's span tree (queue vs. service
@@ -771,11 +674,25 @@ impl<A: Algorithm> WorkerState<A> {
 
     /// Buffers one dequeued mutation into the coalescing batch, shedding
     /// it if its deadline already passed while it waited in the queue.
-    fn buffer_mutation(&mut self, m: QueuedMutation) {
+    fn buffer_mutation(&mut self, m: QueuedMutation, config: &SessionConfig<A>) {
         if deadline_expired(m.deadline) {
             self.shed_deadline(m.trace);
             return;
         }
+        self.buffer(m, config);
+    }
+
+    /// Appends `m` to the pending batch, committing the backlog first
+    /// when the batch could not order `m` after an op already pending on
+    /// the same edge key (see [`WorkerState::pending_ops`]).
+    fn buffer(&mut self, m: QueuedMutation, config: &SessionConfig<A>) {
+        let key = m.edge.endpoints();
+        // The batch itself orders exactly one pair on a key: delete → add.
+        let unordered = |&last_add: &bool| last_add || !m.add;
+        if self.pending_ops.get(&key).is_some_and(unordered) {
+            self.apply_pending(config);
+        }
+        self.pending_ops.insert(key, m.add);
         if m.add {
             self.pending.add(m.edge);
         } else {
@@ -797,16 +714,7 @@ impl<A: Algorithm> WorkerState<A> {
             return;
         }
         self.apply_pending(config);
-        if m.add {
-            self.pending.add(m.edge);
-        } else {
-            self.pending.delete(m.edge);
-        }
-        self.pending_stamps.push(PendingStamp {
-            submitted: m.submitted,
-            dequeued: Instant::now(),
-            trace: m.trace,
-        });
+        self.buffer(m, config);
         self.stats.singletons += 1;
         telemetry::metrics().singleton_fast_path.inc();
         self.apply_pending(config);
@@ -837,6 +745,7 @@ impl<A: Algorithm> WorkerState<A> {
         }
         let raw = std::mem::take(&mut self.pending);
         let stamps = std::mem::take(&mut self.pending_stamps);
+        self.pending_ops.clear();
         let batch = raw.normalize_against(self.engine.graph());
         self.stats.mutations_dropped += raw.len() - batch.len();
         if batch.is_empty() {
@@ -962,6 +871,7 @@ fn worker_loop<A: Algorithm>(
         stats: SessionStats::default(),
         dead_letters: Vec::new(),
         pending: MutationBatch::new(),
+        pending_ops: HashMap::new(),
         pending_stamps: Vec::new(),
         batches_since_checkpoint: 0,
         checkpoint_seq,
@@ -973,7 +883,7 @@ fn worker_loop<A: Algorithm>(
     // semantics are identical in both.
     let service = |cmd: Command<A::Value>, ws: &mut WorkerState<A>| {
         match cmd {
-            Command::Mutate(m) => ws.buffer_mutation(m),
+            Command::Mutate(m) => ws.buffer_mutation(m, &config),
             Command::Singleton(m) => ws.apply_singleton(m, &config),
             Command::Query { reply, deadline, trace } => {
                 if deadline_expired(deadline) {
@@ -1143,7 +1053,7 @@ mod tests {
     }
 
     #[test]
-    fn bounded_queue_reports_full_and_backoff_retries() {
+    fn bounded_queue_reports_full_then_accepts() {
         // Capacity-1 queue against a worker that is blocked on its first
         // recv only momentarily — keep try_adding until Full shows up.
         let session = StreamSession::spawn_with(
@@ -1153,56 +1063,19 @@ mod tests {
                 ..SessionConfig::default()
             },
         );
-        let mut saw_full = false;
         for k in 0..1000u32 {
+            // The worker may drain faster than we fill on some machines,
+            // so Full is exercised when it happens, never required.
             if let Err(e) = session.try_add(Edge::new(0, 5 + k, 1.0)) {
                 assert_eq!(e, SessionError::QueueFull);
-                saw_full = true;
                 break;
             }
         }
-        // The worker may drain faster than we fill on some machines; only
-        // assert the retry helper makes progress either way.
-        let r = retry_with_backoff(
-            || session.try_add(Edge::new(0, 2000, 1.0)),
-            8,
-            Duration::from_micros(50),
-        );
-        assert!(r.is_ok());
+        // Blocking submission makes progress either way.
+        session.add(Edge::new(0, 2000, 1.0)).unwrap();
         session.flush().unwrap();
         let outcome = session.finish().unwrap();
         assert!(outcome.engine.graph().has_edge(0, 2000));
-        let _ = saw_full; // platform-dependent; exercised when it happens
-    }
-
-    #[test]
-    fn retry_with_backoff_gives_up_on_persistent_full() {
-        let mut calls = 0;
-        let r: Result<(), _> = retry_with_backoff(
-            || {
-                calls += 1;
-                Err(SessionError::QueueFull)
-            },
-            3,
-            Duration::from_micros(1),
-        );
-        assert_eq!(r, Err(SessionError::QueueFull));
-        assert_eq!(calls, 3);
-    }
-
-    #[test]
-    fn retry_with_backoff_aborts_on_fatal_error() {
-        let mut calls = 0;
-        let r: Result<(), _> = retry_with_backoff(
-            || {
-                calls += 1;
-                Err(SessionError::WorkerGone)
-            },
-            5,
-            Duration::from_micros(1),
-        );
-        assert_eq!(r, Err(SessionError::WorkerGone));
-        assert_eq!(calls, 1);
     }
 
     #[test]
@@ -1286,57 +1159,6 @@ mod tests {
     }
 
     #[test]
-    fn backoff_schedule_stays_within_bounds() {
-        let base = Duration::from_micros(50);
-        let cap = Duration::from_millis(5);
-        let mut schedule = BackoffSchedule::new(base, cap, 0xDECAF);
-        let mut prev = base;
-        for _ in 0..200 {
-            let d = schedule.next_delay();
-            assert!(d >= base, "delay {d:?} below base {base:?}");
-            assert!(d <= cap, "delay {d:?} above cap {cap:?}");
-            // Decorrelated jitter: each draw is bounded by 3x the
-            // previous one (before the cap clamp).
-            assert!(d <= (prev * 3).max(base).min(cap));
-            prev = d;
-        }
-    }
-
-    #[test]
-    fn backoff_schedule_is_deterministic_under_fixed_seed() {
-        let base = Duration::from_micros(10);
-        let cap = Duration::from_millis(1);
-        let mut a = BackoffSchedule::new(base, cap, 42);
-        let mut b = BackoffSchedule::new(base, cap, 42);
-        let mut c = BackoffSchedule::new(base, cap, 43);
-        let seq_a: Vec<_> = (0..64).map(|_| a.next_delay()).collect();
-        let seq_b: Vec<_> = (0..64).map(|_| b.next_delay()).collect();
-        let seq_c: Vec<_> = (0..64).map(|_| c.next_delay()).collect();
-        assert_eq!(seq_a, seq_b, "same seed must reproduce the sequence");
-        assert_ne!(seq_a, seq_c, "different seeds must decorrelate");
-    }
-
-    #[test]
-    fn retry_with_backoff_seeded_gives_up_after_attempts() {
-        let mut calls = 0;
-        let schedule = BackoffSchedule::new(
-            Duration::from_nanos(1),
-            Duration::from_nanos(10),
-            7,
-        );
-        let r: Result<(), _> = retry_with_backoff_seeded(
-            || {
-                calls += 1;
-                Err(SessionError::QueueFull)
-            },
-            4,
-            schedule,
-        );
-        assert_eq!(r, Err(SessionError::QueueFull));
-        assert_eq!(calls, 4);
-    }
-
-    #[test]
     fn expired_deadline_is_shed_before_enqueue() {
         let session = StreamSession::spawn(engine());
         let past = Instant::now() - Duration::from_millis(10);
@@ -1354,10 +1176,59 @@ mod tests {
         assert_eq!(outcome.stats.mutations_applied, 0);
     }
 
-    /// [`TestRank`] with a configurable sleep in every contribution, so
+    /// [`TestRank`] that runs a hook in every contribution: a sleep, so
     /// refinement takes long enough that a short query deadline expires
-    /// while the reply is still being computed.
-    struct SlowRank(Duration);
+    /// while the reply is still being computed, or a [`Gate`] that parks
+    /// the worker mid-refinement.
+    struct SlowRank(Arc<dyn Fn() + Send + Sync>);
+
+    impl SlowRank {
+        fn sleeping(delay: Duration) -> Self {
+            Self(Arc::new(move || std::thread::sleep(delay)))
+        }
+    }
+
+    /// Parks the first thread to `pass()` after `arm()` until `open()`,
+    /// so a test can queue mutations while the worker is provably inside
+    /// a refinement — they are then drained in one coalescing round.
+    #[derive(Default)]
+    struct Gate {
+        state: std::sync::Mutex<GateState>,
+        changed: std::sync::Condvar,
+    }
+
+    #[derive(Default, Clone, Copy, PartialEq)]
+    enum GateState {
+        #[default]
+        Open,
+        Armed,
+        Parked,
+    }
+
+    impl Gate {
+        fn set(&self, to: GateState) {
+            *self.state.lock().unwrap() = to;
+            self.changed.notify_all();
+        }
+
+        fn pass(&self) {
+            let mut state = self.state.lock().unwrap();
+            if *state == GateState::Armed {
+                *state = GateState::Parked;
+                self.changed.notify_all();
+            }
+            while *state == GateState::Parked {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+
+        fn wait_parked(&self) {
+            let mut state = self.state.lock().unwrap();
+            while *state != GateState::Parked {
+                state = self.changed.wait(state).unwrap();
+            }
+        }
+    }
 
     impl Algorithm for SlowRank {
         type Value = f64;
@@ -1379,7 +1250,7 @@ mod tests {
             w: Weight,
             cu: &f64,
         ) -> f64 {
-            std::thread::sleep(self.0);
+            (self.0)();
             TestRank.contribution(g, u, v, w, cu)
         }
 
@@ -1420,7 +1291,141 @@ mod tests {
     fn slow_rank_satisfies_laws() {
         let spec = LawSpec::new(|rng| rng.range_f64(0.1, 3.0), |agg: &f64| vec![*agg])
             .tolerance(1e-9);
-        check_laws::<SlowRank>(&SlowRank(Duration::ZERO), spec).expect("SlowRank is lawful");
+        check_laws::<SlowRank>(&SlowRank::sleeping(Duration::ZERO), spec).expect("SlowRank is lawful");
+    }
+
+    /// Every edge of `g` as `(src, dst, weight)`, source-major.
+    fn edge_list(g: &GraphSnapshot) -> Vec<(VertexId, VertexId, Weight)> {
+        g.edges().iter().map(|e| (e.src, e.dst, e.weight)).collect()
+    }
+
+    /// The contract's reference: each op applied alone, in submission
+    /// order, under the session's own conflict rule (an add of a present
+    /// edge and a delete of an absent one are dropped).
+    fn one_at_a_time(g: &GraphSnapshot, ops: &[(bool, Edge)]) -> GraphSnapshot {
+        let mut g = g.clone();
+        for &(add, e) in ops {
+            let mut single = MutationBatch::new();
+            if add {
+                single.add(e);
+            } else {
+                single.delete(e);
+            }
+            g = g.apply(&single.normalize_against(&g)).expect("normalized");
+        }
+        g
+    }
+
+    fn submit<A: Algorithm>(session: &StreamSession<A>, (add, e): (bool, Edge)) {
+        if add {
+            session.add(e).unwrap();
+        } else {
+            session.delete(e).unwrap();
+        }
+    }
+
+    #[test]
+    fn colliding_ops_coalesced_behind_a_slow_refinement_keep_their_order() {
+        // Regression (ROADMAP item 2): two ops on one edge key that land
+        // in the same coalesced batch used to lose their order — add →
+        // delete of an absent edge left it *present*. Each case queues
+        // its pair while the worker is parked inside the refinement of a
+        // first mutation, so both ops are drained in one coalescing
+        // round.
+        let absent = |w| Edge::new(1, 0, w);
+        let present = |w| Edge::new(1, 2, w);
+        let cases: [(&str, [(bool, Edge); 2]); 4] = [
+            ("add → delete", [(true, absent(1.0)), (false, absent(1.0))]),
+            ("delete → add", [(false, present(1.0)), (true, present(2.5))]),
+            ("add → add", [(true, absent(1.0)), (true, absent(3.0))]),
+            ("delete → delete", [(false, present(1.0)), (false, present(1.0))]),
+        ];
+        for (name, pair) in cases {
+            let g = GraphBuilder::new(3)
+                .add_edge(0, 1, 1.0)
+                .add_edge(1, 2, 1.0)
+                .add_edge(2, 0, 1.0)
+                .build();
+            let gate = Arc::new(Gate::default());
+            let gated = SlowRank(Arc::new({
+                let gate = Arc::clone(&gate);
+                move || gate.pass()
+            }));
+            let mut e = StreamingEngine::new(g.clone(), gated, EngineOptions::with_iterations(3));
+            e.run_initial();
+            let session = StreamSession::spawn(e);
+            let blocker = (true, Edge::new(0, 2, 1.0));
+            gate.set(GateState::Armed);
+            submit(&session, blocker);
+            gate.wait_parked();
+            submit(&session, pair[0]);
+            submit(&session, pair[1]);
+            gate.set(GateState::Open);
+            let outcome = session.finish().unwrap();
+
+            let expected = one_at_a_time(&g, &[blocker, pair[0], pair[1]]);
+            assert_eq!(edge_list(outcome.engine.graph()), edge_list(&expected), "{name}");
+            let scratch = run_bsp(
+                &SlowRank::sleeping(Duration::ZERO),
+                &expected,
+                outcome.engine.options(),
+                ExecutionMode::Full,
+                &EngineStats::new(),
+            );
+            for (a, b) in outcome.engine.values().iter().zip(&scratch.vals) {
+                assert!((a - b).abs() < 1e-7, "{name}: served {a} vs scratch {b}");
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+        #[test]
+        fn coalescing_at_any_boundary_matches_one_at_a_time(seed in 0u64..10_000) {
+            // Random add/delete/reweight traffic on eight colliding edge
+            // keys, coalesced wherever the worker's drain happens to cut
+            // plus random explicit flush points: the final graph is the
+            // sequential one and the values are its from-scratch result.
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            let keys: [(VertexId, VertexId); 8] =
+                [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2), (1, 3), (2, 4)];
+            let start = engine();
+            let g0 = start.graph().clone();
+            let session = StreamSession::spawn(start);
+            let mut ops = Vec::new();
+            for _ in 0..rng.gen_range(1..40usize) {
+                let (u, v) = keys[rng.gen_range(0..keys.len())];
+                let op = (rng.gen_bool(0.5), Edge::new(u, v, rng.gen_range(0.5..2.0)));
+                submit(&session, op);
+                ops.push(op);
+                if rng.gen_bool(0.15) {
+                    session.flush().unwrap();
+                }
+            }
+            let outcome = session.finish().unwrap();
+
+            let expected = one_at_a_time(&g0, &ops);
+            proptest::prop_assert_eq!(
+                edge_list(outcome.engine.graph()),
+                edge_list(&expected),
+                "seed {}", seed
+            );
+            let scratch = run_bsp(
+                &TestRank,
+                &expected,
+                outcome.engine.options(),
+                ExecutionMode::Full,
+                &EngineStats::new(),
+            );
+            for (a, b) in outcome.engine.values().iter().zip(&scratch.vals) {
+                proptest::prop_assert!((a - b).abs() < 1e-7, "seed {}: {} vs {}", seed, a, b);
+            }
+            proptest::prop_assert_eq!(
+                outcome.stats.mutations_applied + outcome.stats.mutations_dropped,
+                ops.len()
+            );
+        }
     }
 
     #[test]
@@ -1430,7 +1435,7 @@ mod tests {
             .add_edge(1, 2, 1.0)
             .add_edge(2, 0, 1.0)
             .build();
-        let slow = SlowRank(Duration::from_millis(50));
+        let slow = SlowRank::sleeping(Duration::from_millis(50));
         let mut e = StreamingEngine::new(g, slow, EngineOptions::with_iterations(3));
         e.run_initial();
         let session = StreamSession::spawn(e);

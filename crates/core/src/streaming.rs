@@ -1,7 +1,7 @@
 //! The streaming-engine façade: tracked execution + batch refinement.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use graphbolt_graph::{GraphSnapshot, MutationBatch, MutationError};
 
@@ -292,9 +292,8 @@ impl<A: Algorithm> StreamingEngine<A> {
     ///
     /// Panics if [`StreamingEngine::run_initial`] has not run.
     pub fn values(&self) -> &[A::Value] {
-        // lint:allow(service-no-panic) — documented `# Panics` API
-        // contract; fallible callers use `try_values`.
-        // lint:allow(panic-reachability) — same contract; the session
+        // lint:allow(panic-reachability) — documented `# Panics` API
+        // contract; fallible callers use `try_values`, and the session
         // worker asserts initialization once at spawn.
         self.try_values()
             .expect("run_initial() must be called before values()")
@@ -325,31 +324,17 @@ impl<A: Algorithm> StreamingEngine<A> {
     ///
     /// Panics if [`StreamingEngine::run_initial`] has not run.
     pub fn apply_batch(&mut self, batch: &MutationBatch) -> Result<RefineReport, MutationError> {
-        // lint:allow(service-no-panic) — documented `# Panics` API
-        // contract: mutating before run_initial() is a caller bug, not a
-        // runtime fault; the session layer only constructs sessions
-        // around initialized engines.
-        assert!(
-            self.state.is_some(),
-            "run_initial() must be called before apply_batch()"
-        );
-        if self.degrade == DegradeLevel::DroppedStore {
+        if self.degrade == DegradeLevel::DroppedStore && self.state.is_some() {
             return self.apply_batch_recompute(batch);
         }
         let Some(state) = self.state.as_mut() else {
-            // lint:allow(service-no-panic) — unreachable: presence was
-            // asserted above and nothing in between clears `state`.
-            unreachable!("state checked above")
+            // Documented `# Panics` API contract: mutating before
+            // run_initial() is a caller bug, not a runtime fault; the
+            // session layer only wraps initialized engines.
+            panic!("run_initial() must be called before apply_batch()")
         };
+        let (new_graph, structure_duration) = adjust_structure(&self.graph, batch)?;
         let stats_before = self.stats.snapshot();
-        let start = Instant::now();
-        let new_graph = self.graph.apply_arc(batch)?;
-        let structure_duration = start.elapsed();
-        telemetry::span::batch_phase(
-            0,
-            "structure",
-            telemetry::saturating_nanos(structure_duration),
-        );
         let old_graph = Arc::clone(&self.graph);
         let mut report = refine(
             &self.alg,
@@ -378,13 +363,7 @@ impl<A: Algorithm> StreamingEngine<A> {
     /// is kept, so the result is the from-scratch answer by construction.
     fn apply_batch_recompute(&mut self, batch: &MutationBatch) -> Result<RefineReport, MutationError> {
         let start = Instant::now();
-        let new_graph = self.graph.apply_arc(batch)?;
-        let structure_duration = start.elapsed();
-        telemetry::span::batch_phase(
-            0,
-            "structure",
-            telemetry::saturating_nanos(structure_duration),
-        );
+        let (new_graph, structure_duration) = adjust_structure(&self.graph, batch)?;
         self.graph = new_graph;
         let before = self.stats.snapshot();
         self.recompute_full();
@@ -467,9 +446,8 @@ impl<A: Algorithm> StreamingEngine<A> {
     ///
     /// Panics if [`StreamingEngine::run_initial`] has not run.
     pub fn store(&self) -> &DependencyStore<A::Agg> {
-        // lint:allow(service-no-panic) — documented `# Panics` API
-        // contract; fallible callers use `try_store`.
-        // lint:allow(panic-reachability) — same contract; inspection
+        // lint:allow(panic-reachability) — documented `# Panics` API
+        // contract; fallible callers use `try_store`. Inspection
         // accessor, not on the worker loop.
         self.try_store()
             .expect("run_initial() must be called before store()")
@@ -486,24 +464,9 @@ impl<A: Algorithm> StreamingEngine<A> {
     }
 
     /// Borrowed view of the complete incremental state, for
-    /// [`Checkpoint::capture`](crate::checkpoint::Checkpoint::capture).
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`StreamingEngine::run_initial`] has not run.
-    pub fn checkpoint_state(&self) -> CheckpointState<'_, A> {
-        // lint:allow(service-no-panic) — documented `# Panics` API
-        // contract; fallible callers use `try_checkpoint_state`.
-        // lint:allow(panic-reachability) — same contract; the checkpoint
-        // writer takes the fallible twin.
-        self.try_checkpoint_state()
-            .expect("run_initial() must complete before checkpointing")
-    }
-
-    /// Fallible form of [`StreamingEngine::checkpoint_state`]; the form
-    /// the checkpoint writer itself uses, so an uninitialized engine
-    /// surfaces as a typed [`CheckpointError`] instead of killing a
-    /// session worker.
+    /// [`Checkpoint::capture`](crate::checkpoint::Checkpoint::capture);
+    /// an uninitialized engine surfaces as a typed [`CheckpointError`]
+    /// instead of killing a session worker.
     ///
     /// [`CheckpointError`]: crate::checkpoint::CheckpointError
     ///
@@ -552,6 +515,19 @@ impl<A: Algorithm> StreamingEngine<A> {
         engine.enforce_memory_budget();
         engine
     }
+}
+
+/// Applies `batch` to `graph`, recording the adjustment as the current
+/// batch's `structure` span.
+fn adjust_structure(
+    graph: &GraphSnapshot,
+    batch: &MutationBatch,
+) -> Result<(Arc<GraphSnapshot>, Duration), MutationError> {
+    let start = Instant::now();
+    let new_graph = graph.apply_arc(batch)?;
+    let duration = start.elapsed();
+    telemetry::span::batch_phase(0, "structure", telemetry::saturating_nanos(duration));
+    Ok((new_graph, duration))
 }
 
 /// Borrowed incremental state of an engine (checkpoint capture).

@@ -11,6 +11,9 @@
 //! are shared with [`crate::frontdoor`], which mounts the same
 //! observability routes next to its mutation/query endpoints.
 
+// Owns exactly one thread: the metrics listener.
+#![allow(clippy::disallowed_methods)]
+
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::Arc;

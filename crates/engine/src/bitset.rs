@@ -1,5 +1,9 @@
 //! Lock-free concurrent bit set.
 
+// One of the two modules that own raw atomics (see `parallel`); its
+// orderings are model-checked by tests/loom_models.rs.
+#![allow(clippy::disallowed_types)]
+
 // Under `loom-check` the words become loom's model-checked atomics so
 // tests/loom_models.rs can exhaustively explore set/test interleavings.
 #[cfg(feature = "loom-check")]

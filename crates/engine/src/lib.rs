@@ -15,6 +15,9 @@
 //! loops over those and do **not** go through [`edge_map()`], which is
 //! kept (with [`VertexSubset`]) as a measured library kernel.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod adaptive;
 pub mod bitset;
 pub mod edge_map;

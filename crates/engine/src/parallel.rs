@@ -6,6 +6,11 @@
 //! instead), and (b) the engine degrades gracefully to sequential
 //! execution for deterministic tests.
 
+// This module and `bitset` are where raw atomics live: everything else
+// counts through `WorkCounter` / `StripedCounter` and marks through
+// `AtomicBitSet`, and these two modules are what Loom, Miri and TSan run.
+#![allow(clippy::disallowed_types)]
+
 // Under `loom-check` the counters' atomics become loom's model-checked
 // versions so tests/loom_models.rs can exhaustively explore publication
 // interleavings.
@@ -236,8 +241,8 @@ impl StripedCounter {
 /// The sanctioned shared-counter primitive for code outside this module:
 /// `edge_map` publishes per-call edge work through one, and
 /// `EngineStats` aggregates over them, so no other module needs to touch
-/// raw `std::sync::atomic` types (the `cargo xtask lint`
-/// `unsafe-confined` rule enforces exactly that). Totals are exact:
+/// raw `std::sync::atomic` types (`clippy.toml`'s `disallowed-types`
+/// enforces exactly that). Totals are exact:
 /// integer adds commute, so the value is independent of thread count and
 /// interleaving.
 #[derive(Debug, Default)]

@@ -35,6 +35,9 @@
 //! assert_eq!(g2.out_degree(0), 0);
 //! ```
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod builder;
 pub mod csr;
 pub mod dynamic;

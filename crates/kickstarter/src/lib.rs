@@ -16,6 +16,9 @@
 //! GraphBolt paper probes: KickStarter wins on SSSP, where synchronous
 //! guarantees are unnecessary.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod sssp;
 pub mod sswp;
 pub mod wcc;

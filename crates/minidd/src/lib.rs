@@ -26,6 +26,9 @@
 //! [`iterate`] drives epochs; [`pagerank`] and [`sssp`] express the two
 //! benchmark computations.
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub mod collection;
 pub mod iterate;
 pub mod operators;

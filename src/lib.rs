@@ -36,6 +36,9 @@
 //! assert_eq!(ranks.len(), 4);
 //! ```
 
+#![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
+
 pub use graphbolt_algorithms as algorithms;
 pub use graphbolt_core as core;
 pub use graphbolt_engine as engine;

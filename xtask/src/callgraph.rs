@@ -1,8 +1,9 @@
 //! Workspace-wide call-graph construction over the token stream.
 //!
 //! The call-graph rules (`panic-reachability`, `hot-path-blocking`,
-//! `lock-order`, `deadline-propagation`) need to answer "which functions can this function
-//! reach", not just "which tokens does this file contain". This module
+//! `deadline-propagation`) need to answer "which functions can this
+//! function reach", not just "which tokens does this file contain".
+//! This module
 //! recovers that from the scanner's output: every `fn` definition in the
 //! workspace (with its enclosing `impl`/`trait` self type), every call
 //! site inside each definition, and a name-based resolution from sites
@@ -58,7 +59,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::flow::{call_spans, spans_contain};
+use crate::flow::{call_spans, close_delim, spans_contain};
 use crate::items::impl_blocks;
 use crate::scanner::{Scanned, TokKind, Token};
 
@@ -97,6 +98,10 @@ pub struct FnDef {
     pub name: String,
     /// Self type of the enclosing `impl` or `trait` block, if any.
     pub self_type: Option<String>,
+    /// Callable from outside its module: declared `pub`/`pub(..)`, or a
+    /// method of a trait impl / trait block (its visibility is the
+    /// trait's). `panic-reachability` roots its traversal at these.
+    pub exported: bool,
     /// Index into [`CallGraph::files`].
     pub file: usize,
     /// 1-based line of the `fn` token.
@@ -166,21 +171,25 @@ pub fn file_fns(scanned: &Scanned) -> FileFns {
     }
 
     // First pass: locate every `fn` def and its body span.
-    let mut raw: Vec<(String, usize, bool, (usize, usize))> = Vec::new();
+    let mut defs: Vec<FnDef> = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
         if toks[i].kind == TokKind::Ident && toks[i].text == "fn" {
             if let Some(name_tok) = toks.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
-                if let Some((open, close)) = body_span(toks, i + 2) {
-                    raw.push((
-                        name_tok.text.clone(),
-                        toks[i].line,
-                        toks[i].in_test,
-                        (open, close),
-                    ));
+                if let Some(body) = body_span(toks, i + 2) {
+                    defs.push(FnDef {
+                        name: name_tok.text.clone(),
+                        self_type: None,
+                        exported: declared_pub(toks, i),
+                        file: usize::MAX,
+                        line: toks[i].line,
+                        in_test: toks[i].in_test,
+                        body,
+                        calls: Vec::new(),
+                    });
                     // Resume just past the opening brace so nested defs
                     // are found too.
-                    i = open + 1;
+                    i = body.0 + 1;
                     continue;
                 }
             }
@@ -190,32 +199,26 @@ pub fn file_fns(scanned: &Scanned) -> FileFns {
 
     // Second pass: attach self types and extract call sites, excluding
     // nested defs' spans from their parents.
-    let mut defs = Vec::new();
-    for (idx, (name, line, in_test, body)) in raw.iter().enumerate() {
-        let nested: Vec<(usize, usize)> = raw
+    let bodies: Vec<(usize, usize)> = defs.iter().map(|d| d.body).collect();
+    for def in &mut defs {
+        let body = def.body;
+        let nested: Vec<(usize, usize)> = bodies
             .iter()
-            .enumerate()
-            .filter(|(j, (_, _, _, b))| *j != idx && b.0 > body.0 && b.1 < body.1)
-            .map(|(_, (_, _, _, b))| *b)
+            .filter(|b| b.0 > body.0 && b.1 < body.1)
+            .copied()
             .collect();
-        let self_type = enclosing_self_type(&impls, &trait_ranges, *line);
-        let calls = collect_calls(
+        if let Some((ty, in_trait)) = enclosing_self_type(&impls, &trait_ranges, def.line) {
+            def.self_type = Some(ty);
+            def.exported |= in_trait;
+        }
+        def.calls = collect_calls(
             toks,
-            *body,
+            body,
             &nested,
             &isolated_spans,
             &spawned_spans,
-            self_type.as_deref(),
+            def.self_type.as_deref(),
         );
-        defs.push(FnDef {
-            name: name.clone(),
-            self_type,
-            file: usize::MAX,
-            line: *line,
-            in_test: *in_test,
-            body: *body,
-            calls,
-        });
     }
     FileFns { defs, witness }
 }
@@ -252,23 +255,9 @@ fn body_span(toks: &[Token], mut j: usize) -> Option<(usize, usize)> {
                 if paren + bracket + angle + brace > 0 {
                     brace += 1;
                 } else {
-                    // Body found: match braces to the close.
-                    let mut depth = 0usize;
-                    let mut k = j;
-                    while k < toks.len() {
-                        match toks[k].text.as_str() {
-                            "{" => depth += 1,
-                            "}" => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    return Some((j, k));
-                                }
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    return None;
+                    // Body found; an unbalanced tail means no body.
+                    let close = close_delim(toks, j);
+                    return (toks[close].text == "}" && close > j).then_some((j, close));
                 }
             }
             "}" => brace = brace.saturating_sub(1),
@@ -302,31 +291,44 @@ fn trait_line_ranges(toks: &[Token]) -> Vec<(String, usize, usize)> {
     out
 }
 
-/// Self type for a fn defined at `line`: the innermost enclosing impl
-/// block's type, or the enclosing trait's name for default methods.
+/// True when the `fn` token at `i` is declared `pub` / `pub(..)`:
+/// walks back over `const`/`async`/`unsafe`/`extern "C"` qualifiers.
+fn declared_pub(toks: &[Token], i: usize) -> bool {
+    let mut k = i;
+    while k > 0
+        && (matches!(toks[k - 1].text.as_str(), "const" | "async" | "unsafe" | "extern")
+            || toks[k - 1].kind == TokKind::Str)
+    {
+        k -= 1;
+    }
+    if k > 0 && toks[k - 1].text == ")" {
+        // `pub(crate)` / `pub(in path)`: step back over the restriction.
+        while k > 0 && toks[k - 1].text != "(" {
+            k -= 1;
+        }
+        k = k.saturating_sub(1);
+    }
+    k > 0 && toks[k - 1].text == "pub"
+}
+
+/// Self type for a fn defined at `line` — the innermost enclosing impl
+/// block's type, or the enclosing trait's name for default methods —
+/// and whether that block is a trait impl or trait (so the fn's
+/// visibility is the trait's, not its own).
 fn enclosing_self_type(
     impls: &[crate::items::ImplBlock],
     traits: &[(String, usize, usize)],
     line: usize,
-) -> Option<String> {
-    let mut best: Option<(usize, String)> = None;
-    for b in impls {
-        if b.line <= line && line <= b.end_line {
-            let width = b.end_line - b.line;
-            if best.as_ref().is_none_or(|(w, _)| width < *w) {
-                best = Some((width, b.type_name.clone()));
-            }
-        }
-    }
-    for (name, lo, hi) in traits {
-        if *lo <= line && line <= *hi {
-            let width = hi - lo;
-            if best.as_ref().is_none_or(|(w, _)| width < *w) {
-                best = Some((width, name.clone()));
-            }
-        }
-    }
-    best.map(|(_, name)| name)
+) -> Option<(String, bool)> {
+    let impl_blocks = impls
+        .iter()
+        .map(|b| (b.line, b.end_line, &b.type_name, b.trait_name.is_some()));
+    let trait_blocks = traits.iter().map(|(name, lo, hi)| (*lo, *hi, name, true));
+    impl_blocks
+        .chain(trait_blocks)
+        .filter(|(lo, hi, ..)| *lo <= line && line <= *hi)
+        .min_by_key(|(lo, hi, ..)| hi - lo)
+        .map(|(_, _, name, in_trait)| (name.clone(), in_trait))
 }
 
 /// Extracts call sites from a body span, skipping nested fn spans.

@@ -1,15 +1,12 @@
-//! Token-level dataflow approximations feeding the call-graph rules.
+//! Token-level site classification feeding the call-graph rules.
 //!
 //! Where [`crate::callgraph`] answers "what can this function reach",
 //! this module answers "what does this span of tokens *do*": which
 //! sites can panic, which block or allocate, which loops they sit in,
-//! which atomic fields they publish or acquire, and where raw pointers
-//! are manipulated. Everything operates on the scanner's token stream —
-//! the same deliberate no-real-AST stance as the rest of `xtask`.
+//! and which blocking sites fail to observe a request deadline.
+//! Everything operates on the scanner's token stream — the same
+//! deliberate no-real-AST stance as the rest of `xtask`.
 
-use std::collections::BTreeSet;
-
-use crate::items::ImplBlock;
 use crate::scanner::{Scanned, TokKind, Token};
 
 /// One potentially panicking site.
@@ -30,62 +27,19 @@ pub struct BlockSite {
     pub what: String,
 }
 
-/// One atomic access with an explicit memory ordering.
+/// One blocking site that fails to observe the request deadline.
 #[derive(Debug, Clone)]
-pub struct AtomicAccess {
-    /// Receiver key: `(self type or "", field/variable name)`. For
-    /// `self.words[i].fetch_or(..)` inside `impl AtomicBitSet` this is
-    /// `("AtomicBitSet", "words")`; for a static or local receiver the
-    /// qualifier is empty.
-    pub key: (String, String),
+pub struct DeadlineSink {
+    /// Token index of the site.
+    pub tok: usize,
     /// 1-based line.
     pub line: usize,
-    /// Method name (`store`, `load`, `fetch_or`, ...).
-    pub method: String,
-    /// The site publishes with Release (or AcqRel) semantics.
-    pub release_store: bool,
-    /// The site observes with Acquire (or AcqRel/SeqCst) semantics.
-    pub acquire_load: bool,
-    /// True when the token sits in a `#[cfg(test)]` region.
-    pub in_test: bool,
+    /// What blocks there.
+    pub what: String,
 }
 
-/// Write-capable atomic methods (can carry Release).
-const ATOMIC_WRITES: &[&str] = &[
-    "store",
-    "swap",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_or",
-    "fetch_and",
-    "fetch_xor",
-    "fetch_nand",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-];
-
-/// Read-capable atomic methods (can carry Acquire).
-const ATOMIC_READS: &[&str] = &[
-    "load",
-    "swap",
-    "compare_exchange",
-    "compare_exchange_weak",
-    "fetch_add",
-    "fetch_sub",
-    "fetch_or",
-    "fetch_and",
-    "fetch_xor",
-    "fetch_nand",
-    "fetch_max",
-    "fetch_min",
-    "fetch_update",
-];
-
-/// Panicking macros (same list as `service-no-panic`; `debug_assert*`
-/// is deliberately absent — compiled out of release builds).
+/// Panicking macros (`debug_assert*` is deliberately absent — compiled
+/// out of release builds).
 const PANIC_MACROS: &[&str] = &[
     "panic",
     "unreachable",
@@ -105,23 +59,24 @@ const INDEX_PREV_KEYWORD_BLOCK: &[&str] = &[
     "dyn", "impl", "where",
 ];
 
-/// Balanced-paren span starting at the `(` token `open`; returns the
-/// index of the matching `)` (or the last token on imbalance).
-pub fn paren_close(toks: &[Token], open: usize) -> usize {
+/// Index of the delimiter closing the `(`, `[` or `{` at token `open`
+/// (or the last token on imbalance).
+pub fn close_delim(toks: &[Token], open: usize) -> usize {
+    let (opener, closer) = match toks[open].text.as_str() {
+        "(" => ("(", ")"),
+        "[" => ("[", "]"),
+        _ => ("{", "}"),
+    };
     let mut depth = 0usize;
-    let mut k = open;
-    while k < toks.len() {
-        match toks[k].text.as_str() {
-            "(" => depth += 1,
-            ")" => {
-                depth -= 1;
-                if depth == 0 {
-                    return k;
-                }
+    for (k, tok) in toks.iter().enumerate().skip(open) {
+        if tok.text == opener {
+            depth += 1;
+        } else if tok.text == closer {
+            depth -= 1;
+            if depth == 0 {
+                return k;
             }
-            _ => {}
         }
-        k += 1;
     }
     toks.len().saturating_sub(1)
 }
@@ -135,7 +90,7 @@ pub fn call_spans(toks: &[Token], name: &str) -> Vec<(usize, usize)> {
             && tok.text == name
             && toks.get(i + 1).is_some_and(|t| t.text == "(")
         {
-            out.push((i + 1, paren_close(toks, i + 1)));
+            out.push((i + 1, close_delim(toks, i + 1)));
         }
     }
     out
@@ -181,23 +136,7 @@ pub fn loop_spans(toks: &[Token]) -> Vec<(usize, usize)> {
                 j += 1;
             }
             if j < toks.len() {
-                // Match braces to the close.
-                let mut depth = 0usize;
-                let mut k = j;
-                while k < toks.len() {
-                    match toks[k].text.as_str() {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    k += 1;
-                }
-                out.push((j, k.min(toks.len() - 1)));
+                out.push((j, close_delim(toks, j)));
             }
         }
         if t.kind == TokKind::Ident
@@ -206,7 +145,7 @@ pub fn loop_spans(toks: &[Token]) -> Vec<(usize, usize)> {
             && toks[i - 1].text == "."
             && toks.get(i + 1).is_some_and(|n| n.text == "(")
         {
-            out.push((i + 1, paren_close(toks, i + 1)));
+            out.push((i + 1, close_delim(toks, i + 1)));
         }
         i += 1;
     }
@@ -214,9 +153,9 @@ pub fn loop_spans(toks: &[Token]) -> Vec<(usize, usize)> {
 }
 
 /// Potentially panicking sites in `span` (inclusive token range),
-/// skipping `#[cfg(test)]` tokens. Indexing sites are skipped when a
-/// `// bounds:` comment within the six-line window above justifies the
-/// in-range invariant (the same shape as `// SAFETY:`/`// ordering:`).
+/// skipping `#[cfg(test)]` tokens. Every index expression counts: no
+/// comment discharges one — the total forms (`.get()`, iterators,
+/// destructuring) are the way to say "in range".
 pub fn panic_sites(scanned: &Scanned, span: (usize, usize)) -> Vec<PanicSite> {
     let toks = &scanned.tokens;
     let mut out = Vec::new();
@@ -252,13 +191,10 @@ pub fn panic_sites(scanned: &Scanned, span: (usize, usize)) -> Vec<PanicSite> {
                 || prev.text == ")"
                 || prev.text == "]";
             if is_index {
-                let lo = tok.line.saturating_sub(6);
-                if !scanned.comment_window_contains(lo, tok.line, "bounds:") {
-                    out.push(PanicSite {
-                        line: tok.line,
-                        what: "unguarded indexing".to_string(),
-                    });
-                }
+                out.push(PanicSite {
+                    line: tok.line,
+                    what: "indexing".to_string(),
+                });
             }
         }
     }
@@ -311,132 +247,96 @@ pub fn blocking_sites(scanned: &Scanned, span: (usize, usize)) -> Vec<BlockSite>
     out
 }
 
-/// Extracts every atomic access with an explicit `Ordering::*` argument
-/// from a file, with receiver keys resolved against the file's impl
-/// blocks (a `self.field` receiver inside `impl T` keys as `(T, field)`).
-pub fn atomic_accesses(scanned: &Scanned, impls: &[ImplBlock]) -> Vec<AtomicAccess> {
+/// Blocking sites in `body` that do NOT observe a deadline. A sink is
+/// observed when an identifier containing `deadline` appears in its
+/// statement or in an enclosing loop body (the retry-loop idiom checks
+/// the deadline once per iteration, not per blocking call), or when the
+/// call itself is deadline-carrying (`recv_timeout`/`recv_deadline`).
+/// `.lock()` and `.send(` are deliberately out of scope: bounded
+/// critical sections and bounded channels are capacity questions, not
+/// deadline questions.
+pub fn deadline_blind_sites(scanned: &Scanned, body: (usize, usize)) -> Vec<DeadlineSink> {
     let toks = &scanned.tokens;
+    let loops = loop_spans(toks);
+    let names_deadline = |span: &[Token]| {
+        span.iter()
+            .any(|t| t.kind == TokKind::Ident && t.text.to_lowercase().contains("deadline"))
+    };
+    let observed = |i: usize| -> bool {
+        let (lo, hi) = statement_window(toks, i);
+        names_deadline(&toks[lo..hi])
+            || loops
+                .iter()
+                .any(|(s, e)| *s <= i && i <= *e && names_deadline(&toks[*s..=*e]))
+    };
     let mut out = Vec::new();
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.kind != TokKind::Ident
-            || i == 0
-            || toks[i - 1].text != "."
-            || toks.get(i + 1).is_none_or(|t| t.text != "(")
-        {
+    let mut push = |tok: usize, line: usize, what: &str| {
+        out.push(DeadlineSink {
+            tok,
+            line,
+            what: what.to_string(),
+        })
+    };
+    for i in body.0..=body.1.min(toks.len().saturating_sub(1)) {
+        let tok = &toks[i];
+        if tok.in_test || tok.kind != TokKind::Ident {
             continue;
         }
-        let is_write = ATOMIC_WRITES.contains(&tok.text.as_str());
-        let is_read = ATOMIC_READS.contains(&tok.text.as_str());
-        if !is_write && !is_read {
-            continue;
-        }
-        // Orderings named inside the argument list.
-        let close = paren_close(toks, i + 1);
-        let mut orderings = BTreeSet::new();
-        for j in i + 2..close {
-            if toks[j].kind == TokKind::Ident
-                && toks[j].text == "Ordering"
-                && toks.get(j + 1).is_some_and(|t| t.text == "::")
-            {
-                if let Some(v) = toks.get(j + 2).filter(|t| t.kind == TokKind::Ident) {
-                    orderings.insert(v.text.clone());
+        let next_is = |s: &str| toks.get(i + 1).is_some_and(|t| t.text == s);
+        let prev_is = |s: &str| i > 0 && toks[i - 1].text == s;
+        match tok.text.as_str() {
+            // `recv_timeout`/`recv_deadline` observe time by themselves.
+            "recv" if prev_is(".") && next_is("(") && !observed(i) => {
+                push(i, tok.line, "blocking `recv()` without a deadline")
+            }
+            "sleep" if next_is("(") && !observed(i) => {
+                push(i, tok.line, "`sleep` without a deadline check")
+            }
+            "join" if prev_is(".") && next_is("(") && !observed(i) => {
+                push(i, tok.line, "blocking `join()` without a deadline")
+            }
+            "fs" if (next_is("::") || prev_is("::")) && !observed(i) => {
+                push(i, tok.line, "file I/O (std::fs) without a deadline")
+            }
+            "read_dir" | "read_to_string" if next_is("(") && !observed(i) => {
+                push(i, tok.line, "file I/O without a deadline")
+            }
+            // An unbounded `loop` must either exit (`break`/`return`/
+            // `?`) or observe the deadline in its body.
+            "loop" if next_is("{") => {
+                let lbody = &toks[i + 1..=close_delim(toks, i + 1)];
+                let exits = lbody.iter().any(|t| {
+                    t.text == "?"
+                        || (t.kind == TokKind::Ident && (t.text == "break" || t.text == "return"))
+                });
+                if !exits && !names_deadline(lbody) {
+                    push(i, tok.line, "unbounded `loop` with no exit or deadline check");
                 }
             }
+            _ => {}
         }
-        if orderings.is_empty() {
-            // Not an atomic call (Vec::swap, HashMap ops, ...).
-            continue;
-        }
-        let Some(key) = receiver_key(toks, i - 1, impls, tok.line) else {
-            continue;
-        };
-        let release_store = is_write
-            && (orderings.contains("Release") || orderings.contains("AcqRel"));
-        let acquire_load = is_read
-            && (orderings.contains("Acquire")
-                || orderings.contains("AcqRel")
-                || orderings.contains("SeqCst"));
-        out.push(AtomicAccess {
-            key,
-            line: tok.line,
-            method: tok.text.clone(),
-            release_store,
-            acquire_load,
-            in_test: tok.in_test,
-        });
     }
     out
 }
 
-/// Walks back from the `.` before an atomic method to the receiver's
-/// field/variable name: skips one balanced `[..]` index, then reads the
-/// identifier; a `self.` prefix keys it under the innermost enclosing
-/// impl's type.
-pub(crate) fn receiver_key(
-    toks: &[Token],
-    dot: usize,
-    impls: &[ImplBlock],
-    line: usize,
-) -> Option<(String, String)> {
-    let mut k = dot; // index of the `.`
-    if k == 0 {
-        return None;
-    }
-    k -= 1;
-    if toks[k].text == "]" {
-        // Skip the balanced index expression.
-        let mut depth = 0usize;
-        loop {
-            match toks[k].text.as_str() {
-                "]" => depth += 1,
-                "[" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            if k == 0 {
-                return None;
-            }
-            k -= 1;
-        }
-        if k == 0 {
-            return None;
-        }
-        k -= 1;
-    }
-    if toks[k].text == ")" {
-        // Method-chain receiver (`x.get(i).store(..)`): unsupported;
-        // the ordering-audit comment rule still covers the site.
-        return None;
-    }
-    if toks[k].kind != TokKind::Ident {
-        return None;
-    }
-    let field = toks[k].text.clone();
-    let qual = if k >= 2 && toks[k - 1].text == "." && toks[k - 2].text == "self" {
-        enclosing_impl_type(impls, line).unwrap_or_default()
-    } else {
-        String::new()
-    };
-    Some((qual, field))
-}
-
-/// Innermost impl block containing `line`.
-pub(crate) fn enclosing_impl_type(impls: &[ImplBlock], line: usize) -> Option<String> {
-    impls
+/// Token range of the statement containing index `i`: from the token
+/// after the previous `;`/`{`/`}` up to the next one.
+fn statement_window(toks: &[Token], i: usize) -> (usize, usize) {
+    let is_boundary = |t: &Token| t.text == ";" || t.text == "{" || t.text == "}";
+    let lo = toks[..i]
         .iter()
-        .filter(|b| b.line <= line && line <= b.end_line)
-        .min_by_key(|b| b.end_line - b.line)
-        .map(|b| b.type_name.clone())
+        .rposition(is_boundary)
+        .map_or(0, |p| p + 1);
+    let hi = toks[i..]
+        .iter()
+        .position(is_boundary)
+        .map_or(toks.len(), |p| i + p);
+    (lo, hi)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::impl_blocks;
     use crate::scanner::scan;
 
     #[test]
@@ -473,19 +373,7 @@ fn f(xs: &[u32], i: usize) -> u32 {
         let s = scan(src);
         let sites = panic_sites(&s, (0, s.tokens.len() - 1));
         let whats: Vec<&str> = sites.iter().map(|p| p.what.as_str()).collect();
-        assert_eq!(whats, [".unwrap()", "panic!", "unguarded indexing"]);
-    }
-
-    #[test]
-    fn bounds_comment_guards_indexing() {
-        let src = "\
-fn f(xs: &[u32], i: usize) -> u32 {
-    // bounds: caller clamps i to xs.len() - 1 above
-    xs[i]
-}
-";
-        let s = scan(src);
-        assert!(panic_sites(&s, (0, s.tokens.len() - 1)).is_empty());
+        assert_eq!(whats, [".unwrap()", "panic!", "indexing"]);
     }
 
     #[test]
@@ -493,33 +381,6 @@ fn f(xs: &[u32], i: usize) -> u32 {
         let src = "#[derive(Debug)]\nfn f(xs: &[u8]) -> Vec<u8> { let v = [1, 2]; v.to_vec() }";
         let s = scan(src);
         assert!(panic_sites(&s, (0, s.tokens.len() - 1)).is_empty());
-    }
-
-    #[test]
-    fn atomic_accesses_pair_self_fields_under_impl_type() {
-        let src = "\
-impl BitSet {
-    fn set(&self, i: usize) {
-        self.words[i >> 6].fetch_or(1, Ordering::Release);
-    }
-    fn get(&self, i: usize) -> bool {
-        self.words[i >> 6].load(Ordering::Acquire) != 0
-    }
-}
-";
-        let s = scan(src);
-        let accesses = atomic_accesses(&s, &impl_blocks(&s));
-        assert_eq!(accesses.len(), 2, "{accesses:?}");
-        assert!(accesses[0].release_store && !accesses[0].acquire_load);
-        assert!(accesses[1].acquire_load && !accesses[1].release_store);
-        assert_eq!(accesses[0].key, ("BitSet".to_string(), "words".to_string()));
-        assert_eq!(accesses[0].key, accesses[1].key);
-    }
-
-    #[test]
-    fn non_atomic_swap_is_ignored() {
-        let s = scan("fn f(v: &mut Vec<u32>) { v.swap(0, 1); }");
-        assert!(atomic_accesses(&s, &[]).is_empty());
     }
 
     #[test]
@@ -552,5 +413,42 @@ fn f() {
             1,
             "{whats:?}"
         );
+    }
+
+    #[test]
+    fn deadline_blind_recv_is_flagged_and_observed_recv_is_not() {
+        let blind = scan("fn f(rx: &Receiver<u32>) { let _ = rx.recv(); }");
+        let sinks = deadline_blind_sites(&blind, (0, blind.tokens.len() - 1));
+        assert_eq!(sinks.len(), 1, "{sinks:?}");
+        assert!(sinks[0].what.contains("recv"));
+
+        let ok = scan(
+            "fn f(rx: &Receiver<u32>, deadline: Instant) { let _ = rx.recv_deadline(deadline); }",
+        );
+        assert!(deadline_blind_sites(&ok, (0, ok.tokens.len() - 1)).is_empty());
+    }
+
+    #[test]
+    fn sleep_in_deadline_checked_loop_passes() {
+        let src = "\
+fn f(deadline: Instant) {
+    loop {
+        if Instant::now() >= deadline {
+            return;
+        }
+        std::thread::sleep(STEP);
+    }
+}
+";
+        let s = scan(src);
+        assert!(deadline_blind_sites(&s, (0, s.tokens.len() - 1)).is_empty());
+    }
+
+    #[test]
+    fn unbounded_loop_without_exit_is_flagged() {
+        let s = scan("fn f() { loop { spin(); } }");
+        let sinks = deadline_blind_sites(&s, (0, s.tokens.len() - 1));
+        assert_eq!(sinks.len(), 1, "{sinks:?}");
+        assert!(sinks[0].what.contains("unbounded"));
     }
 }

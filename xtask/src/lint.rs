@@ -1,19 +1,18 @@
-//! Lint driver: workspace file discovery, parallel per-file scanning,
-//! workspace-level call-graph passes, and finding rendering (human
-//! text, machine JSON, and SARIF for CI annotations).
+//! Lint driver: workspace file discovery and scanning, rule dispatch,
+//! the dead-waiver check, and finding rendering (human text and SARIF
+//! for CI annotations).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::time::Instant;
 
-use crate::graph_rules::{build_graph, run_graph_rules, WorkspaceFile};
-use crate::items::law_registrations;
-use crate::rules::{
-    law_coverage, metrics_naming, reset_waiver_log, run_rules, FileCtx, Finding, RuleId,
-    ALL_RULES, PANIC_ISOLATED,
+use crate::graph_rules::{
+    deadline_propagation, hot_path_blocking, panic_reachability, WorkspaceFile,
 };
-use crate::scanner::{scan, Scanned};
+use crate::rules::{
+    law_coverage, metrics_naming, retract_guard, Finding, RuleId, Workspace, ALL_RULES,
+};
+use crate::scanner::scan;
 
 /// Directory names never descended into.
 const SKIP_DIRS: &[&str] = &[
@@ -56,80 +55,116 @@ pub fn collect_workspace_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 }
 
 /// True for paths under `tests/`, `benches/`, or `examples/` — exempt
-/// from the confinement and service rules.
+/// from every rule but a source of `check_laws::<T>` registrations.
 fn in_test_tree(rel: &str) -> bool {
     rel.split('/')
         .any(|seg| seg == "tests" || seg == "benches" || seg == "examples")
 }
 
-/// Runs every enabled rule (per-file rules plus the cross-file pair:
-/// `law-coverage` against the given registration set, `metrics-naming`
-/// against DESIGN.md §10's documented names) over one scanned file,
-/// with the per-file (rule, line) dedup applied.
-fn lint_scanned(
-    ctx: &FileCtx,
-    scanned: &Scanned,
-    enabled: &BTreeSet<RuleId>,
-    registered: &BTreeSet<String>,
-    documented: Option<&BTreeSet<String>>,
-) -> Vec<Finding> {
+fn workspace_file(rel: String, src: &str) -> WorkspaceFile {
+    let in_test_tree = in_test_tree(&rel);
+    WorkspaceFile {
+        rel,
+        scanned: scan(src),
+        in_test_tree,
+    }
+}
+
+/// Runs every enabled rule over the workspace, then the dead-waiver
+/// check (last: it reads which waivers the rules consumed). Findings
+/// are ordered by file, then line, one per (rule, file, line).
+fn run(ws: &Workspace, enabled: &BTreeSet<RuleId>) -> Vec<Finding> {
     let mut findings = Vec::new();
-    run_rules(ctx, scanned, enabled, &mut findings);
-    if enabled.contains(&RuleId::LawCoverage) {
-        law_coverage(ctx, scanned, registered, &mut findings);
+    let on = |rule| enabled.contains(&rule);
+    for fi in 0..ws.files.len() {
+        if on(RuleId::LawCoverage) {
+            law_coverage(ws, fi, &mut findings);
+        }
+        if on(RuleId::RetractGuard) {
+            retract_guard(ws, fi, &mut findings);
+        }
+        if on(RuleId::MetricsNaming) {
+            metrics_naming(ws, fi, &mut findings);
+        }
     }
-    if enabled.contains(&RuleId::MetricsNaming) {
-        metrics_naming(ctx, scanned, documented, &mut findings);
+    if on(RuleId::PanicReachability) {
+        panic_reachability(ws, &mut findings);
     }
-    // One finding per (rule, line): e.g. `use ...::{AtomicU64, AtomicUsize}`
-    // is one violation, not two.
-    findings.sort_by_key(|a| (a.line, a.rule));
-    findings.dedup_by(|a, b| a.rule == b.rule && a.line == b.line);
+    if on(RuleId::HotPathBlocking) {
+        hot_path_blocking(ws, &mut findings);
+    }
+    if on(RuleId::DeadlinePropagation) {
+        deadline_propagation(ws, &mut findings);
+    }
+    if on(RuleId::DeadAnnotation) {
+        dead_waivers(ws, enabled, &mut findings);
+    }
+    findings.sort_by(|a, b| {
+        (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
+    });
+    findings.dedup_by(|a, b| a.rule == b.rule && a.file == b.file && a.line == b.line);
     findings
+}
+
+/// The dead-waiver check (`dead-annotation`): a `lint:allow(<rule>)`
+/// comment in production code that names no known rule, or whose rule
+/// ran and consumed it for nothing — no finding suppressed, no edge cut
+/// — is itself a finding: stale waivers are how a "clean tree" rots. A
+/// comment is a waiver only when it *starts with* the marker; prose
+/// that merely mentions `lint:allow(...)` is not. Waivers for rules
+/// disabled via `--allow` are left alone (they may be live under the
+/// full set), as are waivers in test code.
+fn dead_waivers(ws: &Workspace, enabled: &BTreeSet<RuleId>, out: &mut Vec<Finding>) {
+    for (fi, f) in ws.files.iter().enumerate() {
+        if f.in_test_tree {
+            continue;
+        }
+        let toks = &f.scanned.tokens;
+        for (&line, text) in &f.scanned.comments {
+            let Some(rest) = text.trim().strip_prefix("lint:allow(") else {
+                continue;
+            };
+            let next_code = toks.iter().find(|t| t.line >= line).or(toks.last());
+            if next_code.is_some_and(|t| t.in_test) {
+                continue;
+            }
+            let name = rest.split(')').next().unwrap_or("");
+            let message = match RuleId::from_name(name) {
+                None => format!("waiver names unknown rule `{name}` — fix or remove it"),
+                Some(rule) if enabled.contains(&rule) && !ws.waiver_used(fi, line, rule) => {
+                    format!(
+                        "dead waiver: `lint:allow({})` suppresses no finding and cuts no \
+                         edge in this run — remove it or re-justify it",
+                        rule.name()
+                    )
+                }
+                Some(_) => continue,
+            };
+            ws.emit(out, fi, RuleId::DeadAnnotation, line, message, Vec::new());
+        }
+    }
 }
 
 /// Lints one source text as if it lived at workspace-relative `path`.
 /// This is the entry point the fixture tests use: the simulated path
-/// controls which sanctioned-module tables apply. `law-coverage` runs
-/// in its single-file form — registrations are collected from this text
-/// alone (the workspace walk collects them globally instead).
+/// controls which root and sanctioned-module tables apply. The
+/// workspace is just this file, so `law-coverage` sees only its own
+/// registrations and `metrics-naming` skips its documentation half.
 pub fn lint_source(path: &str, src: &str, enabled: &BTreeSet<RuleId>) -> Vec<Finding> {
     lint_source_with_docs(path, src, enabled, None)
 }
 
 /// [`lint_source`] with an explicit documented-metric set for the
-/// `metrics-naming` rule. `None` skips the documentation half (the
-/// well-formedness half still runs), which keeps fixture tests
-/// self-contained: they inject the set instead of reading DESIGN.md, so
-/// the suite passes in a bare source export with no repo checkout.
+/// `metrics-naming` rule, so fixture tests inject the set instead of
+/// reading DESIGN.md.
 pub fn lint_source_with_docs(
     path: &str,
     src: &str,
     enabled: &BTreeSet<RuleId>,
     documented: Option<&BTreeSet<String>>,
 ) -> Vec<Finding> {
-    // Rule evaluation populates the thread-local waiver-usage log the
-    // dead-annotation pass audits; start each run from a clean log.
-    reset_waiver_log();
-    let scanned = scan(src);
-    let ctx = FileCtx {
-        path,
-        in_test_tree: in_test_tree(path),
-    };
-    let registered: BTreeSet<String> = law_registrations(&scanned).into_iter().collect();
-    let mut findings = lint_scanned(&ctx, &scanned, enabled, &registered, documented);
-    // Call-graph rules over the single file: the graph is just this
-    // file's functions, which is exactly what fixture tests need.
-    let files = [WorkspaceFile {
-        rel: path.to_string(),
-        scanned,
-        in_test_tree: ctx.in_test_tree,
-    }];
-    let graph = build_graph(&files);
-    run_graph_rules(&files, &graph, |r| enabled.contains(&r), &mut findings);
-    findings.sort_by_key(|a| (a.line, a.rule));
-    findings.dedup_by(|a, b| a.rule == b.rule && a.line == b.line);
-    findings
+    let files = vec![workspace_file(path.to_string(), src)];
+    run(&Workspace::new(files, documented.cloned()), enabled)
 }
 
 /// Extracts every `graphbolt_[a-z_]+` name mentioned in DESIGN.md §10's
@@ -155,147 +190,23 @@ pub fn documented_metric_names(root: &Path) -> Option<BTreeSet<String>> {
     Some(names)
 }
 
-/// Scan statistics reported alongside findings in `--format json`.
-#[derive(Debug, Clone, Copy)]
-pub struct LintStats {
-    /// Number of `.rs` files scanned.
-    pub files: usize,
-    /// Worker threads used for the scan.
-    pub threads: usize,
-    /// Wall-clock time of the whole lint pass, in milliseconds.
-    pub elapsed_ms: u128,
-}
-
 /// Lints the whole workspace rooted at `root` with all rules except
 /// `allow` enabled. Findings are ordered by file, then line.
 pub fn lint_workspace(root: &Path, allow: &BTreeSet<RuleId>) -> io::Result<Vec<Finding>> {
-    lint_workspace_with(root, allow, None)
-}
-
-/// [`lint_workspace`] with an optional `changed` restriction: when
-/// `Some`, findings are reported only for the listed workspace-relative
-/// paths (`cargo xtask lint --changed`). The *whole* workspace is still
-/// scanned regardless — `law-coverage` registrations and call-graph
-/// edges live in different files than the findings they produce, so a
-/// restricted scan would be wrong, not just incomplete.
-pub fn lint_workspace_with(
-    root: &Path,
-    allow: &BTreeSet<RuleId>,
-    changed: Option<&BTreeSet<String>>,
-) -> io::Result<Vec<Finding>> {
-    lint_workspace_report(root, allow, changed).map(|(findings, _)| findings)
-}
-
-/// Reads and lexes one workspace file into the driver's per-file record.
-fn scan_one(root: &Path, file: &Path) -> io::Result<WorkspaceFile> {
-    let rel = file
-        .strip_prefix(root)
-        .unwrap_or(file)
-        .to_string_lossy()
-        .replace('\\', "/");
-    let src = std::fs::read_to_string(file)?;
-    let in_test_tree = in_test_tree(&rel);
-    Ok(WorkspaceFile {
-        rel,
-        scanned: scan(&src),
-        in_test_tree,
-    })
-}
-
-/// Full workspace lint returning findings plus scan statistics.
-///
-/// File reading + lexing is the dominant cost and is embarrassingly
-/// parallel, so it fans out over scoped worker threads (stride
-/// assignment; results land back in path order, so output stays
-/// deterministic regardless of thread count). Rule evaluation stays on
-/// the calling thread — it is cheap and the cross-file passes need the
-/// whole corpus anyway.
-pub fn lint_workspace_report(
-    root: &Path,
-    allow: &BTreeSet<RuleId>,
-    changed: Option<&BTreeSet<String>>,
-) -> io::Result<(Vec<Finding>, LintStats)> {
-    let start = Instant::now();
-    // Rule evaluation runs on this thread (only file scanning fans out),
-    // so the thread-local waiver-usage log sees every suppression; the
-    // dead-annotation pass audits it at the end of the run.
-    reset_waiver_log();
     let enabled: BTreeSet<RuleId> = ALL_RULES
         .into_iter()
         .filter(|r| !allow.contains(r))
         .collect();
-    let documented = documented_metric_names(root);
-    let files = collect_workspace_files(root)?;
-    let threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, 8)
-        .min(files.len().max(1));
-    let mut slots: Vec<Option<io::Result<WorkspaceFile>>> = Vec::new();
-    slots.resize_with(files.len(), || None);
-    std::thread::scope(|s| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let files = &files;
-            handles.push(s.spawn(move || {
-                let mut out = Vec::new();
-                let mut idx = t;
-                while idx < files.len() {
-                    out.push((idx, scan_one(root, &files[idx])));
-                    idx += threads;
-                }
-                out
-            }));
-        }
-        for h in handles {
-            for (idx, result) in h.join().expect("scan worker panicked") {
-                slots[idx] = Some(result);
-            }
-        }
-    });
-    let mut scanned_files: Vec<WorkspaceFile> = Vec::with_capacity(files.len());
-    for slot in slots {
-        scanned_files.push(slot.expect("every index assigned to exactly one worker")?);
+    let mut files = Vec::new();
+    for file in collect_workspace_files(root)? {
+        let rel = file
+            .strip_prefix(root)
+            .unwrap_or(&file)
+            .to_string_lossy()
+            .replace('\\', "/");
+        files.push(workspace_file(rel, &std::fs::read_to_string(&file)?));
     }
-
-    let mut registered: BTreeSet<String> = BTreeSet::new();
-    for f in &scanned_files {
-        registered.extend(law_registrations(&f.scanned));
-    }
-    let mut findings = Vec::new();
-    for f in &scanned_files {
-        let ctx = FileCtx {
-            path: &f.rel,
-            in_test_tree: f.in_test_tree,
-        };
-        findings.extend(lint_scanned(
-            &ctx,
-            &f.scanned,
-            &enabled,
-            &registered,
-            documented.as_ref(),
-        ));
-    }
-    let graph = build_graph(&scanned_files);
-    run_graph_rules(
-        &scanned_files,
-        &graph,
-        |r| enabled.contains(&r),
-        &mut findings,
-    );
-    if let Some(set) = changed {
-        findings.retain(|f| set.contains(&f.file));
-    }
-    findings.sort_by(|a, b| {
-        (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule))
-    });
-    findings.dedup_by(|a, b| a.rule == b.rule && a.file == b.file && a.line == b.line);
-    let stats = LintStats {
-        files: files.len(),
-        threads,
-        elapsed_ms: start.elapsed().as_millis(),
-    };
-    Ok((findings, stats))
+    Ok(run(&Workspace::new(files, documented_metric_names(root)), &enabled))
 }
 
 /// Renders findings for humans: one `file:line [rule] message` per line
@@ -323,51 +234,12 @@ pub fn render_text(findings: &[Finding]) -> String {
     out
 }
 
-/// Renders findings as a JSON array (machine-readable; stable key
-/// order). Hand-rolled to keep xtask dependency-free.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("[");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n  {{\"rule\":\"{}\",\"file\":\"{}\",\"line\":{},\"message\":\"{}\"}}",
-            f.rule.name(),
-            json_escape(&f.file),
-            f.line,
-            json_escape(&f.message)
-        ));
-    }
-    if !findings.is_empty() {
-        out.push('\n');
-    }
-    out.push_str("]\n");
-    out
-}
-
-/// Renders the full machine-readable report: the findings array under
-/// `"findings"` plus a `"stats"` object with file count, worker-thread
-/// count, and wall-clock timing. This is what `--format json` emits;
-/// [`render_json`] (the bare array) is kept for embedding.
-pub fn render_json_report(findings: &[Finding], stats: &LintStats) -> String {
-    let array = render_json(findings);
-    format!(
-        "{{\n\"findings\": {},\n\"stats\": {{\"files\":{},\"threads\":{},\"elapsed_ms\":{}}}\n}}\n",
-        array.trim_end(),
-        stats.files,
-        stats.threads,
-        stats.elapsed_ms
-    )
-}
-
 /// Renders findings as SARIF 2.1.0 (the format GitHub code scanning
 /// ingests, turning findings into PR annotations). One run, one rule
-/// table (all fifteen, in declaration order — the `ruleIndex`), one
-/// result per finding.
-/// Graph-rule findings carry their witness chain as `codeFlows`, so
-/// code scanning shows the panic/lock/deadline path, not just the sink
-/// line. Hand-rolled like the JSON renderer to keep xtask
+/// table (in declaration order — the `ruleIndex`), one result per
+/// finding. Graph-rule findings carry their witness chain as
+/// `codeFlows`, so code scanning shows the panic/blocking/deadline
+/// path, not just the sink line. Hand-rolled to keep xtask
 /// dependency-free.
 pub fn render_sarif(findings: &[Finding]) -> String {
     let mut out = String::new();
@@ -435,109 +307,6 @@ pub fn render_sarif(findings: &[Finding]) -> String {
     out
 }
 
-/// Applies the mechanical fixes `--fix` offers: a dead-annotation
-/// finding whose reported line is a whole-line comment is removed from
-/// the file. Everything else (dead `PANIC_ISOLATED` entries, trailing
-/// comments sharing a line with code, findings of other rules) is left
-/// for a human and returned as not auto-fixable. Returns the number of
-/// lines removed plus the unfixed findings.
-pub fn apply_fixes(root: &Path, findings: &[Finding]) -> io::Result<(usize, Vec<Finding>)> {
-    let mut deletions: BTreeMap<String, Vec<usize>> = BTreeMap::new();
-    let mut unfixed: Vec<Finding> = Vec::new();
-    for f in findings {
-        if f.rule != RuleId::DeadAnnotation {
-            unfixed.push(f.clone());
-            continue;
-        }
-        let text = std::fs::read_to_string(root.join(&f.file))?;
-        let is_comment_line = text
-            .lines()
-            .nth(f.line.saturating_sub(1))
-            .is_some_and(|l| l.trim_start().starts_with("//"));
-        if is_comment_line {
-            deletions.entry(f.file.clone()).or_default().push(f.line);
-        } else {
-            unfixed.push(f.clone());
-        }
-    }
-    let mut removed = 0usize;
-    for (file, mut lines) in deletions {
-        lines.sort_unstable();
-        lines.dedup();
-        let path = root.join(&file);
-        let text = std::fs::read_to_string(&path)?;
-        let kept: Vec<&str> = text
-            .lines()
-            .enumerate()
-            .filter(|(i, _)| !lines.contains(&(i + 1)))
-            .map(|(_, l)| l)
-            .collect();
-        removed += lines.len();
-        let mut fixed = kept.join("\n");
-        if text.ends_with('\n') {
-            fixed.push('\n');
-        }
-        std::fs::write(&path, fixed)?;
-    }
-    Ok((removed, unfixed))
-}
-
-/// Counts the workspace's trust surface — the annotations the dataflow
-/// rules verify — per top-level area (`crates/<name>`, `xtask`), using
-/// the same start-of-comment discipline as the dead-annotation rule:
-/// `lint:allow(` waivers, `bounds:` proofs, `ordering:` justifications
-/// in production (non-`#[cfg(test)]`, non-test-tree) code, plus the
-/// `PANIC_ISOLATED` table size. The snapshot test in
-/// `xtask/tests/annotation_budget.rs` pins this output so trust-surface
-/// creep is explicit in review.
-pub fn annotation_census(root: &Path) -> io::Result<String> {
-    let files = collect_workspace_files(root)?;
-    let mut counts: BTreeMap<String, (usize, usize, usize)> = BTreeMap::new();
-    for file in &files {
-        let f = scan_one(root, file)?;
-        if f.in_test_tree {
-            continue;
-        }
-        let area = if let Some(rest) = f.rel.strip_prefix("crates/") {
-            format!("crates/{}", rest.split('/').next().unwrap_or(""))
-        } else {
-            f.rel.split('/').next().unwrap_or("").to_string()
-        };
-        for (&line, text) in &f.scanned.comments {
-            let in_test = f
-                .scanned
-                .tokens
-                .iter()
-                .find(|t| t.line >= line)
-                .or(f.scanned.tokens.last())
-                .is_some_and(|t| t.in_test);
-            if in_test {
-                continue;
-            }
-            let t = text.trim();
-            let entry = counts.entry(area.clone()).or_default();
-            if t.starts_with("lint:allow(") {
-                entry.0 += 1;
-            } else if t.starts_with("bounds:") {
-                entry.1 += 1;
-            } else if t.starts_with("ordering:") {
-                entry.2 += 1;
-            }
-        }
-    }
-    let mut out = String::new();
-    for (area, (waivers, bounds, ordering)) in &counts {
-        if *waivers + *bounds + *ordering == 0 {
-            continue;
-        }
-        out.push_str(&format!(
-            "{area} waivers={waivers} bounds={bounds} ordering={ordering}\n"
-        ));
-    }
-    out.push_str(&format!("PANIC_ISOLATED entries={}\n", PANIC_ISOLATED.len()));
-    Ok(out)
-}
-
 fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {
@@ -557,11 +326,6 @@ fn json_escape(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::ALL_RULES;
-
-    fn all_enabled() -> BTreeSet<RuleId> {
-        ALL_RULES.into_iter().collect()
-    }
 
     #[test]
     fn test_tree_paths_are_detected() {
@@ -573,27 +337,27 @@ mod tests {
 
     #[test]
     fn dedup_collapses_same_rule_same_line() {
-        let src = "use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};\n";
-        let findings = lint_source("crates/graph/src/lib.rs", src, &all_enabled());
+        let src = "fn f(a: &A, x: &mut f64) { a.retract(x, &1.0); a.retract(x, &2.0); }\n";
+        let enabled = ALL_RULES.into_iter().collect();
+        let findings = lint_source("crates/graph/src/lib.rs", src, &enabled);
         assert_eq!(findings.len(), 1, "{findings:?}");
     }
 
     #[test]
-    fn json_escapes_quotes() {
+    fn sarif_escapes_quotes() {
         let f = Finding {
-            rule: RuleId::ServiceNoPanic,
+            rule: RuleId::RetractGuard,
             file: "a.rs".into(),
             line: 3,
             message: "say \"no\"".into(),
             flow: Vec::new(),
         };
-        let json = render_json(&[f]);
-        assert!(json.contains("say \\\"no\\\""), "{json}");
+        let sarif = render_sarif(&[f]);
+        assert!(sarif.contains("say \\\"no\\\""), "{sarif}");
     }
 
     #[test]
     fn empty_findings_render_clean() {
         assert!(render_text(&[]).contains("no violations"));
-        assert_eq!(render_json(&[]), "[]\n");
     }
 }

@@ -3,14 +3,13 @@
 //! Exit codes: 0 = clean, 1 = findings reported, 2 = usage error.
 
 #![forbid(unsafe_code)]
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use xtask::lint::{
-    apply_fixes, lint_workspace_report, render_json_report, render_sarif, render_text,
-};
+use xtask::lint::{lint_workspace, render_sarif, render_text};
 use xtask::rules::{RuleId, ALL_RULES};
 
 const USAGE: &str = "\
@@ -18,18 +17,11 @@ usage: cargo xtask lint [options]
 
 options:
   --allow <rule>       disable one rule (repeatable); see --list-rules
-  --format <text|json|sarif>
-                       output format (default: text); json includes a
-                       stats object (file count, threads, timing),
-                       sarif renders CI-ingestible annotations
+  --format <text|sarif>
+                       output format (default: text); sarif is what
+                       GitHub code scanning ingests (findings carry
+                       their call chain as codeFlows)
   --root <dir>         workspace root (default: auto-detected)
-  --changed            report findings only for files changed per git
-                       (diff vs HEAD plus untracked); the whole tree is
-                       still scanned so cross-file rules stay accurate
-  --fix                remove dead-annotation comment lines (dead
-                       waivers, stale bounds/ordering comments), then
-                       re-lint; anything not mechanically fixable is
-                       reported as usual
   --list-rules         print rule names and descriptions, then exit
   -h, --help           print this help
 ";
@@ -51,10 +43,8 @@ fn main() -> ExitCode {
 
 fn lint_cmd(args: &[String]) -> ExitCode {
     let mut allow: BTreeSet<RuleId> = BTreeSet::new();
-    let mut format = "text".to_string();
+    let mut sarif = false;
     let mut root: Option<PathBuf> = None;
-    let mut changed_only = false;
-    let mut fix = false;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
@@ -72,9 +62,10 @@ fn lint_cmd(args: &[String]) -> ExitCode {
                 }
             },
             "--format" => match it.next().map(String::as_str) {
-                Some(f @ ("text" | "json" | "sarif")) => format = f.to_string(),
+                Some("text") => sarif = false,
+                Some("sarif") => sarif = true,
                 _ => {
-                    eprintln!("--format requires `text`, `json`, or `sarif`\n{USAGE}");
+                    eprintln!("--format requires `text` or `sarif`\n{USAGE}");
                     return ExitCode::from(2);
                 }
             },
@@ -85,11 +76,9 @@ fn lint_cmd(args: &[String]) -> ExitCode {
                     return ExitCode::from(2);
                 }
             },
-            "--changed" => changed_only = true,
-            "--fix" => fix = true,
             "--list-rules" => {
                 for rule in ALL_RULES {
-                    println!("{:<18} {}", rule.name(), rule.describe());
+                    println!("{:<21} {}", rule.name(), rule.describe());
                 }
                 return ExitCode::SUCCESS;
             }
@@ -112,48 +101,12 @@ fn lint_cmd(args: &[String]) -> ExitCode {
             .unwrap_or_else(|| PathBuf::from("."))
     });
 
-    let changed: Option<BTreeSet<String>> = if changed_only {
-        match changed_files(&root) {
-            Ok(set) => Some(set),
-            Err(err) => {
-                eprintln!("xtask lint: --changed requires a git work tree at the root: {err}");
-                return ExitCode::from(2);
-            }
-        }
-    } else {
-        None
-    };
-
-    match lint_workspace_report(&root, &allow, changed.as_ref()) {
-        Ok((mut findings, mut stats)) => {
-            if fix && !findings.is_empty() {
-                match apply_fixes(&root, &findings) {
-                    Ok((removed, _)) => {
-                        eprintln!("xtask lint --fix: removed {removed} dead annotation line(s)");
-                        // Re-lint: the fix may have shifted lines or
-                        // revived nothing; the re-run is the source of
-                        // truth for what remains.
-                        match lint_workspace_report(&root, &allow, changed.as_ref()) {
-                            Ok((f2, s2)) => {
-                                findings = f2;
-                                stats = s2;
-                            }
-                            Err(err) => {
-                                eprintln!("xtask lint: io error: {err}");
-                                return ExitCode::from(2);
-                            }
-                        }
-                    }
-                    Err(err) => {
-                        eprintln!("xtask lint: --fix io error: {err}");
-                        return ExitCode::from(2);
-                    }
-                }
-            }
-            match format.as_str() {
-                "json" => print!("{}", render_json_report(&findings, &stats)),
-                "sarif" => print!("{}", render_sarif(&findings)),
-                _ => print!("{}", render_text(&findings)),
+    match lint_workspace(&root, &allow) {
+        Ok(findings) => {
+            if sarif {
+                print!("{}", render_sarif(&findings));
+            } else {
+                print!("{}", render_text(&findings));
             }
             if findings.is_empty() {
                 ExitCode::SUCCESS
@@ -166,36 +119,4 @@ fn lint_cmd(args: &[String]) -> ExitCode {
             ExitCode::from(2)
         }
     }
-}
-
-/// Workspace-relative `.rs` paths changed per git: tracked files
-/// differing from `HEAD` plus untracked (non-ignored) files. Errors if
-/// `root` is not inside a git work tree.
-fn changed_files(root: &std::path::Path) -> Result<BTreeSet<String>, String> {
-    let mut set = BTreeSet::new();
-    for args in [
-        &["diff", "--name-only", "HEAD"][..],
-        &["ls-files", "--others", "--exclude-standard"][..],
-    ] {
-        let out = std::process::Command::new("git")
-            .arg("-C")
-            .arg(root)
-            .args(args)
-            .output()
-            .map_err(|e| format!("failed to run git: {e}"))?;
-        if !out.status.success() {
-            return Err(format!(
-                "`git {}` failed: {}",
-                args.join(" "),
-                String::from_utf8_lossy(&out.stderr).trim()
-            ));
-        }
-        for line in String::from_utf8_lossy(&out.stdout).lines() {
-            let path = line.trim();
-            if path.ends_with(".rs") {
-                set.insert(path.replace('\\', "/"));
-            }
-        }
-    }
-    Ok(set)
 }

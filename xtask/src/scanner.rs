@@ -285,35 +285,19 @@ pub fn scan(src: &str) -> Scanned {
             continue;
         }
         // Punctuation — longest multi-char match first.
-        let mut matched = false;
-        for p in MULTI_PUNCT {
-            let pc: Vec<char> = p.chars().collect();
-            if chars[i..].starts_with(&pc) {
-                out.tokens.push(Token {
-                    text: (*p).to_string(),
-                    literal: String::new(),
-                    line,
-                    kind: TokKind::Punct,
-                    in_test: false,
-                    fn_name: None,
-                });
-                i += pc.len();
-                matched = true;
-                break;
-            }
-        }
-        if matched {
-            continue;
-        }
+        let text = MULTI_PUNCT
+            .iter()
+            .find(|p| p.chars().eq(chars[i..].iter().take(p.len()).copied()))
+            .map_or_else(|| c.to_string(), |p| (*p).to_string());
+        i += text.chars().count();
         out.tokens.push(Token {
-            text: c.to_string(),
+            text,
             literal: String::new(),
             line,
             kind: TokKind::Punct,
             in_test: false,
             fn_name: None,
         });
-        i += 1;
     }
 
     annotate_regions(&mut out.tokens);

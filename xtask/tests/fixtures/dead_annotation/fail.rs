@@ -1,23 +1,12 @@
-//! Negative fixture: four dead annotations — a waiver that suppresses
-//! nothing, a waiver naming a rule that does not exist, a stale bounds
-//! comment, and a stale ordering justification.
+//! Negative fixture: a waiver that suppresses nothing, and a waiver
+//! naming a rule that does not exist.
 
 pub fn busy(x: u64) -> u64 {
-    // lint:allow(service-no-panic) — nothing below actually panics.
+    // lint:allow(panic-reachability) — nothing below actually panics.
     x + 1
 }
 
 pub fn typo(x: u64) -> u64 {
     // lint:allow(no-such-rule) — the rule name is wrong.
     x + 2
-}
-
-// bounds: stale — the indexing this justified was deleted.
-pub fn plain(x: u64) -> u64 {
-    x * 2
-}
-
-pub fn relaxed() -> u64 {
-    // ordering: stale — the atomic load moved elsewhere.
-    7
 }

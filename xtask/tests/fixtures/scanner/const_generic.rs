@@ -4,8 +4,8 @@
 //! `{ 1 }` brace, mis-scoping `helper`'s body as non-test code.
 
 #[cfg(test)]
-fn helper(_x: [(); { 1 }]) {
-    std::thread::spawn(|| {});
+pub fn helper(_x: [(); { 1 }]) {
+    None::<u8>.unwrap();
 }
 
 pub fn shaped<const N: usize>(x: [u8; { N + 1 }]) -> usize {

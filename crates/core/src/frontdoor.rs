@@ -288,6 +288,13 @@ fn request_context(
     Ok(RequestContext { class, deadline, trace })
 }
 
+/// How far past the committed vertex count a request may name a vertex.
+/// An accepted mutation grows the id space to its larger endpoint, and
+/// every per-vertex array with it, so without a cap one request naming
+/// vertex 2^32 - 1 asks the worker for ~2^32 slots and aborts the
+/// service. Trusted callers (library, stream replay) are not capped.
+const MAX_ID_GROWTH: u64 = 1 << 20;
+
 /// One parsed mutation from a request body.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct WireMutation {
@@ -300,6 +307,18 @@ struct WireMutation {
 impl WireMutation {
     fn edge(&self) -> Edge {
         Edge::new(self.src, self.dst, self.weight)
+    }
+
+    /// Refuses an endpoint at or past `vertices + MAX_ID_GROWTH`, where
+    /// `vertices` is the session's committed vertex count.
+    fn check_id_growth(&self, vertices: u64) -> Result<(), String> {
+        let far = u64::from(self.src.max(self.dst));
+        if far < vertices + MAX_ID_GROWTH {
+            return Ok(());
+        }
+        Err(format!(
+            "vertex {far} is outside the id space ({vertices} vertices + growth cap {MAX_ID_GROWTH})"
+        ))
     }
 }
 
@@ -488,6 +507,7 @@ fn serve_update<A>(
     let mutation = match std::str::from_utf8(&request.body)
         .map_err(|_| "body is not UTF-8".to_string())
         .and_then(parse_mutation)
+        .and_then(|m| m.check_id_growth(session.committed_vertices()).map(|()| m))
     {
         Ok(m) => m,
         Err(detail) => {
@@ -583,34 +603,43 @@ fn serve_batch<A>(
         respond_retry_after(stream, &err);
         return;
     }
-    let mut accepted = 0usize;
-    for m in &mutations {
+    let vertices = session.committed_vertices();
+    let submit = |m: &WireMutation| {
+        if m.check_id_growth(vertices).is_err() {
+            return Err(("400 Bad Request", "vertex_out_of_range", "bad_request"));
+        }
         // Every mutation of the batch rides the same trace: N queue /
         // service span pairs under one request root.
-        match session.mutate_within(m.edge(), m.add, ctx.deadline, ctx.trace) {
-            Ok(()) => accepted += 1,
-            Err(err) => {
-                // Partial acceptance is reported honestly: the client
-                // learns how many mutations made it in before the error.
-                telemetry::span::complete(ctx.trace, "session_error");
-                let body = format!(
-                    "{{\"error\":\"{}\",\"accepted\":{accepted},\"submitted\":{}}}",
-                    match err {
-                        SessionError::DeadlineExceeded => "deadline_exceeded",
-                        SessionError::QueueFull => "queue_full",
-                        _ => "session_error",
-                    },
-                    mutations.len(),
-                );
-                let status = match err {
-                    SessionError::DeadlineExceeded => "504 Gateway Timeout",
-                    SessionError::QueueFull => "503 Service Unavailable",
-                    _ => "500 Internal Server Error",
-                };
-                respond(stream, status, "application/json", &[], &body);
-                return;
-            }
+        session
+            .mutate_within(m.edge(), m.add, ctx.deadline, ctx.trace)
+            .map_err(|err| match err {
+                SessionError::DeadlineExceeded => {
+                    ("504 Gateway Timeout", "deadline_exceeded", "session_error")
+                }
+                SessionError::QueueFull => {
+                    ("503 Service Unavailable", "queue_full", "session_error")
+                }
+                _ => (
+                    "500 Internal Server Error",
+                    "session_error",
+                    "session_error",
+                ),
+            })
+    };
+    let mut accepted = 0usize;
+    for m in &mutations {
+        if let Err((status, error, span_status)) = submit(m) {
+            // Partial acceptance is reported honestly: the client learns
+            // how many mutations made it in before the error.
+            telemetry::span::complete(ctx.trace, span_status);
+            let body = format!(
+                "{{\"error\":\"{error}\",\"accepted\":{accepted},\"submitted\":{}}}",
+                mutations.len(),
+            );
+            respond(stream, status, "application/json", &[], &body);
+            return;
         }
+        accepted += 1;
     }
     respond(
         stream,
@@ -867,6 +896,51 @@ mod tests {
         assert!(missing.starts_with("HTTP/1.1 404"), "{missing}");
         door.shutdown();
         drop(Arc::into_inner(session).expect("sole owner").finish());
+    }
+
+    #[test]
+    fn far_vertex_is_refused_at_the_door() {
+        let (door, session) = door(AdmissionConfig::default(), FrontDoorConfig::default());
+        let addr = door.local_addr();
+        let before = get(addr, "/query");
+
+        // Any u32 parses; accepted, this one asks `apply` + `refine` for
+        // ~2^32 slots and takes the process down.
+        let far = post(addr, "/update", "", "{\"src\":0,\"dst\":4294967295}");
+        assert!(far.starts_with("HTTP/1.1 400"), "{far}");
+        assert!(
+            far.contains(
+                "vertex 4294967295 is outside the id space (5 vertices + growth cap 1048576)"
+            ),
+            "{far}"
+        );
+        let at_cap = format!("{{\"src\":{},\"dst\":1}}", 5 + MAX_ID_GROWTH);
+        assert!(post(addr, "/update", "", &at_cap).starts_with("HTTP/1.1 400"));
+        assert_eq!(get(addr, "/query"), before, "served values unchanged");
+
+        let batch = post(
+            addr,
+            "/batch",
+            "",
+            "{\"mutations\":[{\"src\":0,\"dst\":3},{\"src\":9000000,\"dst\":1},{\"src\":1,\"dst\":4}]}",
+        );
+        assert!(batch.starts_with("HTTP/1.1 400"), "{batch}");
+        assert!(
+            batch.contains("{\"error\":\"vertex_out_of_range\",\"accepted\":1,\"submitted\":3}"),
+            "{batch}"
+        );
+
+        // The door keeps serving, and growth inside the cap is untouched.
+        let near = post(addr, "/update", "", "{\"src\":0,\"dst\":7}");
+        assert!(near.starts_with("HTTP/1.1 202"), "{near}");
+        door.shutdown();
+        let outcome = Arc::into_inner(session)
+            .expect("sole owner")
+            .finish()
+            .expect("finish");
+        assert_eq!(outcome.engine.graph().num_vertices(), 8);
+        assert!(outcome.engine.graph().has_edge(0, 3));
+        assert!(!outcome.engine.graph().has_edge(1, 4));
     }
 
     #[test]

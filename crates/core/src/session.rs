@@ -271,6 +271,10 @@ pub struct StreamSession<A: Algorithm + 'static> {
     /// before the send keeps the counter at or above the true queue
     /// length, so the worker's decrement can never underflow it.
     depth: Arc<WorkCounter>,
+    /// Vertex count of the last committed snapshot, published by the
+    /// worker so the front door can bound id-space growth without a
+    /// round-trip through the queue.
+    vertices: Arc<WorkCounter>,
 }
 
 impl<A: Algorithm + 'static> StreamSession<A> {
@@ -302,13 +306,23 @@ impl<A: Algorithm + 'static> StreamSession<A> {
             None => channel::unbounded(),
         };
         let depth = Arc::new(WorkCounter::new());
-        let worker_depth = Arc::clone(&depth);
-        let worker = std::thread::spawn(move || worker_loop(engine, rx, config, worker_depth));
+        let vertices = Arc::new(WorkCounter::new());
+        vertices.set(engine.graph().num_vertices() as u64);
+        let (worker_depth, worker_vertices) = (Arc::clone(&depth), Arc::clone(&vertices));
+        let worker = std::thread::spawn(move || {
+            worker_loop(engine, rx, config, worker_depth, worker_vertices)
+        });
         Self {
             tx,
             worker,
             depth,
+            vertices,
         }
+    }
+
+    /// Vertex count of the last committed snapshot.
+    pub(crate) fn committed_vertices(&self) -> u64 {
+        self.vertices.get()
     }
 
     fn submit(&self, cmd: Command<A::Value>) -> Result<(), SessionError> {
@@ -622,6 +636,8 @@ struct WorkerState<A: Algorithm> {
     checkpoint_seq: u64,
     /// Shared queue-occupancy counter (see [`StreamSession::depth`]).
     depth: Arc<WorkCounter>,
+    /// Published vertex count (see [`StreamSession::vertices`]).
+    vertices: Arc<WorkCounter>,
 }
 
 /// Lifecycle timestamps of one pending mutation, plus the causal trace
@@ -765,6 +781,7 @@ impl<A: Algorithm> WorkerState<A> {
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| engine.apply_batch(&batch)));
         match outcome {
             Ok(Ok(report)) => {
+                self.vertices.set(self.engine.graph().num_vertices() as u64);
                 self.stats.mutations_applied += batch.len();
                 Self::record_visible(stamps);
                 self.maybe_checkpoint(config, batch_trace);
@@ -856,6 +873,7 @@ fn worker_loop<A: Algorithm>(
     rx: Receiver<Command<A::Value>>,
     config: SessionConfig<A>,
     depth: Arc<WorkCounter>,
+    vertices: Arc<WorkCounter>,
 ) -> SessionOutcome<A> {
     // Continue the on-disk sequence: a session resumed into an existing
     // checkpoint directory must number its checkpoints *after* whatever is
@@ -876,6 +894,7 @@ fn worker_loop<A: Algorithm>(
         batches_since_checkpoint: 0,
         checkpoint_seq,
         depth,
+        vertices,
     };
 
     // Services one dequeued command; returns true on Shutdown. Shared by

@@ -1,6 +1,5 @@
 //! The streaming-engine façade: tracked execution + batch refinement.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use graphbolt_graph::{GraphSnapshot, MutationBatch, MutationError};
@@ -97,7 +96,7 @@ impl DegradeLevel {
 /// ```
 pub struct StreamingEngine<A: Algorithm> {
     alg: A,
-    graph: Arc<GraphSnapshot>,
+    graph: GraphSnapshot,
     opts: EngineOptions,
     stats: EngineStats,
     /// Tracked state, present after `run_initial`.
@@ -119,7 +118,7 @@ impl<A: Algorithm> StreamingEngine<A> {
     pub fn new(graph: GraphSnapshot, alg: A, opts: EngineOptions) -> Self {
         Self {
             alg,
-            graph: Arc::new(graph),
+            graph,
             opts,
             stats: EngineStats::new(),
             state: None,
@@ -335,10 +334,9 @@ impl<A: Algorithm> StreamingEngine<A> {
         };
         let (new_graph, structure_duration) = adjust_structure(&self.graph, batch)?;
         let stats_before = self.stats.snapshot();
-        let old_graph = Arc::clone(&self.graph);
         let mut report = refine(
             &self.alg,
-            &old_graph,
+            &self.graph,
             &new_graph,
             batch,
             RefineState {
@@ -501,7 +499,7 @@ impl<A: Algorithm> StreamingEngine<A> {
     ) -> Self {
         let mut engine = Self {
             alg,
-            graph: Arc::new(graph),
+            graph,
             opts,
             stats: EngineStats::new(),
             state: Some(TrackedState {
@@ -522,9 +520,9 @@ impl<A: Algorithm> StreamingEngine<A> {
 fn adjust_structure(
     graph: &GraphSnapshot,
     batch: &MutationBatch,
-) -> Result<(Arc<GraphSnapshot>, Duration), MutationError> {
+) -> Result<(GraphSnapshot, Duration), MutationError> {
     let start = Instant::now();
-    let new_graph = graph.apply_arc(batch)?;
+    let new_graph = graph.apply(batch)?;
     let duration = start.elapsed();
     telemetry::span::batch_phase(0, "structure", telemetry::saturating_nanos(duration));
     Ok((new_graph, duration))

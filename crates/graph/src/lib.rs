@@ -7,8 +7,10 @@
 //!   a directed weighted graph, optimized for both push-style (out-edge)
 //!   and pull-style (in-edge) traversal,
 //! * [`MutationBatch`] / [`GraphSnapshot::apply`] — batched edge/vertex
-//!   insertions and deletions that produce the next snapshot using the
-//!   two-pass adjustment scheme described in §4.1 of the paper,
+//!   insertions and deletions that produce the next snapshot, which
+//!   shares every copy-on-write adjacency chunk the batch did not touch
+//!   (the role of §4.1's structure adjustment, at a cost proportional to
+//!   the batch rather than the graph),
 //! * [`generators`] — R-MAT, Erdős–Rényi and Chung–Lu graph generators
 //!   used as stand-ins for the paper's web/social graphs,
 //! * [`stream`] — the evaluation-methodology mutation-stream driver
@@ -40,7 +42,6 @@
 
 pub mod builder;
 pub mod csr;
-pub mod dynamic;
 pub mod generators;
 pub mod io;
 pub mod mutation;
@@ -52,7 +53,6 @@ pub mod types;
 
 pub use builder::GraphBuilder;
 pub use csr::Adjacency;
-pub use dynamic::DynamicGraph;
 pub use mutation::{MutationBatch, MutationError};
 pub use reorder::Permutation;
 pub use snapshot::GraphSnapshot;

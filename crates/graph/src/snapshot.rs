@@ -1,9 +1,8 @@
 //! Immutable graph snapshots with dual CSR/CSC indexing.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::csr::Adjacency;
+use crate::csr::{Adjacency, Change};
 use crate::mutation::{MutationBatch, MutationError};
 use crate::types::{Edge, VertexId, Weight};
 
@@ -14,10 +13,10 @@ use crate::types::{Edge, VertexId, Weight};
 /// traversal reads the CSR; pull traversal and GraphBolt's re-evaluation of
 /// non-decomposable aggregations read the CSC (§3.3, §4.2 of the paper).
 ///
-/// Snapshots are cheap to share (`Arc` internally is not required — the
-/// engine clones `Arc<GraphSnapshot>`); applying a [`MutationBatch`]
-/// produces a *new* snapshot, leaving the old one readable so refinement
-/// can evaluate "old graph" contributions while the mutated graph is live.
+/// Applying a [`MutationBatch`] produces a *new* snapshot that shares
+/// every adjacency chunk the batch did not touch, leaving the old one
+/// readable so refinement can evaluate "old graph" contributions while
+/// the mutated graph is live. Cloning copies two chunk tables, not edges.
 #[derive(Debug, Clone)]
 pub struct GraphSnapshot {
     out: Adjacency,
@@ -42,20 +41,20 @@ impl GraphSnapshot {
     /// seen — the substrate models simple directed graphs, matching the
     /// paper's inputs.
     pub fn from_edges(n: usize, edges: &[Edge]) -> Self {
-        let mut dedup: HashMap<(VertexId, VertexId), Weight> = HashMap::with_capacity(edges.len());
-        for e in edges {
-            dedup.insert((e.src, e.dst), e.weight);
-        }
-        let unique: Vec<Edge> = dedup
-            .into_iter()
-            .map(|((s, d), w)| Edge::new(s, d, w))
-            .collect();
-        let out = Adjacency::from_edges(n, &unique);
-        let reversed: Vec<Edge> = unique.iter().map(|e| e.reversed()).collect();
-        let inc = Adjacency::from_edges(n, &reversed);
+        // Stable, so the last of a run of duplicates is the last one seen.
+        let mut sorted = edges.to_vec();
+        sorted.sort_by_key(|e| e.endpoints());
+        sorted.dedup_by(|later, kept| {
+            let duplicate = later.endpoints() == kept.endpoints();
+            if duplicate {
+                kept.weight = later.weight;
+            }
+            duplicate
+        });
+        // Source-major order fills both indexes with sorted slices.
         Self {
-            out,
-            inc,
+            out: Adjacency::scatter(n, sorted.iter().map(|e| (e.src, e.dst, e.weight))),
+            inc: Adjacency::scatter(n, sorted.iter().map(|e| (e.dst, e.src, e.weight))),
             version: 0,
         }
     }
@@ -67,12 +66,6 @@ impl GraphSnapshot {
             inc: Adjacency::empty(n),
             version: 0,
         }
-    }
-
-    pub(crate) fn from_parts(out: Adjacency, inc: Adjacency, version: u64) -> Self {
-        debug_assert_eq!(out.num_edges(), inc.num_edges());
-        debug_assert_eq!(out.num_vertices(), inc.num_vertices());
-        Self { out, inc, version }
     }
 
     /// Number of vertices (fixed id space `0..n`).
@@ -187,56 +180,19 @@ impl GraphSnapshot {
             .num_vertices()
             .max(batch.max_vertex_id().map_or(0, |m| m as usize + 1));
 
-        // Pass 1: group mutations by source (CSR) and destination (CSC).
-        let mut out_changed: HashMap<VertexId, Vec<(VertexId, Weight)>> = HashMap::new();
-        let mut in_changed: HashMap<VertexId, Vec<(VertexId, Weight)>> = HashMap::new();
-        let mut touch_out = |v: VertexId, adj: &Adjacency| {
-            out_changed.entry(v).or_insert_with(|| {
-                if (v as usize) < adj.num_vertices() {
-                    adj.edges(v).collect()
-                } else {
-                    Vec::new()
-                }
-            });
+        let edits = |key: fn(&Edge) -> (VertexId, VertexId)| -> Vec<Change> {
+            let removals = batch.deletions().iter().map(|e| (key(e), None));
+            let upserts = batch.additions().iter().map(|e| (key(e), Some(e.weight)));
+            removals
+                .chain(upserts)
+                .map(|((v, t), w)| (v, t, w))
+                .collect()
         };
-        let mut touch_in = |v: VertexId, adj: &Adjacency| {
-            in_changed.entry(v).or_insert_with(|| {
-                if (v as usize) < adj.num_vertices() {
-                    adj.edges(v).collect()
-                } else {
-                    Vec::new()
-                }
-            });
-        };
-        for e in batch.additions() {
-            touch_out(e.src, &self.out);
-            touch_in(e.dst, &self.inc);
-        }
-        for e in batch.deletions() {
-            touch_out(e.src, &self.out);
-            touch_in(e.dst, &self.inc);
-        }
-        for e in batch.deletions() {
-            let slot = out_changed.get_mut(&e.src).expect("touched above");
-            slot.retain(|&(t, _)| t != e.dst);
-            let slot = in_changed.get_mut(&e.dst).expect("touched above");
-            slot.retain(|&(t, _)| t != e.src);
-        }
-        for e in batch.additions() {
-            out_changed
-                .get_mut(&e.src)
-                .expect("touched above")
-                .push((e.dst, e.weight));
-            in_changed
-                .get_mut(&e.dst)
-                .expect("touched above")
-                .push((e.src, e.weight));
-        }
-
-        // Pass 2: rebuild both indexes, copying unchanged slices.
-        let out = self.out.rebuild_with(new_n, &out_changed);
-        let inc = self.inc.rebuild_with(new_n, &in_changed);
-        Ok(GraphSnapshot::from_parts(out, inc, self.version + 1))
+        Ok(GraphSnapshot {
+            out: self.out.patched(new_n, edits(|e| (e.src, e.dst))),
+            inc: self.inc.patched(new_n, edits(|e| (e.dst, e.src))),
+            version: self.version + 1,
+        })
     }
 
     /// Convenience wrapper returning an `Arc`'d mutated snapshot.
@@ -271,6 +227,9 @@ impl GraphSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::csr::SPAN;
+    use rand::{rngs::SmallRng, Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     fn diamond() -> GraphSnapshot {
         GraphSnapshot::from_edges(
@@ -370,5 +329,61 @@ mod tests {
         let g2 = g1.apply(&b2).unwrap();
         assert_eq!(g2.version(), 2);
         assert_eq!(g2.num_edges(), g.num_edges());
+    }
+
+    fn from_model(n: usize, model: &BTreeMap<(VertexId, VertexId), Weight>) -> GraphSnapshot {
+        let edges: Vec<Edge> = model
+            .iter()
+            .map(|(&(u, v), &w)| Edge::new(u, v, w))
+            .collect();
+        GraphSnapshot::from_edges(n, &edges)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(40))]
+        /// Whatever sequence of batches produced it, a snapshot equals the
+        /// one built from scratch from a map model of its edge set, and
+        /// the snapshot it was derived from still equals the model's
+        /// previous state. The stream reweights, piles half its ops onto
+        /// one hub, and grows the id space out of a partial last chunk
+        /// across up to three chunk boundaries (leaving empty chunks).
+        #[test]
+        fn apply_tracks_a_map_model(seed in 0u64..400) {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut n = rng.gen_range(3..3 * SPAN);
+            let hub = rng.gen_range(0..n) as VertexId;
+            let mut model = BTreeMap::new();
+            let mut snapshot = GraphSnapshot::empty(n);
+            for _ in 0..6 {
+                let mut batch = MutationBatch::new();
+                for _ in 0..rng.gen_range(1..24) {
+                    let u = if rng.gen_bool(0.5) { hub } else { rng.gen_range(0..n) as VertexId };
+                    let bound = if rng.gen_bool(0.03) { n + 3 * SPAN } else { n };
+                    let v = rng.gen_range(0..bound) as VertexId;
+                    let (u, v) = if rng.gen_bool(0.5) { (u, v) } else { (v, u) };
+                    let w = rng.gen_range(0.1..2.0);
+                    match (model.get(&(u, v)), rng.gen_bool(0.5)) {
+                        (Some(&old), true) => batch.delete(Edge::new(u, v, old)),
+                        (Some(_), false) => batch.reweight(&snapshot, u, v, w),
+                        (None, _) => batch.add(Edge::new(u, v, w)),
+                    };
+                }
+                // Deletions apply before additions; duplicates keep the first.
+                let batch = batch.normalize_against(&snapshot);
+                let parent = from_model(n, &model);
+                for e in batch.deletions() {
+                    model.remove(&e.endpoints());
+                }
+                for e in batch.additions() {
+                    model.insert(e.endpoints(), e.weight);
+                }
+                n = n.max(batch.max_vertex_id().map_or(0, |m| m as usize + 1));
+                let next = snapshot.apply(&batch).unwrap();
+                proptest::prop_assert!(next.check_consistency());
+                proptest::prop_assert_eq!(&next, &from_model(n, &model));
+                proptest::prop_assert_eq!(&snapshot, &parent);
+                snapshot = next;
+            }
+        }
     }
 }

@@ -24,7 +24,6 @@ pub mod bp;
 pub mod cc;
 pub mod cf;
 pub mod coem;
-pub mod landmarks;
 pub mod lp;
 pub mod pr;
 pub mod sssp;
@@ -37,10 +36,9 @@ pub use bp::BeliefPropagation;
 pub use cc::ConnectedComponents;
 pub use cf::CollaborativeFiltering;
 pub use coem::CoEm;
-pub use landmarks::LandmarkDistances;
 pub use lp::LabelPropagation;
 pub use pr::PageRank;
 pub use sssp::ShortestPaths;
 pub use sssp_multiset::{MinBag, ShortestPathsMultiset};
 pub use sswp::WidestPaths;
-pub use tc::{count_full, count_per_vertex, local_clustering, TriangleCounter};
+pub use tc::{count_full, TriangleCounter};

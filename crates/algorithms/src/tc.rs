@@ -27,61 +27,6 @@ pub fn count_full(g: &GraphSnapshot) -> u64 {
     total
 }
 
-/// Per-vertex incidence counts: `counts[w]` is the number of `(u, v)`
-/// edge pairs whose intersection contains `w` — i.e. how many directed
-/// 3-cycles `w` *closes* as the third corner, counted once per cycle.
-pub fn count_per_vertex(g: &GraphSnapshot) -> Vec<u64> {
-    let mut counts = vec![0u64; g.num_vertices()];
-    for u in 0..g.num_vertices() as VertexId {
-        for v in g.out_neighbors(u) {
-            // w ∈ in(u) ∩ out(v): cycle u → v → w → u.
-            let (a, b) = (g.in_neighbors(u), g.out_neighbors(*v));
-            let (mut i, mut j) = (0, 0);
-            while i < a.len() && j < b.len() {
-                match a[i].cmp(&b[j]) {
-                    std::cmp::Ordering::Less => i += 1,
-                    std::cmp::Ordering::Greater => j += 1,
-                    std::cmp::Ordering::Equal => {
-                        counts[a[i] as usize] += 1;
-                        i += 1;
-                        j += 1;
-                    }
-                }
-            }
-        }
-    }
-    counts
-}
-
-/// Directed local clustering coefficient of `v` on the symmetric closure
-/// of its neighborhood: closed wedges over wedges, in `[0, 1]`
-/// (`0` for degree < 2).
-pub fn local_clustering(g: &GraphSnapshot, v: VertexId) -> f64 {
-    // Distinct neighbors in either direction.
-    let mut nbrs: Vec<VertexId> = g
-        .out_neighbors(v)
-        .iter()
-        .chain(g.in_neighbors(v))
-        .copied()
-        .filter(|&u| u != v)
-        .collect();
-    nbrs.sort_unstable();
-    nbrs.dedup();
-    let d = nbrs.len();
-    if d < 2 {
-        return 0.0;
-    }
-    let mut links = 0usize;
-    for (i, &a) in nbrs.iter().enumerate() {
-        for &b in &nbrs[i + 1..] {
-            if g.has_edge(a, b) || g.has_edge(b, a) {
-                links += 1;
-            }
-        }
-    }
-    2.0 * links as f64 / (d * (d - 1)) as f64
-}
-
 /// Size of the intersection of two sorted id slices.
 fn sorted_intersection(a: &[VertexId], b: &[VertexId]) -> u64 {
     let (mut i, mut j, mut count) = (0, 0, 0u64);
@@ -250,47 +195,6 @@ mod tests {
             .add_edge(2, 3, 1.0)
             .add_edge(3, 1, 1.0)
             .build()
-    }
-
-    #[test]
-    fn per_vertex_counts_sum_to_total() {
-        let g = two_cycles();
-        let counts = count_per_vertex(&g);
-        // Each directed cycle contributes 3 incidences across its three
-        // corners — the same total as count_full.
-        assert_eq!(counts.iter().sum::<u64>(), count_full(&g));
-        // Vertex 1 and 2 sit on both cycles, 0 and 3 on one each.
-        assert_eq!(counts[1], 2);
-        assert_eq!(counts[2], 2);
-        assert_eq!(counts[0], 1);
-        assert_eq!(counts[3], 1);
-    }
-
-    #[test]
-    fn clustering_coefficient_of_clique_is_one() {
-        let mut b = GraphBuilder::new(4).symmetric(true);
-        for i in 0..4u32 {
-            for j in (i + 1)..4u32 {
-                b = b.add_edge(i, j, 1.0);
-            }
-        }
-        let g = b.build();
-        for v in 0..4 {
-            assert_eq!(local_clustering(&g, v), 1.0);
-        }
-    }
-
-    #[test]
-    fn clustering_coefficient_of_star_center_is_zero() {
-        let g = GraphBuilder::new(4)
-            .symmetric(true)
-            .add_edge(0, 1, 1.0)
-            .add_edge(0, 2, 1.0)
-            .add_edge(0, 3, 1.0)
-            .build();
-        assert_eq!(local_clustering(&g, 0), 0.0);
-        // Leaves have degree 1.
-        assert_eq!(local_clustering(&g, 1), 0.0);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Shared benchmark-harness utilities: workload construction, timing,
-//! table rendering, and the per-experiment drivers used by both the
-//! `repro` CLI and the criterion benches.
+//! table rendering, and the per-experiment drivers behind the `repro`
+//! CLI.
 
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]

@@ -11,7 +11,7 @@
 //! goes through the [`StateCodec`] trait; [`F64Codec`] and [`VecF64Codec`]
 //! cover every built-in algorithm (scalars and vectors of `f64`).
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use graphbolt_graph::io::{Reader, Truncated};
 use graphbolt_graph::GraphSnapshot;
 
 use crate::algorithm::Algorithm;
@@ -22,13 +22,13 @@ use crate::streaming::StreamingEngine;
 /// Binary codec for one state type (a value or an aggregation).
 pub trait StateCodec<T> {
     /// Appends `value` to `buf`.
-    fn write(&self, value: &T, buf: &mut BytesMut);
+    fn write(&self, value: &T, buf: &mut Vec<u8>);
     /// Reads one value back.
     ///
     /// # Errors
     ///
     /// Returns [`CheckpointError::Truncated`] when `buf` is exhausted.
-    fn read(&self, buf: &mut Bytes) -> Result<T, CheckpointError>;
+    fn read(&self, buf: &mut Reader<'_>) -> Result<T, CheckpointError>;
 }
 
 /// Errors produced while encoding/decoding checkpoints.
@@ -72,6 +72,12 @@ impl std::fmt::Display for CheckpointError {
     }
 }
 
+impl From<Truncated> for CheckpointError {
+    fn from(_: Truncated) -> Self {
+        Self::Truncated
+    }
+}
+
 impl From<std::io::Error> for CheckpointError {
     fn from(e: std::io::Error) -> Self {
         Self::Io(e.to_string())
@@ -85,15 +91,12 @@ impl std::error::Error for CheckpointError {}
 pub struct F64Codec;
 
 impl StateCodec<f64> for F64Codec {
-    fn write(&self, value: &f64, buf: &mut BytesMut) {
-        buf.put_f64(*value);
+    fn write(&self, value: &f64, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&value.to_be_bytes());
     }
 
-    fn read(&self, buf: &mut Bytes) -> Result<f64, CheckpointError> {
-        if buf.remaining() < 8 {
-            return Err(CheckpointError::Truncated);
-        }
-        Ok(buf.get_f64())
+    fn read(&self, buf: &mut Reader<'_>) -> Result<f64, CheckpointError> {
+        Ok(buf.f64()?)
     }
 }
 
@@ -102,22 +105,25 @@ impl StateCodec<f64> for F64Codec {
 pub struct VecF64Codec;
 
 impl StateCodec<Vec<f64>> for VecF64Codec {
-    fn write(&self, value: &Vec<f64>, buf: &mut BytesMut) {
-        buf.put_u32(value.len() as u32);
+    fn write(&self, value: &Vec<f64>, buf: &mut Vec<u8>) {
+        buf.extend_from_slice(&(value.len() as u32).to_be_bytes());
         for x in value {
-            buf.put_f64(*x);
+            buf.extend_from_slice(&x.to_be_bytes());
         }
     }
 
-    fn read(&self, buf: &mut Bytes) -> Result<Vec<f64>, CheckpointError> {
-        if buf.remaining() < 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let len = buf.get_u32() as usize;
+    fn read(&self, buf: &mut Reader<'_>) -> Result<Vec<f64>, CheckpointError> {
+        let len = buf.u32()? as usize;
+        // Untrusted length: nothing is allocated for more elements than
+        // the payload holds.
         if buf.remaining() < len * 8 {
             return Err(CheckpointError::Truncated);
         }
-        Ok((0..len).map(|_| buf.get_f64()).collect())
+        let mut value = Vec::with_capacity(len);
+        for _ in 0..len {
+            value.push(buf.f64()?);
+        }
+        Ok(value)
     }
 }
 
@@ -129,7 +135,7 @@ const VERSION: u16 = 1;
 /// [`graphbolt_graph::io::write_binary`]).
 #[derive(Debug)]
 pub struct Checkpoint {
-    bytes: Bytes,
+    bytes: Vec<u8>,
 }
 
 impl Checkpoint {
@@ -139,7 +145,7 @@ impl Checkpoint {
     }
 
     /// Wraps raw payload read back from storage.
-    pub fn from_bytes(bytes: impl Into<Bytes>) -> Self {
+    pub fn from_bytes(bytes: impl Into<Vec<u8>>) -> Self {
         Self {
             bytes: bytes.into(),
         }
@@ -185,27 +191,30 @@ impl Checkpoint {
         let state = engine
             .try_checkpoint_state()
             .map_err(|_| CheckpointError::NotInitialized)?;
-        let mut buf = BytesMut::new();
-        buf.put_slice(MAGIC);
-        buf.put_u16(VERSION);
         let n = state.vals.len();
-        buf.put_u64(n as u64);
-        buf.put_u64(engine.graph().num_edges() as u64);
-        buf.put_u32(engine.options().max_iterations as u32);
-        buf.put_u32(state.store.cutoff() as u32);
-        buf.put_u32(state.store.tracked_iterations() as u32);
+        // Sized once from the fixed-width parts (exact for scalar state,
+        // a floor for vectors): growing a multi-megabyte buffer by
+        // doubling copies it about once more.
+        let (value, agg) = (std::mem::size_of::<A::Value>(), std::mem::size_of::<A::Agg>());
+        let mut buf =
+            Vec::with_capacity(34 + n * (2 * value + 6) + state.store.stored_entries() * agg);
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_be_bytes());
+        buf.extend_from_slice(&(n as u64).to_be_bytes());
+        buf.extend_from_slice(&(engine.graph().num_edges() as u64).to_be_bytes());
+        buf.extend_from_slice(&(engine.options().max_iterations as u32).to_be_bytes());
+        buf.extend_from_slice(&(state.store.cutoff() as u32).to_be_bytes());
+        buf.extend_from_slice(&(state.store.tracked_iterations() as u32).to_be_bytes());
         for v in state.vals {
             value_codec.write(v, &mut buf);
         }
         for v in state.vals_at_cutoff {
             value_codec.write(v, &mut buf);
         }
-        for &b in state.changed_at_cutoff {
-            buf.put_u8(u8::from(b));
-        }
+        buf.extend(state.changed_at_cutoff.iter().map(|&b| u8::from(b)));
         for v in 0..n {
             let len = state.store.stored_len(v);
-            buf.put_u32(len as u32);
+            buf.extend_from_slice(&(len as u32).to_be_bytes());
             for i in 1..=len {
                 let agg = state.store.get(v, i).ok_or_else(|| {
                     CheckpointError::StateInconsistent(format!(
@@ -215,17 +224,15 @@ impl Checkpoint {
                 agg_codec.write(agg, &mut buf);
             }
             match state.store.frozen_tail(v) {
-                None => buf.put_u8(0),
-                Some(None) => buf.put_u8(1),
+                None => buf.push(0),
+                Some(None) => buf.push(1),
                 Some(Some(t)) => {
-                    buf.put_u8(2);
+                    buf.push(2);
                     agg_codec.write(t, &mut buf);
                 }
             }
         }
-        Ok(Self {
-            bytes: buf.freeze(),
-        })
+        Ok(Self { bytes: buf })
     }
 
     /// Restores an engine over `graph` (which must be the same snapshot
@@ -248,23 +255,19 @@ impl Checkpoint {
         CV: StateCodec<A::Value>,
         CG: StateCodec<A::Agg>,
     {
-        let mut buf = self.bytes.clone();
-        if buf.remaining() < 4 + 2 + 8 + 8 + 4 + 4 + 4 {
-            return Err(CheckpointError::Truncated);
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
+        let mut buf = Reader::new(&self.bytes);
+        let magic = buf.take(4)?;
+        if magic != MAGIC {
             return Err(CheckpointError::Format(format!("bad magic {magic:?}")));
         }
-        let version = buf.get_u16();
+        let version = buf.u16()?;
         if version != VERSION {
             return Err(CheckpointError::Format(format!(
                 "unsupported version {version}"
             )));
         }
-        let n = buf.get_u64() as usize;
-        let edges = buf.get_u64() as usize;
+        let n = buf.u64()? as usize;
+        let edges = buf.u64()? as usize;
         if n != graph.num_vertices() || edges != graph.num_edges() {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint is for a {n}-vertex/{edges}-edge graph, got {}/{}",
@@ -272,40 +275,31 @@ impl Checkpoint {
                 graph.num_edges()
             )));
         }
-        let iterations = buf.get_u32() as usize;
+        let iterations = buf.u32()? as usize;
         if iterations != opts.max_iterations {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint ran {iterations} iterations, options say {}",
                 opts.max_iterations
             )));
         }
-        let cutoff = buf.get_u32() as usize;
+        let cutoff = buf.u32()? as usize;
         if cutoff != opts.effective_cutoff() {
             return Err(CheckpointError::Mismatch(format!(
                 "checkpoint cut-off {cutoff}, options say {}",
                 opts.effective_cutoff()
             )));
         }
-        let tracked = buf.get_u32() as usize;
+        let tracked = buf.u32()? as usize;
 
-        let read_vals = |buf: &mut Bytes| -> Result<Vec<A::Value>, CheckpointError> {
+        let read_vals = |buf: &mut Reader<'_>| -> Result<Vec<A::Value>, CheckpointError> {
             (0..n).map(|_| value_codec.read(buf)).collect()
         };
         let vals = read_vals(&mut buf)?;
         let vals_at_cutoff = read_vals(&mut buf)?;
-        let mut changed_at_cutoff = Vec::with_capacity(n);
-        for _ in 0..n {
-            if buf.remaining() < 1 {
-                return Err(CheckpointError::Truncated);
-            }
-            changed_at_cutoff.push(buf.get_u8() != 0);
-        }
+        let changed_at_cutoff: Vec<bool> = buf.take(n)?.iter().map(|&b| b != 0).collect();
         let mut store = DependencyStore::new(n, cutoff, opts.vertical_pruning);
         for v in 0..n {
-            if buf.remaining() < 4 {
-                return Err(CheckpointError::Truncated);
-            }
-            let len = buf.get_u32() as usize;
+            let len = buf.u32()? as usize;
             if len > cutoff {
                 return Err(CheckpointError::Format(format!(
                     "prefix of length {len} exceeds cut-off {cutoff}"
@@ -314,10 +308,7 @@ impl Checkpoint {
             let prefix: Vec<A::Agg> = (0..len)
                 .map(|_| agg_codec.read(&mut buf))
                 .collect::<Result<_, _>>()?;
-            if buf.remaining() < 1 {
-                return Err(CheckpointError::Truncated);
-            }
-            let tail = match buf.get_u8() {
+            let tail = match buf.u8()? {
                 0 => None,
                 1 => Some(None),
                 2 => Some(Some(agg_codec.read(&mut buf)?)),
@@ -382,43 +373,19 @@ fn parse_checkpoint_seq(name: &str) -> Option<u64> {
 /// `GBSF | u16 version | u64 seq | u64 fnv1a(payload) | payload`, where
 /// `payload` is `u64 n | u64 graph-len | GBLT edges | u64 ck-len | ck`.
 ///
-/// # Panics
-///
-/// Panics if the engine has not run its initial execution; fallible
-/// callers use [`try_session_file_bytes`].
-pub fn session_file_bytes<A, CV, CG>(
-    engine: &StreamingEngine<A>,
-    seq: u64,
-    value_codec: &CV,
-    agg_codec: &CG,
-) -> Bytes
-where
-    A: Algorithm,
-    CV: StateCodec<A::Value>,
-    CG: StateCodec<A::Agg>,
-{
-    // lint:allow(panic-reachability) — documented `# Panics` API
-    // contract; convenience wrapper, not on the worker loop — the
-    // session writer uses `try_session_file_bytes`.
-    try_session_file_bytes(engine, seq, value_codec, agg_codec)
-        .expect("run_initial() must complete before checkpointing")
-}
-
-/// Fallible form of [`session_file_bytes`], used by
-/// [`write_session_checkpoint`] so capture failures propagate as typed
-/// errors instead of panicking the session worker.
-///
 /// # Errors
 ///
 /// Propagates [`Checkpoint::try_capture`] errors
 /// ([`CheckpointError::NotInitialized`],
-/// [`CheckpointError::StateInconsistent`]).
+/// [`CheckpointError::StateInconsistent`]) so they reach
+/// [`write_session_checkpoint`]'s caller typed instead of panicking the
+/// session worker.
 pub fn try_session_file_bytes<A, CV, CG>(
     engine: &StreamingEngine<A>,
     seq: u64,
     value_codec: &CV,
     agg_codec: &CG,
-) -> Result<Bytes, CheckpointError>
+) -> Result<Vec<u8>, CheckpointError>
 where
     A: Algorithm,
     CV: StateCodec<A::Value>,
@@ -426,20 +393,20 @@ where
 {
     let graph_bytes = graphbolt_graph::io::to_binary(&engine.graph().edges());
     let ck = Checkpoint::try_capture(engine, value_codec, agg_codec)?;
-    let mut payload = BytesMut::with_capacity(16 + graph_bytes.len() + ck.as_bytes().len());
-    payload.put_u64(engine.graph().num_vertices() as u64);
-    payload.put_u64(graph_bytes.len() as u64);
-    payload.put_slice(&graph_bytes);
-    payload.put_u64(ck.as_bytes().len() as u64);
-    payload.put_slice(ck.as_bytes());
+    let mut payload = Vec::with_capacity(24 + graph_bytes.len() + ck.as_bytes().len());
+    payload.extend_from_slice(&(engine.graph().num_vertices() as u64).to_be_bytes());
+    payload.extend_from_slice(&(graph_bytes.len() as u64).to_be_bytes());
+    payload.extend_from_slice(&graph_bytes);
+    payload.extend_from_slice(&(ck.as_bytes().len() as u64).to_be_bytes());
+    payload.extend_from_slice(ck.as_bytes());
 
-    let mut buf = BytesMut::with_capacity(4 + 2 + 8 + 8 + payload.len());
-    buf.put_slice(FILE_MAGIC);
-    buf.put_u16(FILE_VERSION);
-    buf.put_u64(seq);
-    buf.put_u64(fnv1a(&payload));
-    buf.put_slice(&payload);
-    Ok(buf.freeze())
+    let mut buf = Vec::with_capacity(4 + 2 + 8 + 8 + payload.len());
+    buf.extend_from_slice(FILE_MAGIC);
+    buf.extend_from_slice(&FILE_VERSION.to_be_bytes());
+    buf.extend_from_slice(&seq.to_be_bytes());
+    buf.extend_from_slice(&fnv1a(&payload).to_be_bytes());
+    buf.extend_from_slice(&payload);
+    Ok(buf)
 }
 
 /// Writes checkpoint `seq` of `engine` into `dir` atomically: the bytes
@@ -470,7 +437,7 @@ where
 {
     let mut bytes = try_session_file_bytes(engine, seq, value_codec, agg_codec)?;
     if let Some(keep) = crate::fault::fire_truncation("checkpoint::write") {
-        bytes = bytes.slice(0..keep.min(bytes.len()));
+        bytes.truncate(keep);
     }
     std::fs::create_dir_all(dir)?;
     let tmp = dir.join(format!(".tmp-{}", checkpoint_file_name(seq)));
@@ -488,48 +455,34 @@ where
 /// malformed container, [`CheckpointError::Corrupted`] when the checksum
 /// disagrees with the payload.
 pub fn parse_session_file(
-    mut data: Bytes,
+    data: &[u8],
 ) -> Result<(u64, GraphSnapshot, Checkpoint), CheckpointError> {
-    if data.remaining() < 4 + 2 + 8 + 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != FILE_MAGIC {
+    let mut data = Reader::new(data);
+    let magic = data.take(4)?;
+    if magic != FILE_MAGIC {
         return Err(CheckpointError::Format(format!(
             "bad session-file magic {magic:?}"
         )));
     }
-    let version = data.get_u16();
+    let version = data.u16()?;
     if version != FILE_VERSION {
         return Err(CheckpointError::Format(format!(
             "unsupported session-file version {version}"
         )));
     }
-    let seq = data.get_u64();
-    let checksum = data.get_u64();
-    if fnv1a(&data) != checksum {
+    let seq = data.u64()?;
+    let checksum = data.u64()?;
+    if fnv1a(data.rest()) != checksum {
         return Err(CheckpointError::Corrupted);
     }
-    if data.remaining() < 16 {
-        return Err(CheckpointError::Truncated);
-    }
-    let n = data.get_u64() as usize;
-    let graph_len = data.get_u64() as usize;
-    if data.remaining() < graph_len {
-        return Err(CheckpointError::Truncated);
-    }
-    let graph_bytes = data.split_to(graph_len);
-    let edges = graphbolt_graph::io::from_binary(graph_bytes)
+    let n = data.u64()? as usize;
+    // `graph_len` and `ck_len` are untrusted: `take` refuses a length
+    // beyond the payload before anything is copied out.
+    let graph_len = data.u64()? as usize;
+    let edges = graphbolt_graph::io::from_binary(data.take(graph_len)?)
         .map_err(|e| CheckpointError::Format(format!("embedded graph: {e}")))?;
-    if data.remaining() < 8 {
-        return Err(CheckpointError::Truncated);
-    }
-    let ck_len = data.get_u64() as usize;
-    if data.remaining() < ck_len {
-        return Err(CheckpointError::Truncated);
-    }
-    let ck = Checkpoint::from_bytes(data.split_to(ck_len));
+    let ck_len = data.u64()? as usize;
+    let ck = Checkpoint::from_bytes(data.take(ck_len)?);
     // The checksum proves the bytes are the ones written, not that they
     // are self-consistent: a file whose embedded graph references a
     // vertex >= its own recorded `n` would panic inside the CSR
@@ -633,7 +586,7 @@ where
     for seq in seqs {
         let attempt = (|| -> Result<StreamingEngine<A>, CheckpointError> {
             let data = std::fs::read(dir.join(checkpoint_file_name(seq)))?;
-            let (_, graph, ck) = parse_session_file(Bytes::from(data))?;
+            let (_, graph, ck) = parse_session_file(&data)?;
             ck.restore(graph, alg.clone(), opts, value_codec, agg_codec)
         })();
         match attempt {
@@ -846,7 +799,7 @@ mod tests {
         let original = engine();
         write_session_checkpoint(&dir, &original, 1, &F64Codec, &F64Codec).unwrap();
         // Simulate a torn write of checkpoint 2: half the bytes.
-        let full = session_file_bytes(&original, 2, &F64Codec, &F64Codec);
+        let full = try_session_file_bytes(&original, 2, &F64Codec, &F64Codec).unwrap();
         std::fs::write(dir.join(checkpoint_file_name(2)), &full[..full.len() / 2]).unwrap();
         let rec = recover_session(&dir, TestRank, *original.options(), &F64Codec, &F64Codec)
             .unwrap()
@@ -860,11 +813,11 @@ mod tests {
     #[test]
     fn corrupted_payload_fails_checksum() {
         let original = engine();
-        let mut data = session_file_bytes(&original, 7, &F64Codec, &F64Codec).to_vec();
+        let mut data = try_session_file_bytes(&original, 7, &F64Codec, &F64Codec).unwrap();
         let last = data.len() - 1;
         data[last] ^= 0xff;
         assert_eq!(
-            parse_session_file(Bytes::from(data)).unwrap_err(),
+            parse_session_file(&data).unwrap_err(),
             CheckpointError::Corrupted
         );
     }
@@ -876,13 +829,13 @@ mod tests {
         // format error; before endpoint validation it panicked inside
         // the CSR constructor on the restore path.
         let original = engine();
-        let mut data = session_file_bytes(&original, 3, &F64Codec, &F64Codec).to_vec();
+        let mut data = try_session_file_bytes(&original, 3, &F64Codec, &F64Codec).unwrap();
         // Header: magic(4) + version(2) + seq(8) + checksum(8) = 22
         // bytes; the payload opens with the big-endian vertex count.
         data[22..30].copy_from_slice(&1u64.to_be_bytes());
         let checksum = fnv1a(&data[22..]);
         data[14..22].copy_from_slice(&checksum.to_be_bytes());
-        match parse_session_file(Bytes::from(data)).unwrap_err() {
+        match parse_session_file(&data).unwrap_err() {
             CheckpointError::Format(msg) => {
                 assert!(msg.contains("out of range"), "{msg}");
             }
@@ -984,11 +937,11 @@ mod tests {
 
     #[test]
     fn vec_codec_round_trips() {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
         let v = vec![1.5, -2.25, 0.0];
         VecF64Codec.write(&v, &mut buf);
         VecF64Codec.write(&vec![], &mut buf);
-        let mut bytes = buf.freeze();
+        let mut bytes = Reader::new(&buf);
         assert_eq!(VecF64Codec.read(&mut bytes).unwrap(), v);
         assert_eq!(VecF64Codec.read(&mut bytes).unwrap(), Vec::<f64>::new());
         assert_eq!(

@@ -38,11 +38,11 @@
 use std::collections::HashMap;
 use std::panic::AssertUnwindSafe;
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::{self, Receiver, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
 use graphbolt_engine::parallel::WorkCounter;
 use graphbolt_graph::{Edge, MutationBatch, VertexId};
 
@@ -76,13 +76,39 @@ enum Command<V> {
     /// Apply everything buffered, then reply with the current values
     /// (or shed with `DeadlineExceeded` if the deadline passed first).
     Query {
-        reply: Sender<Result<Vec<V>, SessionError>>,
+        reply: SyncSender<Result<Vec<V>, SessionError>>,
         deadline: Option<Instant>,
         trace: telemetry::TraceCtx,
     },
     /// Apply everything buffered, then reply when done.
-    Flush(Sender<()>),
+    Flush(SyncSender<()>),
     Shutdown,
+}
+
+/// Sending half of the command queue. `std::sync::mpsc` gives bounded
+/// and unbounded queues different sender types, and
+/// [`SessionConfig::queue_capacity`] picks between them at spawn.
+enum CommandSender<T> {
+    Unbounded(mpsc::Sender<T>),
+    Bounded(SyncSender<T>),
+}
+
+impl<T> CommandSender<T> {
+    /// Blocks while a bounded queue is full.
+    fn send(&self, value: T) -> Result<(), mpsc::SendError<T>> {
+        match self {
+            Self::Unbounded(tx) => tx.send(value),
+            Self::Bounded(tx) => tx.send(value),
+        }
+    }
+
+    /// Never blocks; only a bounded queue can report `Full`.
+    fn try_send(&self, value: T) -> Result<(), TrySendError<T>> {
+        match self {
+            Self::Unbounded(tx) => tx.send(value).map_err(|e| TrySendError::Disconnected(e.0)),
+            Self::Bounded(tx) => tx.try_send(value),
+        }
+    }
 }
 
 /// Errors surfaced by session submission and shutdown.
@@ -262,10 +288,10 @@ impl<A: Algorithm> Default for SessionConfig<A> {
 /// assert_eq!(outcome.stats.mutations_applied, 1);
 /// ```
 pub struct StreamSession<A: Algorithm + 'static> {
-    tx: Sender<Command<A::Value>>,
+    tx: CommandSender<Command<A::Value>>,
     worker: JoinHandle<SessionOutcome<A>>,
-    /// Commands submitted but not yet dequeued by the worker. The
-    /// vendored channel exposes no `len()`, so occupancy is tracked
+    /// Commands submitted but not yet dequeued by the worker.
+    /// `std::sync::mpsc` exposes no `len()`, so occupancy is tracked
     /// explicitly: producers add *before* sending (and compensate on a
     /// failed send), the worker subtracts on every dequeue. Counting
     /// before the send keeps the counter at or above the true queue
@@ -302,8 +328,14 @@ impl<A: Algorithm + 'static> StreamSession<A> {
             "run_initial() must complete before streaming"
         );
         let (tx, rx) = match config.queue_capacity {
-            Some(cap) => channel::bounded(cap.max(1)),
-            None => channel::unbounded(),
+            Some(cap) => {
+                let (tx, rx) = mpsc::sync_channel(cap.max(1));
+                (CommandSender::Bounded(tx), rx)
+            }
+            None => {
+                let (tx, rx) = mpsc::channel();
+                (CommandSender::Unbounded(tx), rx)
+            }
         };
         let depth = Arc::new(WorkCounter::new());
         let vertices = Arc::new(WorkCounter::new());
@@ -471,7 +503,7 @@ impl<A: Algorithm + 'static> StreamSession<A> {
         let Some(deadline) = deadline else {
             return self.submit(Command::Mutate(m));
         };
-        // The vendored channel has no deadline-aware blocking send, so
+        // `std::sync::mpsc` has no deadline-aware blocking send, so
         // backpressure inside the budget is a try/sleep loop.
         loop {
             if Instant::now() >= deadline {
@@ -551,17 +583,19 @@ impl<A: Algorithm + 'static> StreamSession<A> {
         if deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(Self::shed_before_enqueue(trace));
         }
-        let (reply_tx, reply_rx) = channel::bounded(1);
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         self.submit(Command::Query {
             reply: reply_tx,
             deadline,
             trace,
         })?;
         match deadline {
-            Some(d) => reply_rx.recv_deadline(d).map_err(|e| match e {
-                channel::RecvTimeoutError::Timeout => SessionError::DeadlineExceeded,
-                channel::RecvTimeoutError::Disconnected => SessionError::WorkerGone,
-            })?,
+            Some(d) => reply_rx
+                .recv_timeout(d.saturating_duration_since(Instant::now()))
+                .map_err(|e| match e {
+                    mpsc::RecvTimeoutError::Timeout => SessionError::DeadlineExceeded,
+                    mpsc::RecvTimeoutError::Disconnected => SessionError::WorkerGone,
+                })?,
             // lint:allow(deadline-propagation) — this arm only runs when
             // the caller supplied no deadline, an explicit opt-out (the
             // frontdoor forwards `None` when neither the request nor the
@@ -577,7 +611,7 @@ impl<A: Algorithm + 'static> StreamSession<A> {
     ///
     /// [`SessionError::WorkerGone`] when the session has died.
     pub fn flush(&self) -> Result<(), SessionError> {
-        let (reply_tx, reply_rx) = channel::bounded(1);
+        let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         self.submit(Command::Flush(reply_tx))?;
         reply_rx.recv().map_err(|_| SessionError::WorkerGone)
     }
@@ -1095,6 +1129,20 @@ mod tests {
         session.flush().unwrap();
         let outcome = session.finish().unwrap();
         assert!(outcome.engine.graph().has_edge(0, 2000));
+    }
+
+    #[test]
+    fn command_sender_names_full_and_dead_worker_on_both_queue_kinds() {
+        let (bounded, held) = mpsc::sync_channel(1);
+        let bounded = CommandSender::Bounded(bounded);
+        bounded.try_send(1).unwrap();
+        assert!(matches!(bounded.try_send(2), Err(TrySendError::Full(2))));
+        let (unbounded, rx) = mpsc::channel();
+        drop((held, rx));
+        for tx in [bounded, CommandSender::Unbounded(unbounded)] {
+            assert!(matches!(tx.try_send(3), Err(TrySendError::Disconnected(3))));
+            assert!(tx.send(4).is_err());
+        }
     }
 
     #[test]

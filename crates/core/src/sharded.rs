@@ -14,7 +14,7 @@ use std::cell::UnsafeCell;
 #[cfg(feature = "loom-check")]
 use loom::sync::Mutex;
 #[cfg(not(feature = "loom-check"))]
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Number of shard locks; power of two so the modulo is a mask.
 #[cfg(not(feature = "loom-check"))]
@@ -74,6 +74,9 @@ impl<'a, T> ShardedMut<'a, T> {
     /// Runs `f` with exclusive access to element `i`.
     #[inline]
     pub fn with<R>(&self, i: usize, f: impl FnOnce(&mut T) -> R) -> R {
+        // A poisoned std lock still hands back its guard inside the
+        // `Err`, so binding the result holds the shard either way; the
+        // `()` payload has no invariant a panicking closure could break.
         let _guard = self.locks[i & (SHARDS - 1)].lock();
         // SAFETY: the shard lock serializes all accesses to index `i`
         // (and any other index mapping to the same shard); the closure

@@ -10,15 +10,14 @@
 //!   parameters; reproduces the heavy-tailed degree distribution that
 //!   makes vertex values stabilize across iterations (Figure 4 of the
 //!   paper), which is what pruning and incremental reuse exploit.
-//! * [`chung_lu()`] — power-law graphs with a controllable exponent.
 //! * [`erdos_renyi()`] — uniform random graphs, the non-skewed control.
+//! * [`grid()`] / [`watts_strogatz()`] — high-diameter and small-world
+//!   contrasts for `repro structure`.
 
-pub mod chung_lu;
 pub mod erdos_renyi;
 pub mod rmat;
 pub mod small_world;
 
-pub use chung_lu::chung_lu;
 pub use erdos_renyi::erdos_renyi;
 pub use rmat::{rmat, RmatConfig};
 pub use small_world::{grid, watts_strogatz};

@@ -4,8 +4,6 @@ use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
 use std::path::Path;
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-
 use crate::types::{Edge, VertexId};
 
 /// Magic bytes identifying the binary edge-list format.
@@ -42,6 +40,128 @@ impl From<io::Error> for IoError {
     fn from(e: io::Error) -> Self {
         Self::Io(e)
     }
+}
+
+impl From<Truncated> for IoError {
+    fn from(_: Truncated) -> Self {
+        Self::Format("payload truncated".into())
+    }
+}
+
+/// The bytes ended before the value being read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Truncated;
+
+/// Big-endian reader over untrusted bytes. Every read is total — it
+/// yields a value and advances, or returns [`Truncated`] and stays put —
+/// so a decoder's bounds checks are its `?`s and none can be forgotten.
+/// The binary formats here and the checkpoint codecs in `graphbolt-core`
+/// all decode through it.
+#[derive(Debug, Clone)]
+pub struct Reader<'a>(&'a [u8]);
+
+impl<'a> Reader<'a> {
+    /// Starts reading at the front of `bytes`.
+    pub fn new(bytes: &'a [u8]) -> Self {
+        Self(bytes)
+    }
+
+    /// The bytes not yet consumed.
+    pub fn rest(&self) -> &'a [u8] {
+        self.0
+    }
+
+    /// How many bytes are not yet consumed.
+    pub fn remaining(&self) -> usize {
+        self.0.len()
+    }
+
+    /// The next `n` bytes.
+    ///
+    /// # Errors
+    ///
+    /// [`Truncated`] when fewer than `n` bytes remain (as for every
+    /// read below).
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8], Truncated> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(Truncated)?;
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], Truncated> {
+        let (head, rest) = self.0.split_first_chunk().ok_or(Truncated)?;
+        self.0 = rest;
+        Ok(*head)
+    }
+
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8, Truncated> {
+        Ok(u8::from_be_bytes(self.array()?))
+    }
+
+    /// The next big-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, Truncated> {
+        Ok(u16::from_be_bytes(self.array()?))
+    }
+
+    /// The next big-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, Truncated> {
+        Ok(u32::from_be_bytes(self.array()?))
+    }
+
+    /// The next big-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, Truncated> {
+        Ok(u64::from_be_bytes(self.array()?))
+    }
+
+    /// The next big-endian `f64`.
+    pub fn f64(&mut self) -> Result<f64, Truncated> {
+        Ok(f64::from_be_bytes(self.array()?))
+    }
+}
+
+/// Appends `edges` in the binary edge layout `(u32 src, u32 dst, f64 w)`.
+fn put_edges(buf: &mut Vec<u8>, edges: &[Edge]) {
+    for e in edges {
+        buf.extend_from_slice(&e.src.to_be_bytes());
+        buf.extend_from_slice(&e.dst.to_be_bytes());
+        buf.extend_from_slice(&e.weight.to_be_bytes());
+    }
+}
+
+/// Reads `count` edges written by [`put_edges`].
+fn read_edges(data: &mut Reader<'_>, count: usize) -> Result<Vec<Edge>, IoError> {
+    // `count` is untrusted input: checked arithmetic and a comparison
+    // with what the payload holds (a crafted huge count must surface as
+    // a Format error, not an overflow panic or a capacity-overflow
+    // abort) before anything is allocated for it.
+    let want = count
+        .checked_mul(16)
+        .ok_or_else(|| IoError::Format(format!("implausible edge count {count}")))?;
+    if data.remaining() < want {
+        return Err(IoError::Format(format!(
+            "payload truncated: want {want} bytes, have {}",
+            data.remaining()
+        )));
+    }
+    let mut edges = Vec::with_capacity(count);
+    for _ in 0..count {
+        edges.push(Edge::new(data.u32()?, data.u32()?, data.f64()?));
+    }
+    Ok(edges)
+}
+
+/// Consumes a `magic | u16 version` header, rejecting any other.
+fn read_header(data: &mut Reader<'_>, magic: &[u8; 4]) -> Result<(), IoError> {
+    let found = data.take(4)?;
+    if found != magic {
+        return Err(IoError::Format(format!("bad magic {found:?}")));
+    }
+    let version = data.u16()?;
+    if version != VERSION {
+        return Err(IoError::Format(format!("unsupported version {version}")));
+    }
+    Ok(())
 }
 
 /// Parses a SNAP-style text edge list: one `src dst [weight]` triple per
@@ -109,17 +229,13 @@ pub fn write_edge_list<P: AsRef<Path>>(path: P, edges: &[Edge]) -> Result<(), Io
 
 /// Serializes edges into the compact binary format:
 /// `GBLT | u16 version | u64 count | count × (u32 src, u32 dst, f64 w)`.
-pub fn to_binary(edges: &[Edge]) -> Bytes {
-    let mut buf = BytesMut::with_capacity(4 + 2 + 8 + edges.len() * 16);
-    buf.put_slice(MAGIC);
-    buf.put_u16(VERSION);
-    buf.put_u64(edges.len() as u64);
-    for e in edges {
-        buf.put_u32(e.src);
-        buf.put_u32(e.dst);
-        buf.put_f64(e.weight);
-    }
-    buf.freeze()
+pub fn to_binary(edges: &[Edge]) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(4 + 2 + 8 + edges.len() * 16);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&VERSION.to_be_bytes());
+    buf.extend_from_slice(&(edges.len() as u64).to_be_bytes());
+    put_edges(&mut buf, edges);
+    buf
 }
 
 /// Deserializes edges written by [`to_binary`].
@@ -127,40 +243,11 @@ pub fn to_binary(edges: &[Edge]) -> Bytes {
 /// # Errors
 ///
 /// Returns [`IoError::Format`] on bad magic, version, or truncation.
-pub fn from_binary(mut data: Bytes) -> Result<Vec<Edge>, IoError> {
-    if data.remaining() < 14 {
-        return Err(IoError::Format("header truncated".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(IoError::Format(format!("bad magic {magic:?}")));
-    }
-    let version = data.get_u16();
-    if version != VERSION {
-        return Err(IoError::Format(format!("unsupported version {version}")));
-    }
-    let count = data.get_u64() as usize;
-    // `count` is untrusted input: checked arithmetic (a crafted huge
-    // count must surface as a Format error, not an overflow panic or a
-    // capacity-overflow abort).
-    let want = count
-        .checked_mul(16)
-        .ok_or_else(|| IoError::Format(format!("implausible edge count {count}")))?;
-    if data.remaining() < want {
-        return Err(IoError::Format(format!(
-            "payload truncated: want {want} bytes, have {}",
-            data.remaining()
-        )));
-    }
-    let mut edges = Vec::with_capacity(count);
-    for _ in 0..count {
-        let src = data.get_u32();
-        let dst = data.get_u32();
-        let weight = data.get_f64();
-        edges.push(Edge::new(src, dst, weight));
-    }
-    Ok(edges)
+pub fn from_binary(data: &[u8]) -> Result<Vec<Edge>, IoError> {
+    let mut data = Reader::new(data);
+    read_header(&mut data, MAGIC)?;
+    let count = data.u64()? as usize;
+    read_edges(&mut data, count)
 }
 
 /// Writes the binary format to `path`.
@@ -184,7 +271,7 @@ pub fn write_binary<P: AsRef<Path>>(path: P, edges: &[Edge]) -> Result<(), IoErr
 pub fn read_binary<P: AsRef<Path>>(path: P) -> Result<Vec<Edge>, IoError> {
     let mut data = Vec::new();
     File::open(path)?.read_to_end(&mut data)?;
-    from_binary(Bytes::from(data))
+    from_binary(&data)
 }
 
 #[cfg(test)]
@@ -211,19 +298,26 @@ mod tests {
     }
 
     #[test]
+    fn reader_reads_are_total_and_a_failed_one_consumes_nothing() {
+        let mut r = Reader::new(&[0, 1, 2]);
+        assert_eq!(r.u32(), Err(Truncated));
+        assert_eq!(r.take(4), Err(Truncated));
+        assert_eq!(r.u16(), Ok(1));
+        assert_eq!((r.u8(), r.u8(), r.remaining()), (Ok(2), Err(Truncated), 0));
+    }
+
+    #[test]
     fn binary_round_trip() {
         let edges = vec![Edge::new(0, 1, 0.25), Edge::new(7, 3, -4.0)];
         let bytes = to_binary(&edges);
-        let back = from_binary(bytes).unwrap();
+        let back = from_binary(&bytes).unwrap();
         assert_eq!(edges, back);
         assert_eq!(back[1].weight, -4.0);
     }
 
     #[test]
     fn binary_rejects_bad_magic() {
-        let err = from_binary(Bytes::from_static(
-            b"NOPE\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00",
-        ));
+        let err = from_binary(b"NOPE\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00");
         assert!(matches!(err, Err(IoError::Format(_))));
     }
 
@@ -231,7 +325,7 @@ mod tests {
     fn binary_rejects_truncation() {
         let edges = vec![Edge::new(0, 1, 1.0)];
         let bytes = to_binary(&edges);
-        let cut = bytes.slice(0..bytes.len() - 4);
+        let cut = &bytes[..bytes.len() - 4];
         assert!(matches!(from_binary(cut), Err(IoError::Format(_))));
     }
 
@@ -259,25 +353,18 @@ const STREAM_MAGIC: &[u8; 4] = b"GBMS";
 /// `u32 add-count | u32 del-count | edges…` in the binary edge layout.
 /// Recording the exact batch boundaries makes streaming experiments
 /// replayable across runs and machines.
-pub fn batches_to_binary(batches: &[crate::MutationBatch]) -> Bytes {
-    let mut buf = BytesMut::new();
-    buf.put_slice(STREAM_MAGIC);
-    buf.put_u16(VERSION);
-    buf.put_u32(batches.len() as u32);
-    fn put_edges(buf: &mut BytesMut, edges: &[Edge]) {
-        for e in edges {
-            buf.put_u32(e.src);
-            buf.put_u32(e.dst);
-            buf.put_f64(e.weight);
-        }
-    }
+pub fn batches_to_binary(batches: &[crate::MutationBatch]) -> Vec<u8> {
+    let mut buf = Vec::new();
+    buf.extend_from_slice(STREAM_MAGIC);
+    buf.extend_from_slice(&VERSION.to_be_bytes());
+    buf.extend_from_slice(&(batches.len() as u32).to_be_bytes());
     for b in batches {
-        buf.put_u32(b.additions().len() as u32);
-        buf.put_u32(b.deletions().len() as u32);
+        buf.extend_from_slice(&(b.additions().len() as u32).to_be_bytes());
+        buf.extend_from_slice(&(b.deletions().len() as u32).to_be_bytes());
         put_edges(&mut buf, b.additions());
         put_edges(&mut buf, b.deletions());
     }
-    buf.freeze()
+    buf
 }
 
 /// Deserializes batches written by [`batches_to_binary`].
@@ -285,20 +372,10 @@ pub fn batches_to_binary(batches: &[crate::MutationBatch]) -> Bytes {
 /// # Errors
 ///
 /// Returns [`IoError::Format`] on bad magic, version, or truncation.
-pub fn batches_from_binary(mut data: Bytes) -> Result<Vec<crate::MutationBatch>, IoError> {
-    if data.remaining() < 10 {
-        return Err(IoError::Format("stream header truncated".into()));
-    }
-    let mut magic = [0u8; 4];
-    data.copy_to_slice(&mut magic);
-    if &magic != STREAM_MAGIC {
-        return Err(IoError::Format(format!("bad stream magic {magic:?}")));
-    }
-    let version = data.get_u16();
-    if version != VERSION {
-        return Err(IoError::Format(format!("unsupported version {version}")));
-    }
-    let count = data.get_u32() as usize;
+pub fn batches_from_binary(data: &[u8]) -> Result<Vec<crate::MutationBatch>, IoError> {
+    let mut data = Reader::new(data);
+    read_header(&mut data, STREAM_MAGIC)?;
+    let count = data.u32()? as usize;
     // Each batch needs at least its 8-byte header: bound the allocation
     // by what the payload could actually hold.
     if data.remaining() < count.saturating_mul(8) {
@@ -307,28 +384,9 @@ pub fn batches_from_binary(mut data: Bytes) -> Result<Vec<crate::MutationBatch>,
         )));
     }
     let mut batches = Vec::with_capacity(count);
-    let read_edges = |data: &mut Bytes, k: usize| -> Result<Vec<Edge>, IoError> {
-        let want = k
-            .checked_mul(16)
-            .ok_or_else(|| IoError::Format(format!("implausible edge count {k}")))?;
-        if data.remaining() < want {
-            return Err(IoError::Format("stream payload truncated".into()));
-        }
-        Ok((0..k)
-            .map(|_| {
-                let src = data.get_u32();
-                let dst = data.get_u32();
-                let w = data.get_f64();
-                Edge::new(src, dst, w)
-            })
-            .collect())
-    };
     for _ in 0..count {
-        if data.remaining() < 8 {
-            return Err(IoError::Format("batch header truncated".into()));
-        }
-        let adds = data.get_u32() as usize;
-        let dels = data.get_u32() as usize;
+        let adds = data.u32()? as usize;
+        let dels = data.u32()? as usize;
         let additions = read_edges(&mut data, adds)?;
         let deletions = read_edges(&mut data, dels)?;
         batches.push(crate::MutationBatch::from_parts(additions, deletions));
@@ -360,7 +418,7 @@ pub fn write_batches<P: AsRef<Path>>(
 pub fn read_batches<P: AsRef<Path>>(path: P) -> Result<Vec<crate::MutationBatch>, IoError> {
     let mut data = Vec::new();
     File::open(path)?.read_to_end(&mut data)?;
-    batches_from_binary(Bytes::from(data))
+    batches_from_binary(&data)
 }
 
 #[cfg(test)]
@@ -380,20 +438,20 @@ mod stream_tests {
     fn batch_stream_round_trips() {
         let batches = sample_batches();
         let bytes = batches_to_binary(&batches);
-        let back = batches_from_binary(bytes).unwrap();
+        let back = batches_from_binary(&bytes).unwrap();
         assert_eq!(batches, back);
     }
 
     #[test]
     fn batch_stream_rejects_bad_magic() {
-        let err = batches_from_binary(Bytes::from_static(b"XXXX\x00\x01\x00\x00\x00\x00"));
+        let err = batches_from_binary(b"XXXX\x00\x01\x00\x00\x00\x00");
         assert!(matches!(err, Err(IoError::Format(_))));
     }
 
     #[test]
     fn batch_stream_rejects_truncation() {
         let bytes = batches_to_binary(&sample_batches());
-        let cut = bytes.slice(0..bytes.len() - 3);
+        let cut = &bytes[..bytes.len() - 3];
         assert!(matches!(batches_from_binary(cut), Err(IoError::Format(_))));
     }
 

@@ -11,8 +11,8 @@
 //!   shares every copy-on-write adjacency chunk the batch did not touch
 //!   (the role of §4.1's structure adjustment, at a cost proportional to
 //!   the batch rather than the graph),
-//! * [`generators`] — R-MAT, Erdős–Rényi and Chung–Lu graph generators
-//!   used as stand-ins for the paper's web/social graphs,
+//! * [`generators`] — R-MAT, Erdős–Rényi and small-world graph
+//!   generators used as stand-ins for the paper's web/social graphs,
 //! * [`stream`] — the evaluation-methodology mutation-stream driver
 //!   (load 50% of edges, stream the rest as additions mixed with
 //!   deletions; Hi/Lo degree-targeted workloads),
@@ -45,7 +45,6 @@ pub mod csr;
 pub mod generators;
 pub mod io;
 pub mod mutation;
-pub mod reorder;
 pub mod snapshot;
 pub mod stats;
 pub mod stream;
@@ -54,8 +53,7 @@ pub mod types;
 pub use builder::GraphBuilder;
 pub use csr::Adjacency;
 pub use mutation::{MutationBatch, MutationError};
-pub use reorder::Permutation;
 pub use snapshot::GraphSnapshot;
-pub use stats::{approximate_diameter, degree_histogram, stats, GraphStats};
+pub use stats::{stats, GraphStats};
 pub use stream::{MutationStream, StreamConfig, WorkloadBias};
 pub use types::{Edge, VertexId, Weight};

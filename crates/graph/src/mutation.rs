@@ -400,29 +400,4 @@ mod split_reweight_tests {
             assert!(!cur.has_edge(0, 1));
         }
     }
-
-    #[test]
-    fn truncated_untrusted_counts_error_cleanly() {
-        use crate::io;
-        use bytes::Bytes;
-        // GBLT header claiming 2^60 edges with no payload: must be a
-        // Format error, not a panic.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"GBLT");
-        buf.extend_from_slice(&1u16.to_be_bytes());
-        buf.extend_from_slice(&(1u64 << 60).to_be_bytes());
-        assert!(matches!(
-            io::from_binary(Bytes::from(buf)),
-            Err(io::IoError::Format(_))
-        ));
-        // GBMS header claiming 2^31 batches in a 10-byte file.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(b"GBMS");
-        buf.extend_from_slice(&1u16.to_be_bytes());
-        buf.extend_from_slice(&(u32::MAX).to_be_bytes());
-        assert!(matches!(
-            io::batches_from_binary(Bytes::from(buf)),
-            Err(io::IoError::Format(_))
-        ));
-    }
 }

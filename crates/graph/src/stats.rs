@@ -1,8 +1,7 @@
 //! Structural statistics of graph snapshots.
 //!
-//! Used by the harness to characterize generated inputs (the evaluation's
-//! claims hinge on degree skew and stabilization, both functions of
-//! structure) and by downstream users for quick dataset summaries.
+//! `gbolt` prints them as its dataset summary (the evaluation's claims
+//! hinge on degree skew and stabilization, both functions of structure).
 
 use crate::snapshot::GraphSnapshot;
 use crate::types::VertexId;
@@ -61,64 +60,6 @@ pub fn stats(g: &GraphSnapshot) -> GraphStats {
     }
 }
 
-/// Out-degree histogram with logarithmic buckets `[2^i, 2^{i+1})`;
-/// index 0 counts degree-0 vertices.
-pub fn degree_histogram(g: &GraphSnapshot) -> Vec<usize> {
-    let mut buckets = Vec::new();
-    for v in 0..g.num_vertices() as VertexId {
-        let d = g.out_degree(v);
-        let b = if d == 0 {
-            0
-        } else {
-            (usize::BITS - d.leading_zeros()) as usize
-        };
-        if b >= buckets.len() {
-            buckets.resize(b + 1, 0);
-        }
-        buckets[b] += 1;
-    }
-    buckets
-}
-
-/// Approximate (hop) diameter by the double-sweep heuristic: BFS from
-/// `start`, then BFS again from the farthest vertex found. The result is
-/// a lower bound on the true diameter, usually tight on real graphs —
-/// use it to size iteration budgets (`iterations ≥ diameter` for exact
-/// path algorithms).
-pub fn approximate_diameter(g: &GraphSnapshot, start: VertexId) -> usize {
-    let (far, _) = bfs_farthest(g, start);
-    let (_, depth) = bfs_farthest(g, far);
-    depth
-}
-
-/// BFS over out-edges; returns the farthest reached vertex and its hop
-/// distance.
-fn bfs_farthest(g: &GraphSnapshot, start: VertexId) -> (VertexId, usize) {
-    let n = g.num_vertices();
-    if n == 0 {
-        return (start, 0);
-    }
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[start as usize] = 0;
-    queue.push_back(start);
-    let (mut far, mut depth) = (start, 0);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[u as usize];
-        for &v in g.out_neighbors(u) {
-            if dist[v as usize] == usize::MAX {
-                dist[v as usize] = du + 1;
-                if du + 1 > depth {
-                    depth = du + 1;
-                    far = v;
-                }
-                queue.push_back(v);
-            }
-        }
-    }
-    (far, depth)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -158,60 +99,10 @@ mod tests {
     }
 
     #[test]
-    fn histogram_buckets_by_log_degree() {
-        let g = GraphBuilder::new(4)
-            .add_edge(0, 1, 1.0)
-            .add_edge(0, 2, 1.0)
-            .add_edge(0, 3, 1.0)
-            .add_edge(1, 0, 1.0)
-            .build();
-        let h = degree_histogram(&g);
-        // Vertex 0: degree 3 → bucket 2; vertex 1: degree 1 → bucket 1;
-        // vertices 2, 3: degree 0 → bucket 0.
-        assert_eq!(h, vec![2, 1, 1]);
-    }
-
-    #[test]
     fn empty_graph_stats_are_zero() {
         let g = GraphSnapshot::empty(0);
         let s = stats(&g);
         assert_eq!(s.mean_degree, 0.0);
         assert_eq!(s.top1pct_share, 0.0);
-    }
-}
-
-#[cfg(test)]
-mod diameter_tests {
-    use super::*;
-    use crate::builder::GraphBuilder;
-
-    #[test]
-    fn path_graph_diameter() {
-        let mut b = GraphBuilder::new(6).symmetric(true);
-        for i in 0..5u32 {
-            b = b.add_edge(i, i + 1, 1.0);
-        }
-        let g = b.build();
-        assert_eq!(approximate_diameter(&g, 2), 5);
-    }
-
-    #[test]
-    fn star_graph_diameter() {
-        let mut b = GraphBuilder::new(8).symmetric(true);
-        for i in 1..8u32 {
-            b = b.add_edge(0, i, 1.0);
-        }
-        let g = b.build();
-        assert_eq!(approximate_diameter(&g, 0), 2);
-    }
-
-    #[test]
-    fn disconnected_start_sees_its_component_only() {
-        let g = GraphBuilder::new(4)
-            .symmetric(true)
-            .add_edge(0, 1, 1.0)
-            .add_edge(2, 3, 1.0)
-            .build();
-        assert_eq!(approximate_diameter(&g, 0), 1);
     }
 }

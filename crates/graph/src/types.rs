@@ -1,7 +1,5 @@
 //! Fundamental identifier and edge types shared across the workspace.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a vertex.
 ///
 /// `u32` comfortably addresses the billion-vertex range used in the paper's
@@ -19,7 +17,7 @@ pub type Weight = f64;
 /// Equality and hashing consider only the endpoints, not the weight: a
 /// mutation that deletes `(u, v)` removes the edge regardless of its
 /// weight, matching the paper's edge-mutation semantics.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy)]
 pub struct Edge {
     /// Source vertex.
     pub src: VertexId,

@@ -20,9 +20,5 @@
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
 pub mod sssp;
-pub mod sswp;
-pub mod wcc;
 
 pub use sssp::KickStarterSssp;
-pub use sswp::KickStarterSswp;
-pub use wcc::KickStarterWcc;

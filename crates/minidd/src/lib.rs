@@ -34,10 +34,8 @@ pub mod iterate;
 pub mod operators;
 pub mod pagerank;
 pub mod sssp;
-pub mod wcc;
 
 pub use collection::{Collection, Diff, OrderedF64};
 pub use iterate::{EdgeRecord, IterativeDataflow, StepSpec};
 pub use pagerank::DdPageRank;
 pub use sssp::DdSssp;
-pub use wcc::DdWcc;

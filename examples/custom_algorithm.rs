@@ -24,6 +24,7 @@
 //! ```
 
 use graphbolt::core::{run_bsp, EngineStats, ExecutionMode};
+use graphbolt::graph::generators::{rmat, RmatConfig};
 use graphbolt::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -129,9 +130,10 @@ fn tagged(edges: &[Edge]) -> Vec<Edge> {
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(71);
-    // A citation-style graph: 1500 papers, preferential-ish references.
-    let raw = graphbolt::graph::generators::chung_lu(1500, 7000, 2.2, false, &mut rng);
-    let graph = GraphSnapshot::from_edges(1500, &tagged(&raw));
+    // A citation-style graph: 2048 papers, skewed (R-MAT) references.
+    let cfg = RmatConfig::new(11, 4);
+    let papers = cfg.num_vertices() as u32;
+    let graph = GraphSnapshot::from_edges(cfg.num_vertices(), &tagged(&rmat(&cfg, &mut rng)));
     println!(
         "citation graph: {} papers, {} references",
         graph.num_vertices(),
@@ -148,8 +150,8 @@ fn main() {
     for round in 1..=3 {
         let mut batch = MutationBatch::new();
         for _ in 0..40 {
-            let u = rng.gen_range(0..1500u32);
-            let v = rng.gen_range(0..1500u32);
+            let u = rng.gen_range(0..papers);
+            let v = rng.gen_range(0..papers);
             if u != v && !engine.graph().has_edge(u, v) && !engine.graph().has_edge(v, u) {
                 batch.add(Edge::new(u, v, FORWARD));
                 batch.add(Edge::new(v, u, MIRROR));

@@ -12,7 +12,7 @@
 //! ```
 
 use graphbolt::algorithms::LabelPropagation;
-use graphbolt::graph::generators::{chung_lu, randomize_weights};
+use graphbolt::graph::generators::{rmat, RmatConfig};
 use graphbolt::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
@@ -21,9 +21,8 @@ const LABELS: usize = 3;
 
 fn main() {
     let mut rng = SmallRng::seed_from_u64(7);
-    // A power-law "follow graph": 2000 accounts, 12k follows.
-    let mut edges = chung_lu(2000, 12_000, 2.3, false, &mut rng);
-    randomize_weights(&mut edges, &mut rng);
+    // A skewed "follow graph": 2048 accounts, ~12k weighted follows.
+    let edges = rmat(&RmatConfig::new(11, 6), &mut rng);
 
     // Stream methodology: load half, stream the rest with 10% unfollows.
     let stream_cfg = StreamConfig::default();

@@ -1,6 +1,7 @@
 //! Algebraic-law registrations for every `Algorithm` implementation in
 //! `graphbolt-algorithms` (see `graphbolt_core::laws` and DESIGN.md §9
-//! "Algebraic laws").
+//! "Algebraic laws"). They live in the root suite so the tier-1
+//! `cargo test` runs them.
 //!
 //! Each registration pairs the algorithm with a value generator matched
 //! to its domain (ranks, distributions, latent factors, distances) and
@@ -11,11 +12,11 @@
 //! `cargo xtask lint`'s `law-coverage` rule matches it statically
 //! against the workspace's `impl Algorithm for T` inventory.
 
-use graphbolt_algorithms::{
+use graphbolt::algorithms::{
     BeliefPropagation, CoEm, CollaborativeFiltering, ConnectedComponents, LabelPropagation,
-    LandmarkDistances, PageRank, ShortestPaths, ShortestPathsMultiset, WidestPaths,
+    PageRank, ShortestPaths, ShortestPathsMultiset, WidestPaths,
 };
-use graphbolt_core::laws::{check_laws, Law, LawSpec, Monotonic, SplitMix64};
+use graphbolt::core::laws::{check_laws, Law, LawSpec, Monotonic, SplitMix64};
 
 /// A random probability distribution over `n` states.
 fn distribution(rng: &mut SplitMix64, n: usize) -> Vec<f64> {
@@ -93,7 +94,7 @@ fn shortest_paths_multiset_laws() {
     // must round-trip without loss.
     let spec = LawSpec::new(
         |rng| rng.range_f64(0.0, 20.0),
-        |agg: &graphbolt_algorithms::MinBag| vec![agg.min()],
+        |agg: &graphbolt::algorithms::MinBag| vec![agg.min()],
     )
     .monotonic(Monotonic::NonIncreasing);
     let report = check_laws::<ShortestPathsMultiset>(&ShortestPathsMultiset::new(0), spec)
@@ -117,15 +118,4 @@ fn widest_paths_laws() {
     let spec = LawSpec::new(|rng| rng.range_f64(0.0, 10.0), |agg: &f64| vec![*agg])
         .monotonic(Monotonic::NonDecreasing);
     check_laws::<WidestPaths>(&WidestPaths::new(0), spec).expect("max-of-bottleneck is lawful");
-}
-
-#[test]
-fn landmark_distances_laws() {
-    let spec = LawSpec::new(
-        |rng| (0..2).map(|_| rng.range_f64(0.0, 20.0)).collect::<Vec<f64>>(),
-        |agg: &Vec<f64>| agg.clone(),
-    )
-    .monotonic(Monotonic::NonIncreasing);
-    check_laws::<LandmarkDistances>(&LandmarkDistances::new(vec![0, 2]), spec)
-        .expect("element-wise min is lawful");
 }

@@ -2,7 +2,7 @@
 //!
 //! Like every crate under `vendor-stubs/`, this is a minimal,
 //! API-compatible replacement for environments with no crates.io access —
-//! but unlike the thin wrappers (`parking_lot`, `bytes`, …) it implements
+//! but unlike the thin `rayon`, `rand` and `proptest` stand-ins it implements
 //! the part of loom the workspace actually depends on: **exhaustive
 //! exploration of thread interleavings** for small concurrency models.
 //!
@@ -27,9 +27,9 @@
 //!   independent of weak orderings (atomicity of RMW ops, mutual
 //!   exclusion, happens-before via join) — which is what the workspace's
 //!   models do.
-//! * `sync::Mutex::lock` returns the guard directly (parking_lot style,
-//!   matching how the workspace's [`parking_lot`] stub behaves) rather
-//!   than a `LockResult`.
+//! * `sync::Mutex::lock` returns the guard directly rather than a
+//!   `LockResult`; the workspace's one call site (`ShardedMut::with`)
+//!   only binds the result, which holds the lock in either shape.
 //! * Schedules are capped at [`MAX_SCHEDULES`]; models that exceed the
 //!   cap panic, forcing them to stay small instead of silently sampling.
 //!
@@ -583,8 +583,7 @@ pub mod sync {
         sched_waiters: Vec<usize>,
     }
 
-    /// Scheduler-aware mutex. `lock()` returns the guard directly
-    /// (parking_lot style — matching the workspace's parking_lot stub).
+    /// Scheduler-aware mutex. `lock()` returns the guard directly.
     pub struct Mutex<T> {
         meta: StdMutex<MutexMeta>,
         cv: Condvar,

@@ -330,8 +330,8 @@ mod tests {
     #[test]
     fn test_tree_paths_are_detected() {
         assert!(in_test_tree("crates/core/tests/loom_sharded.rs"));
-        assert!(in_test_tree("crates/bench/benches/table5.rs"));
-        assert!(in_test_tree("crates/core/examples/live_session.rs"));
+        assert!(in_test_tree("benches/spine/src/main.rs"));
+        assert!(in_test_tree("examples/live_session.rs"));
         assert!(!in_test_tree("crates/core/src/session.rs"));
     }
 

@@ -69,7 +69,7 @@ fn law_coverage_exempts_test_trees() {
         RuleId::LawCoverage,
         "law_coverage",
         "fail.rs",
-        "crates/algorithms/tests/laws.rs",
+        "tests/laws.rs",
     );
     assert!(f.is_empty(), "{f:?}");
 }

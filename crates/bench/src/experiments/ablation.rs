@@ -21,9 +21,9 @@ fn refine_cost<A: Algorithm + Clone>(
     let mut engine = StreamingEngine::new(g0.clone(), alg, opts);
     engine.run_initial();
     let stored = engine.stored_aggregations();
-    engine.stats().take_snapshot();
+    let before = engine.stats().snapshot();
     let t = time(|| engine.apply_batch(batch).unwrap());
-    let work = engine.stats().take_snapshot();
+    let work = engine.stats().snapshot() - before;
     (t.secs(), work.edge_computations, stored)
 }
 
@@ -154,9 +154,9 @@ pub fn min_strategies(spec: GraphSpec, batch_size: usize) -> Table {
             EngineOptions::with_iterations(ITERS),
         );
         engine.run_initial();
-        engine.stats().take_snapshot();
+        let before = engine.stats().snapshot();
         let secs = time(|| engine.apply_batch(&batch).unwrap()).secs();
-        let work = engine.stats().take_snapshot();
+        let work = engine.stats().snapshot() - before;
         t.row(vec![
             "re-evaluation".to_string(),
             fmt_secs(secs),
@@ -171,9 +171,9 @@ pub fn min_strategies(spec: GraphSpec, batch_size: usize) -> Table {
             EngineOptions::with_iterations(ITERS),
         );
         engine.run_initial();
-        engine.stats().take_snapshot();
+        let before = engine.stats().snapshot();
         let secs = time(|| engine.apply_batch(&batch).unwrap()).secs();
-        let work = engine.stats().take_snapshot();
+        let work = engine.stats().snapshot() - before;
         t.row(vec![
             "ordered map (§5.4)".to_string(),
             fmt_secs(secs),

@@ -88,14 +88,13 @@ pub fn measure_strategies<A: Algorithm + Clone>(
         );
     });
 
-    // Read-and-reset: the first take discards work accumulated by the
-    // initial run and earlier batches, the second reads exactly this
-    // batch's work (the engine is quiescent between the two takes).
-    engine.stats().take_snapshot();
+    // The difference of two snapshots is exactly this batch's work (the
+    // engine is quiescent between the two reads).
+    let before = engine.stats().snapshot();
     let report = engine
         .apply_batch(batch)
         .expect("benchmark batch must validate");
-    let refine_work = engine.stats().take_snapshot();
+    let refine_work = engine.stats().snapshot() - before;
 
     // Graph-structure adjustment is excluded, as in the paper: all three
     // strategies need the mutated snapshot (the restarts receive it for

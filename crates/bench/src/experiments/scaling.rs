@@ -12,8 +12,7 @@
 //! sequential `vendor-stubs/rayon`) would run every row on one thread and
 //! report a flat curve by construction, so [`run_scaling`] refuses.
 
-use graphbolt_core::telemetry::metrics;
-use graphbolt_core::StreamingEngine;
+use graphbolt_core::{MetricsRegistry, StreamingEngine};
 use graphbolt_engine::parallel;
 use graphbolt_graph::WorkloadBias;
 
@@ -39,9 +38,8 @@ impl PhaseNanos {
         self.tag + self.propagate + self.apply
     }
 
-    /// Process-lifetime phase totals from the refinement histograms.
-    fn now() -> Self {
-        let m = metrics();
+    /// Phase totals from one engine's refinement histograms.
+    fn of(m: &MetricsRegistry) -> Self {
         Self {
             tag: m.refine_tag_ns.sum(),
             propagate: m.refine_propagate_ns.sum(),
@@ -93,8 +91,7 @@ pub fn run_scaling(
 fn sweep(spec: GraphSpec, threads: &[usize], batches: usize, batch_size: usize) -> Vec<ScalingRow> {
     let mut rows = Vec::with_capacity(threads.len());
     for &t in threads {
-        let phases_before = PhaseNanos::now();
-        let (initial_secs, refine_secs) = parallel::with_threads(t, || {
+        let (initial_secs, refine_secs, phases) = parallel::with_threads(t, || {
             let mut stream = standard_stream(spec, WorkloadBias::Uniform);
             let g = stream.initial_snapshot();
             let opts = bench_options();
@@ -111,14 +108,9 @@ fn sweep(spec: GraphSpec, threads: &[usize], batches: usize, batch_size: usize) 
                 let report = engine.apply_batch(&batch).expect("bench batch validates");
                 refine_secs += (report.duration - report.structure_duration).as_secs_f64();
             }
-            (initial.secs(), refine_secs)
+            let phases = PhaseNanos::of(engine.stats().metrics());
+            (initial.secs(), refine_secs, phases)
         });
-        let phases_after = PhaseNanos::now();
-        let phases = PhaseNanos {
-            tag: phases_after.tag - phases_before.tag,
-            propagate: phases_after.propagate - phases_before.propagate,
-            apply: phases_after.apply - phases_before.apply,
-        };
         rows.push(ScalingRow {
             threads: t,
             initial_secs,

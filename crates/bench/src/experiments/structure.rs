@@ -85,9 +85,9 @@ pub fn structure(spec: GraphSpec, batch_size: usize) -> Table {
 
         let mut engine = StreamingEngine::new(g0, alg, EngineOptions::with_iterations(ITERS));
         engine.run_initial();
-        engine.stats().take_snapshot();
+        let before = engine.stats().snapshot();
         let report = engine.apply_batch(&batch).expect("batch validates");
-        let work = engine.stats().take_snapshot();
+        let work = engine.stats().snapshot() - before;
         let refine_secs = (report.duration - report.structure_duration).as_secs_f64();
 
         t.row(vec![

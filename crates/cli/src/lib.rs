@@ -54,15 +54,13 @@
 //!                       no X-Deadline-Ms header
 //!
 //! observability:
-//!   gbolt stats [--metrics-addr A]
-//!                       without an address: print this process's metric
-//!                       registry; with one: scrape a running serve-mode
-//!                       session's /metrics/json and pretty-print it
-//!   gbolt trace [--metrics-addr A]
-//!                       without an address: print this process's flight
-//!                       recorder (recent span trees) and latest critical-
-//!                       path report; with one: scrape a running session's
-//!                       /debug/flight and /debug/critical
+//!   gbolt stats --metrics-addr A
+//!                       scrape a running serve-mode session's
+//!                       /metrics/json and pretty-print it
+//!   gbolt trace --metrics-addr A
+//!                       scrape a running session's flight recorder
+//!                       (/debug/flight: recent span trees) and latest
+//!                       critical-path report (/debug/critical)
 //! ```
 //!
 //! The binary is a thin wrapper over [`run`], which is exercised directly
@@ -124,7 +122,8 @@ pub struct Options {
     pub checkpoint_keep: usize,
     /// Restore from the newest good checkpoint before replaying.
     pub resume: bool,
-    /// Bind an HTTP metrics endpoint here (serve mode / `stats`).
+    /// Bind an HTTP metrics endpoint here (serve mode), or scrape one
+    /// (`stats` / `trace`).
     pub metrics_addr: Option<String>,
     /// Enable span tracing and write every completed span tree (JSONL)
     /// here (serve mode).
@@ -256,11 +255,13 @@ impl Options {
             }
         }
         // The `stats` and `trace` subcommands inspect a running endpoint
-        // (or this process's registry / span ring) — they take no graph
-        // and no serve session.
+        // — they take an address, no graph and no serve session.
         let is_observer = matches!(opts.algorithm.as_str(), "stats" | "trace");
         if opts.graph.is_empty() && !is_observer {
             return Err(format!("--graph is required\n{}", usage()));
+        }
+        if is_observer && opts.metrics_addr.is_none() {
+            return Err(format!("{} requires --metrics-addr\n{}", opts.algorithm, usage()));
         }
         if opts.iterations == 0 {
             return Err("--iterations must be positive".into());
@@ -324,8 +325,8 @@ pub fn usage() -> String {
      [--flight-out PATH] \
      [--listen HOST:PORT [--admit-interactive R[:B]] [--admit-bulk R[:B]] \
      [--admit-best-effort R[:B]] [--deadline-ms N]]]\n\
-     \x20      gbolt stats [--metrics-addr HOST:PORT]\n\
-     \x20      gbolt trace [--metrics-addr HOST:PORT]"
+     \x20      gbolt stats --metrics-addr HOST:PORT\n\
+     \x20      gbolt trace --metrics-addr HOST:PORT"
         .to_string()
 }
 
@@ -518,44 +519,6 @@ fn drive_serve<A: Algorithm<Value = f64, Agg = f64> + Clone + 'static>(
     opts: &Options,
     report: &mut String,
 ) -> Result<StreamingEngine<A>, String> {
-    // Bind the metrics endpoint before any engine work so scrapes see
-    // the whole run; the bound address (resolving port 0) goes into the
-    // report so callers can find it.
-    let metrics_server = match &opts.metrics_addr {
-        Some(addr) => {
-            let server = telemetry::http::MetricsServer::bind(addr.as_str())
-                .map_err(|e| format!("--metrics-addr {addr}: {e}"))?;
-            let _ = writeln!(
-                report,
-                "metrics endpoint: http://{}/metrics",
-                server.local_addr()
-            );
-            Some(server)
-        }
-        None => None,
-    };
-    if opts.flight_out.is_some() || opts.trace_out.is_some() {
-        // Span tracing is otherwise armed lazily by the front door;
-        // either flag opts the whole serve run in so stream-replay
-        // batches are attributed too, and installs its sink.
-        telemetry::span::enable();
-        telemetry::span::configure(telemetry::span::FlightConfig {
-            trace_out: opts.trace_out.as_ref().map(std::path::PathBuf::from),
-            dump_path: opts.flight_out.as_ref().map(std::path::PathBuf::from),
-            ..telemetry::span::FlightConfig::default()
-        })
-        .map_err(|e| {
-            let path = opts.trace_out.as_deref().unwrap_or_default();
-            format!("--trace-out {path}: {e}")
-        })?;
-        if let Some(path) = &opts.flight_out {
-            let _ = writeln!(report, "flight dumps: {path}");
-        }
-        if let Some(path) = &opts.trace_out {
-            let _ = writeln!(report, "span trees: {path}");
-        }
-    }
-
     let t = std::time::Instant::now();
     let engine = match (&opts.checkpoint_dir, opts.resume) {
         (Some(dir), true) => {
@@ -581,6 +544,47 @@ fn drive_serve<A: Algorithm<Value = f64, Agg = f64> + Clone + 'static>(
         }
         _ => initial_engine(graph, alg.clone(), engine_opts, report),
     };
+
+    // The endpoint serves this engine's registry and span recorder; the
+    // bound address (resolving port 0) goes into the report so callers
+    // can find it.
+    let stats = engine.stats().clone();
+    let metrics_server = match &opts.metrics_addr {
+        Some(addr) => {
+            let server = telemetry::http::MetricsServer::bind(addr.as_str(), stats.clone())
+                .map_err(|e| format!("--metrics-addr {addr}: {e}"))?;
+            let _ = writeln!(
+                report,
+                "metrics endpoint: http://{}/metrics",
+                server.local_addr()
+            );
+            Some(server)
+        }
+        None => None,
+    };
+    if opts.flight_out.is_some() || opts.trace_out.is_some() {
+        // Span tracing is otherwise armed lazily by the front door;
+        // either flag opts the whole serve run in so stream-replay
+        // batches are attributed too, and installs its sink.
+        let spans = stats.spans();
+        spans.enable();
+        spans
+            .configure(telemetry::span::FlightConfig {
+                trace_out: opts.trace_out.as_ref().map(std::path::PathBuf::from),
+                dump_path: opts.flight_out.as_ref().map(std::path::PathBuf::from),
+                ..telemetry::span::FlightConfig::default()
+            })
+            .map_err(|e| {
+                let path = opts.trace_out.as_deref().unwrap_or_default();
+                format!("--trace-out {path}: {e}")
+            })?;
+        if let Some(path) = &opts.flight_out {
+            let _ = writeln!(report, "flight dumps: {path}");
+        }
+        if let Some(path) = &opts.trace_out {
+            let _ = writeln!(report, "span trees: {path}");
+        }
+    }
 
     // One controller shared by the front door (admission decisions) and
     // the session worker (degrade-level feedback tightening the
@@ -704,7 +708,7 @@ fn serve_front_door<A: Algorithm<Value = f64> + 'static>(
             stats.admitted, stats.shed
         );
     }
-    let hist = telemetry::metrics().ingest_visible_latency_ns.snapshot();
+    let hist = session.engine_stats().metrics().ingest_visible_latency_ns.snapshot();
     if hist.count > 0 {
         let _ = writeln!(
             report,
@@ -719,33 +723,24 @@ fn serve_front_door<A: Algorithm<Value = f64> + 'static>(
         .map_err(|e| e.to_string())
 }
 
-/// `gbolt stats`: report metrics, either scraped from a running
-/// serve-mode session (`--metrics-addr`) or from this process's own
-/// registry.
-fn run_stats(opts: &Options) -> Result<String, String> {
-    match &opts.metrics_addr {
-        Some(addr) => {
-            let body = http_get(addr, "/metrics/json")?;
-            Ok(pretty_json(&body))
-        }
-        None => Ok(render_local_stats()),
-    }
+/// The `--metrics-addr` of a `stats` / `trace` run.
+fn observed_addr(opts: &Options) -> Result<&str, String> {
+    opts.metrics_addr
+        .as_deref()
+        .ok_or_else(|| format!("{} requires --metrics-addr", opts.algorithm))
 }
 
-/// `gbolt trace`: dump the flight recorder (recent span trees) and the
-/// latest per-batch critical-path report, either scraped from a running
-/// serve-mode session (`--metrics-addr`) or from this process's ring.
+/// `gbolt stats`: scrape a running serve-mode session's metrics.
+fn run_stats(opts: &Options) -> Result<String, String> {
+    let body = http_get(observed_addr(opts)?, "/metrics/json")?;
+    Ok(pretty_json(&body))
+}
+
+/// `gbolt trace`: dump a running serve-mode session's flight recorder
+/// (recent span trees) and its latest per-batch critical-path report.
 fn run_trace(opts: &Options) -> Result<String, String> {
-    let (flight, critical) = match &opts.metrics_addr {
-        Some(addr) => (
-            http_get(addr, "/debug/flight")?,
-            http_get(addr, "/debug/critical")?,
-        ),
-        None => (
-            telemetry::span::flight_json(),
-            telemetry::span::critical_json(),
-        ),
-    };
+    let addr = observed_addr(opts)?;
+    let (flight, critical) = (http_get(addr, "/debug/flight")?, http_get(addr, "/debug/critical")?);
     Ok(format!(
         "flight:\n{}critical:\n{}",
         pretty_json(&flight),
@@ -826,34 +821,6 @@ fn pretty_json(json: &str) -> String {
         }
     }
     out.push('\n');
-    out
-}
-
-/// Human-readable dump of this process's metric registry.
-fn render_local_stats() -> String {
-    let snapshot = telemetry::metrics().snapshot();
-    let mut out = String::new();
-    let _ = writeln!(out, "counters:");
-    for c in &snapshot.counters {
-        let _ = writeln!(out, "  {:<44} {}", c.name, c.value);
-    }
-    let _ = writeln!(out, "gauges:");
-    for g in &snapshot.gauges {
-        let _ = writeln!(out, "  {:<44} {}", g.name, g.value);
-    }
-    let _ = writeln!(out, "histograms (count / p50 / p90 / p99 / max):");
-    for h in &snapshot.histograms {
-        let _ = writeln!(
-            out,
-            "  {:<44} {} / {} / {} / {} / {}",
-            h.name,
-            h.count,
-            h.quantile(0.5),
-            h.quantile(0.9),
-            h.quantile(0.99),
-            h.max
-        );
-    }
     out
 }
 
@@ -1143,36 +1110,15 @@ mod tests {
     }
 
     #[test]
-    fn parse_stats_subcommand_needs_no_graph() {
-        let opts = Options::parse(["stats".to_string()]).unwrap();
-        assert_eq!(opts.algorithm, "stats");
-        let opts =
-            Options::parse(["stats", "--metrics-addr", "127.0.0.1:9090"].map(String::from))
+    fn observer_subcommands_need_an_address_not_a_graph() {
+        for sub in ["stats", "trace"] {
+            let err = Options::parse([sub.to_string()]).unwrap_err();
+            assert!(err.contains("requires --metrics-addr"), "{err}");
+            let opts = Options::parse([sub, "--metrics-addr", "127.0.0.1:9090"].map(String::from))
                 .unwrap();
-        assert_eq!(opts.metrics_addr.as_deref(), Some("127.0.0.1:9090"));
-    }
-
-    #[test]
-    fn stats_without_address_dumps_the_local_registry() {
-        let report = run(&Options {
-            algorithm: "stats".into(),
-            ..Options::default()
-        })
-        .unwrap();
-        assert!(report.contains("counters:"), "{report}");
-        assert!(report.contains("graphbolt_batches_applied_total"), "{report}");
-        assert!(report.contains("histograms"), "{report}");
-        assert!(report.contains("graphbolt_batch_refine_ns"), "{report}");
-    }
-
-    #[test]
-    fn parse_trace_subcommand_needs_no_graph() {
-        let opts = Options::parse(["trace".to_string()]).unwrap();
-        assert_eq!(opts.algorithm, "trace");
-        let opts =
-            Options::parse(["trace", "--metrics-addr", "127.0.0.1:9090"].map(String::from))
-                .unwrap();
-        assert_eq!(opts.metrics_addr.as_deref(), Some("127.0.0.1:9090"));
+            assert_eq!(opts.algorithm, sub);
+            assert_eq!(opts.metrics_addr.as_deref(), Some("127.0.0.1:9090"));
+        }
     }
 
     #[test]
@@ -1182,19 +1128,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(err.contains("--serve"), "{err}");
-    }
-
-    #[test]
-    fn trace_without_address_dumps_the_local_ring() {
-        let report = run(&Options {
-            algorithm: "trace".into(),
-            ..Options::default()
-        })
-        .unwrap();
-        assert!(report.contains("flight:"), "{report}");
-        assert!(report.contains("\"traces\""), "{report}");
-        assert!(report.contains("critical:"), "{report}");
-        assert!(report.contains("\"batches\""), "{report}");
     }
 
     #[test]

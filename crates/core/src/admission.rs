@@ -274,7 +274,8 @@ struct ClassState {
 
 /// The front door's admission authority: one token bucket per
 /// [`ClientClass`], degradation-aware rate tightening, and per-class
-/// accounting mirrored into the global metrics registry.
+/// accounting. It writes no telemetry: the front door records each
+/// decision in its session's metrics and span tree.
 #[derive(Debug)]
 pub struct AdmissionController {
     classes: [Mutex<ClassState>; 3],
@@ -338,8 +339,10 @@ impl AdmissionController {
     }
 
     /// Admission decision at an explicit clock (deterministic; tests).
-    /// A shed decision completes `trace`'s span tree with `shed`
-    /// status, so refused requests still leave a flight-recorder entry.
+    ///
+    /// `_trace` is unused — the front door records the decision's span
+    /// from the result — and stays only because `benches/spine` calls
+    /// this four-argument form.
     ///
     /// # Errors
     ///
@@ -349,60 +352,38 @@ impl AdmissionController {
         class: ClientClass,
         cost: f64,
         now_nanos: u64,
-        trace: telemetry::TraceCtx,
+        _trace: telemetry::TraceCtx,
     ) -> Result<(), RetryAfter> {
-        let injected = crate::fault::fire_error("admission::admit");
         let scale = self.rate_scale(class);
         let mut state = self.lock_class(class);
-        let outcome = if injected {
-            Err(1)
-        } else {
-            state.bucket.try_acquire_at(cost, now_nanos, scale)
-        };
-        let m = telemetry::metrics();
-        match outcome {
+        match state.bucket.try_acquire_at(cost, now_nanos, scale) {
             Ok(()) => {
                 state.stats.admitted += 1;
-                if let Some(counter) = m.admit.get(class.index()) {
-                    counter.inc();
-                }
                 Ok(())
             }
             Err(millis) => {
                 state.stats.shed += 1;
-                if let Some(counter) = m.shed.get(class.index()) {
-                    counter.inc();
-                }
-                if let Some(counter) = m.retry_after.get(class.index()) {
-                    counter.inc();
-                }
-                drop(state);
-                telemetry::span::shed(trace, "admission_shed");
                 Err(RetryAfter { class, millis })
             }
         }
     }
 
-    /// Admission decision on the wall clock. On success the decision is
-    /// recorded as an `admit` span under `trace`; a shed completes the
-    /// tree with `shed` status.
+    /// Admission decision on the wall clock.
     ///
     /// # Errors
     ///
     /// [`RetryAfter`] when the class's bucket cannot cover `cost`.
-    pub fn admit(
-        &self,
-        class: ClientClass,
-        cost: f64,
-        trace: telemetry::TraceCtx,
-    ) -> Result<(), RetryAfter> {
-        let start = Instant::now();
+    pub fn admit(&self, class: ClientClass, cost: f64) -> Result<(), RetryAfter> {
         let now = telemetry::saturating_nanos(self.epoch.elapsed());
-        let outcome = self.admit_at(class, cost, now, trace);
-        if outcome.is_ok() {
-            telemetry::span::child(trace, "admit", start, Instant::now());
-        }
-        outcome
+        self.admit_at(class, cost, now, telemetry::TraceCtx::disabled())
+    }
+
+    /// Sheds one `class` request without consulting its bucket (the
+    /// front door's injected admission fault), accounting it like any
+    /// other shed.
+    pub(crate) fn refuse(&self, class: ClientClass) -> RetryAfter {
+        self.lock_class(class).stats.shed += 1;
+        RetryAfter { class, millis: 1 }
     }
 
     /// Feeds the session's degrade level into the rate tightening (the

@@ -249,7 +249,8 @@ impl<'a, A: Algorithm> Driver<'a, A> {
         } else {
             self.step_selective()
         };
-        crate::telemetry::metrics()
+        self.stats
+            .metrics()
             .bsp_iteration_ns
             .record_duration(start.elapsed());
         changed

@@ -436,7 +436,7 @@ where
     CG: StateCodec<A::Agg>,
 {
     let mut bytes = try_session_file_bytes(engine, seq, value_codec, agg_codec)?;
-    if let Some(keep) = crate::fault::fire_truncation("checkpoint::write") {
+    if let Some(keep) = crate::fault::fire_truncation(engine.stats(), "checkpoint::write") {
         bytes.truncate(keep);
     }
     std::fs::create_dir_all(dir)?;

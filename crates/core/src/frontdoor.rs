@@ -2,12 +2,15 @@
 //! [`StreamSession`] with per-class admission control, request
 //! deadlines, and a singleton fast path (DESIGN.md §11).
 //!
-//! This is ROADMAP item 3 made concrete: `--serve` stops being a local
-//! replay loop and becomes a service. The door reuses the std-only HTTP
-//! machinery from [`telemetry::http`] — one accept thread, one request
-//! per connection, `Connection: close` — because the protocol work per
-//! request (a few hundred bytes of JSON) is dwarfed by the refinement
-//! work behind it; an async runtime would buy nothing but a dependency.
+//! With it, `--serve` stops being a local replay loop and becomes a
+//! service. The door reuses the std-only HTTP machinery from
+//! [`telemetry::http`] — one accept thread, one request per connection,
+//! `Connection: close` — because the protocol work per request (a few
+//! hundred bytes of JSON) is dwarfed by the refinement work behind it;
+//! an async runtime would buy nothing but a dependency. The metrics and
+//! span trees it serves and records are its session's own
+//! ([`StreamSession::engine_stats`]), never another session's in the
+//! same process.
 //!
 //! Request lifecycle, in order:
 //!
@@ -47,6 +50,7 @@ use crate::algorithm::Algorithm;
 use crate::session::{SessionError, StreamSession};
 use crate::telemetry;
 use crate::telemetry::http::{respond, route_observability, Request};
+use crate::telemetry::span::Spans;
 
 /// Front-door tuning knobs.
 #[derive(Debug, Clone, Copy, Default)]
@@ -89,10 +93,11 @@ impl FrontDoor {
     {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        // A live front door turns causal tracing on: every admitted
-        // request gets a span tree in the flight recorder. Engine-only
-        // and bench paths never bind a door and pay one load per site.
-        telemetry::span::enable();
+        // A live front door turns its session's causal tracing on: every
+        // admitted request gets a span tree in the flight recorder.
+        // Engine-only and bench paths never bind a door and pay one load
+        // per site.
+        session.engine_stats().spans().enable();
         let stop = Arc::new(WorkCounter::new());
         let shutdown_requested = Arc::new(WorkCounter::new());
         let stop_thread = Arc::clone(&stop);
@@ -184,7 +189,7 @@ fn accept_loop<A>(
             let Ok(mut stream) = conn else {
                 continue;
             };
-            if crate::fault::fire_error("frontdoor::accept") {
+            if crate::fault::fire_error(session.engine_stats(), "frontdoor::accept") {
                 // Injected accept fault: the client sees a dropped
                 // connection, the session sees nothing.
                 continue;
@@ -436,8 +441,7 @@ fn serve_one<A>(
         // Not intelligible HTTP; nothing useful to answer.
         return;
     };
-    let parse_fault = crate::fault::fire_error("frontdoor::parse");
-    if parse_fault {
+    if crate::fault::fire_error(session.engine_stats(), "frontdoor::parse") {
         respond(
             stream,
             "400 Bad Request",
@@ -450,7 +454,9 @@ fn serve_one<A>(
     // Observability routes bypass admission: shedding the metrics
     // scrape during overload would blind the operator exactly when the
     // numbers matter.
-    if let Some((status, content_type, body)) = route_observability(request.path()) {
+    if let Some((status, content_type, body)) =
+        route_observability(request.path(), session.engine_stats())
+    {
         respond(stream, status, content_type, &[], &body);
         return;
     }
@@ -478,6 +484,45 @@ fn serve_one<A>(
     }
 }
 
+/// Admission at the door: the controller decides (or the
+/// `admission::admit` fault sheds), and the door records the decision in
+/// the session's `admit` / `shed` / `retry_after` counters and the
+/// request's span tree.
+fn admit<A: Algorithm + 'static>(
+    session: &StreamSession<A>,
+    admission: &AdmissionController,
+    class: ClientClass,
+    cost: f64,
+    trace: telemetry::TraceCtx,
+) -> Result<(), RetryAfter> {
+    let stats = session.engine_stats();
+    let start = Instant::now();
+    let outcome = if crate::fault::fire_error(stats, "admission::admit") {
+        Err(admission.refuse(class))
+    } else {
+        admission.admit(class, cost)
+    };
+    let (m, i) = (stats.metrics(), class.index());
+    match outcome {
+        Ok(()) => {
+            if let Some(c) = m.admit.get(i) {
+                c.inc();
+            }
+            stats.spans().child(trace, "admit", start, Instant::now());
+        }
+        Err(_) => {
+            for c in [&m.shed, &m.retry_after]
+                .into_iter()
+                .filter_map(|cs| cs.get(i))
+            {
+                c.inc();
+            }
+            stats.spans().shed(trace, "admission_shed");
+        }
+    }
+    outcome
+}
+
 /// `POST /update` — one mutation on the singleton fast path
 /// (interactive by default, admission cost 1).
 fn serve_update<A>(
@@ -489,11 +534,12 @@ fn serve_update<A>(
 ) where
     A: Algorithm<Value = f64> + 'static,
 {
-    let trace = telemetry::span::mint(request.header("x-request-id"));
+    let spans: Spans<'_> = session.engine_stats().spans();
+    let trace = spans.mint(request.header("x-request-id"));
     let ctx = match request_context(request, ClientClass::Interactive, config, trace) {
         Ok(ctx) => ctx,
         Err(detail) => {
-            telemetry::span::complete(trace, "bad_request");
+            spans.complete(trace, "bad_request");
             respond(
                 stream,
                 "400 Bad Request",
@@ -511,7 +557,7 @@ fn serve_update<A>(
     {
         Ok(m) => m,
         Err(detail) => {
-            telemetry::span::complete(trace, "bad_request");
+            spans.complete(trace, "bad_request");
             respond(
                 stream,
                 "400 Bad Request",
@@ -522,7 +568,7 @@ fn serve_update<A>(
             return;
         }
     };
-    if let Err(err) = admission.admit(ctx.class, 1.0, ctx.trace) {
+    if let Err(err) = admit(session, admission, ctx.class, 1.0, ctx.trace) {
         respond_retry_after(stream, &err);
         return;
     }
@@ -537,7 +583,7 @@ fn serve_update<A>(
         Err(err) => {
             // Deadline sheds already concluded the trace; any other
             // session failure ends it here so it cannot leak as active.
-            telemetry::span::complete(ctx.trace, "session_error");
+            spans.complete(ctx.trace, "session_error");
             respond_session_error(stream, &err);
         }
     }
@@ -554,11 +600,12 @@ fn serve_batch<A>(
 ) where
     A: Algorithm<Value = f64> + 'static,
 {
-    let trace = telemetry::span::mint(request.header("x-request-id"));
+    let spans: Spans<'_> = session.engine_stats().spans();
+    let trace = spans.mint(request.header("x-request-id"));
     let ctx = match request_context(request, ClientClass::Bulk, config, trace) {
         Ok(ctx) => ctx,
         Err(detail) => {
-            telemetry::span::complete(trace, "bad_request");
+            spans.complete(trace, "bad_request");
             respond(
                 stream,
                 "400 Bad Request",
@@ -574,7 +621,7 @@ fn serve_batch<A>(
         .and_then(parse_batch)
     {
         Ok(m) if m.is_empty() => {
-            telemetry::span::complete(trace, "bad_request");
+            spans.complete(trace, "bad_request");
             respond(
                 stream,
                 "400 Bad Request",
@@ -586,7 +633,7 @@ fn serve_batch<A>(
         }
         Ok(m) => m,
         Err(detail) => {
-            telemetry::span::complete(trace, "bad_request");
+            spans.complete(trace, "bad_request");
             respond(
                 stream,
                 "400 Bad Request",
@@ -599,7 +646,13 @@ fn serve_batch<A>(
     };
     // A batch pays for every mutation it carries: one bulk request
     // cannot starve the interactive class by hiding volume in a body.
-    if let Err(err) = admission.admit(ctx.class, mutations.len() as f64, ctx.trace) {
+    if let Err(err) = admit(
+        session,
+        admission,
+        ctx.class,
+        mutations.len() as f64,
+        ctx.trace,
+    ) {
         respond_retry_after(stream, &err);
         return;
     }
@@ -631,7 +684,7 @@ fn serve_batch<A>(
         if let Err((status, error, span_status)) = submit(m) {
             // Partial acceptance is reported honestly: the client learns
             // how many mutations made it in before the error.
-            telemetry::span::complete(ctx.trace, span_status);
+            spans.complete(ctx.trace, span_status);
             let body = format!(
                 "{{\"error\":\"{error}\",\"accepted\":{accepted},\"submitted\":{}}}",
                 mutations.len(),
@@ -662,11 +715,12 @@ fn serve_query<A>(
 ) where
     A: Algorithm<Value = f64> + 'static,
 {
-    let trace = telemetry::span::mint(request.header("x-request-id"));
+    let spans: Spans<'_> = session.engine_stats().spans();
+    let trace = spans.mint(request.header("x-request-id"));
     let ctx = match request_context(request, ClientClass::Interactive, config, trace) {
         Ok(ctx) => ctx,
         Err(detail) => {
-            telemetry::span::complete(trace, "bad_request");
+            spans.complete(trace, "bad_request");
             respond(
                 stream,
                 "400 Bad Request",
@@ -677,7 +731,7 @@ fn serve_query<A>(
             return;
         }
     };
-    if let Err(err) = admission.admit(ctx.class, 1.0, ctx.trace) {
+    if let Err(err) = admit(session, admission, ctx.class, 1.0, ctx.trace) {
         respond_retry_after(stream, &err);
         return;
     }
@@ -685,15 +739,15 @@ fn serve_query<A>(
     let values = match session.query_within(ctx.deadline, ctx.trace) {
         Ok(values) => values,
         Err(err) => {
-            telemetry::span::complete(ctx.trace, "session_error");
+            spans.complete(ctx.trace, "session_error");
             respond_session_error(stream, &err);
             return;
         }
     };
     // Queries have no visibility event: the service span covers the
     // round-trip through the worker, and the tree completes here.
-    telemetry::span::child(ctx.trace, "service", service_start, Instant::now());
-    telemetry::span::complete(ctx.trace, "ok");
+    spans.child(ctx.trace, "service", service_start, Instant::now());
+    spans.complete(ctx.trace, "ok");
     let body = match request.query_param("vertex") {
         Some(raw) => match raw.parse::<usize>() {
             Ok(v) => match values.get(v) {

@@ -66,4 +66,4 @@ pub use sharded::ShardedMut;
 pub use stats::{EngineStats, RefineReport, StatsSnapshot};
 pub use store::DependencyStore;
 pub use streaming::{doctest_support, DegradeLevel, StreamingEngine};
-pub use telemetry::{metrics, MetricsRegistry};
+pub use telemetry::MetricsRegistry;

@@ -42,6 +42,7 @@ use crate::options::EngineOptions;
 use crate::sharded::ShardedMut;
 use crate::stats::{EngineStats, RefineReport};
 use crate::store::DependencyStore;
+use crate::telemetry::span::Spans;
 
 /// Mutable engine state handed to [`refine`].
 pub struct RefineState<'s, A: Algorithm> {
@@ -146,7 +147,7 @@ pub fn refine<A: Algorithm>(
     opts: &EngineOptions,
     stats: &EngineStats,
 ) -> RefineReport {
-    crate::fault::fire_panic("refine::start");
+    crate::fault::fire_panic(stats, "refine::start");
     let mut report = RefineReport::default();
     let start = std::time::Instant::now();
     let new_n = new_g.num_vertices();
@@ -468,27 +469,24 @@ pub fn refine<A: Algorithm>(
         stats.add_iteration();
         report.refined_iterations += 1;
 
-        let m = crate::telemetry::metrics();
+        let m = stats.metrics();
         let tag_ns = tag_done.duration_since(iter_start);
         let propagate_ns = propagate_done.duration_since(tag_done);
         let apply_ns = propagate_done.elapsed();
         m.refine_tag_ns.record_duration(tag_ns);
         m.refine_propagate_ns.record_duration(propagate_ns);
         m.refine_apply_ns.record_duration(apply_ns);
-        // A phase span each under the thread's current batch trace,
+        // A phase span each under the engine's current batch trace,
         // feeding the critical-path report: per-phase, not per-edge, and
         // one load-and-branch when tracing is off.
-        if crate::telemetry::span::enabled() {
+        let spans: Spans<'_> = stats.spans();
+        if spans.enabled() {
             for (phase, elapsed) in [
                 ("tag", tag_ns),
                 ("propagate", propagate_ns),
                 ("apply", apply_ns),
             ] {
-                crate::telemetry::span::batch_phase(
-                    i as u64,
-                    phase,
-                    crate::telemetry::saturating_nanos(elapsed),
-                );
+                spans.batch_phase(i as u64, phase, crate::telemetry::saturating_nanos(elapsed));
             }
         }
     }

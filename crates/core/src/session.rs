@@ -49,6 +49,7 @@ use graphbolt_graph::{Edge, MutationBatch, VertexId};
 use crate::admission::AdmissionController;
 use crate::algorithm::Algorithm;
 use crate::checkpoint::{self, CheckpointError, StateCodec};
+use crate::stats::EngineStats;
 use crate::streaming::{DegradeLevel, StreamingEngine};
 use crate::telemetry;
 
@@ -301,6 +302,9 @@ pub struct StreamSession<A: Algorithm + 'static> {
     /// worker so the front door can bound id-space growth without a
     /// round-trip through the queue.
     vertices: Arc<WorkCounter>,
+    /// The engine's telemetry handle, for the producer-side sites
+    /// (backpressure, submit-side sheds, enqueue spans, fault probes).
+    stats: EngineStats,
 }
 
 impl<A: Algorithm + 'static> StreamSession<A> {
@@ -341,6 +345,7 @@ impl<A: Algorithm + 'static> StreamSession<A> {
         let vertices = Arc::new(WorkCounter::new());
         vertices.set(engine.graph().num_vertices() as u64);
         let (worker_depth, worker_vertices) = (Arc::clone(&depth), Arc::clone(&vertices));
+        let stats = engine.stats().clone();
         let worker = std::thread::spawn(move || {
             worker_loop(engine, rx, config, worker_depth, worker_vertices)
         });
@@ -349,7 +354,14 @@ impl<A: Algorithm + 'static> StreamSession<A> {
             worker,
             depth,
             vertices,
+            stats,
         }
+    }
+
+    /// The telemetry handle of the engine this session serves: its
+    /// metrics, span recorder and (under `fault-injection`) fault plan.
+    pub fn engine_stats(&self) -> &EngineStats {
+        &self.stats
     }
 
     /// Vertex count of the last committed snapshot.
@@ -358,7 +370,7 @@ impl<A: Algorithm + 'static> StreamSession<A> {
     }
 
     fn submit(&self, cmd: Command<A::Value>) -> Result<(), SessionError> {
-        if crate::fault::fire_error("session::ingest") {
+        if crate::fault::fire_error(&self.stats, "session::ingest") {
             return Err(SessionError::Injected);
         }
         self.depth.add(1);
@@ -373,7 +385,7 @@ impl<A: Algorithm + 'static> StreamSession<A> {
         cmd: Command<A::Value>,
         trace: telemetry::TraceCtx,
     ) -> Result<(), SessionError> {
-        if crate::fault::fire_error("session::ingest") {
+        if crate::fault::fire_error(&self.stats, "session::ingest") {
             return Err(SessionError::Injected);
         }
         self.depth.add(1);
@@ -381,12 +393,12 @@ impl<A: Algorithm + 'static> StreamSession<A> {
             self.depth.sub(1);
             match e {
                 TrySendError::Full(_) => {
-                    telemetry::metrics().backpressure_rejections.inc();
+                    self.stats.metrics().backpressure_rejections.inc();
                     // A zero-length marker span: the request hit a full
                     // queue here (one per rejection, so a blocked
                     // deadline loop shows its whole fight in the tree).
                     let now = Instant::now();
-                    telemetry::span::child(trace, "backpressure", now, now);
+                    self.stats.spans().child(trace, "backpressure", now, now);
                     SessionError::QueueFull
                 }
                 TrySendError::Disconnected(_) => SessionError::WorkerGone,
@@ -464,9 +476,9 @@ impl<A: Algorithm + 'static> StreamSession<A> {
 
     /// Records a submit-side deadline shed: the request never consumed
     /// queue capacity, and its span tree (if any) completes as shed.
-    fn shed_before_enqueue(trace: telemetry::TraceCtx) -> SessionError {
-        telemetry::metrics().deadline_shed.inc();
-        telemetry::span::shed(trace, "deadline_shed");
+    fn shed_before_enqueue(&self, trace: telemetry::TraceCtx) -> SessionError {
+        self.stats.metrics().deadline_shed.inc();
+        self.stats.spans().shed(trace, "deadline_shed");
         SessionError::DeadlineExceeded
     }
 
@@ -499,7 +511,7 @@ impl<A: Algorithm + 'static> StreamSession<A> {
             deadline,
             trace,
         };
-        telemetry::span::note_enqueued(trace);
+        self.stats.spans().note_enqueued(trace);
         let Some(deadline) = deadline else {
             return self.submit(Command::Mutate(m));
         };
@@ -507,7 +519,7 @@ impl<A: Algorithm + 'static> StreamSession<A> {
         // backpressure inside the budget is a try/sleep loop.
         loop {
             if Instant::now() >= deadline {
-                return Err(Self::shed_before_enqueue(trace));
+                return Err(self.shed_before_enqueue(trace));
             }
             match self.try_submit(Command::Mutate(m), trace) {
                 Err(SessionError::QueueFull) => {
@@ -541,13 +553,13 @@ impl<A: Algorithm + 'static> StreamSession<A> {
             deadline,
             trace,
         };
-        telemetry::span::note_enqueued(trace);
+        self.stats.spans().note_enqueued(trace);
         let Some(deadline) = deadline else {
             return self.submit(Command::Singleton(m));
         };
         loop {
             if Instant::now() >= deadline {
-                return Err(Self::shed_before_enqueue(trace));
+                return Err(self.shed_before_enqueue(trace));
             }
             match self.try_submit(Command::Singleton(m), trace) {
                 Err(SessionError::QueueFull) => {
@@ -581,7 +593,7 @@ impl<A: Algorithm + 'static> StreamSession<A> {
         trace: telemetry::TraceCtx,
     ) -> Result<Vec<A::Value>, SessionError> {
         if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Err(Self::shed_before_enqueue(trace));
+            return Err(self.shed_before_enqueue(trace));
         }
         let (reply_tx, reply_rx) = mpsc::sync_channel(1);
         self.submit(Command::Query {
@@ -685,8 +697,8 @@ struct PendingStamp {
 
 /// True when `deadline` has passed at dequeue time, or the
 /// `session::deadline` fault site is armed (forcing the expiry path).
-fn deadline_expired(deadline: Option<Instant>) -> bool {
-    crate::fault::fire_error("session::deadline")
+fn deadline_expired(stats: &EngineStats, deadline: Option<Instant>) -> bool {
+    crate::fault::fire_error(stats, "session::deadline")
         || deadline.is_some_and(|d| Instant::now() >= d)
 }
 
@@ -697,7 +709,7 @@ impl<A: Algorithm> WorkerState<A> {
     fn note_dequeue(&self) {
         self.depth.sub(1);
         let now = self.depth.get();
-        let m = telemetry::metrics();
+        let m = self.engine.stats().metrics();
         m.queue_occupancy.set(now);
         m.queue_depth.record(now);
     }
@@ -705,7 +717,7 @@ impl<A: Algorithm> WorkerState<A> {
     fn quarantine(&mut self, batch: MutationBatch, reason: String, cap: usize) {
         self.stats.batches_quarantined += 1;
         self.stats.mutations_quarantined += batch.len();
-        telemetry::metrics().batches_quarantined.inc();
+        self.engine.stats().metrics().batches_quarantined.inc();
         if self.dead_letters.len() == cap && cap > 0 {
             self.dead_letters.remove(0);
         }
@@ -718,14 +730,15 @@ impl<A: Algorithm> WorkerState<A> {
     /// without touching engine state, and its span tree completes as shed.
     fn shed_deadline(&mut self, trace: telemetry::TraceCtx) {
         self.stats.deadline_shed += 1;
-        telemetry::metrics().deadline_shed.inc();
-        telemetry::span::shed(trace, "deadline_shed");
+        let stats = self.engine.stats();
+        stats.metrics().deadline_shed.inc();
+        stats.spans().shed(trace, "deadline_shed");
     }
 
     /// Buffers one dequeued mutation into the coalescing batch, shedding
     /// it if its deadline already passed while it waited in the queue.
     fn buffer_mutation(&mut self, m: QueuedMutation, config: &SessionConfig<A>) {
-        if deadline_expired(m.deadline) {
+        if deadline_expired(self.engine.stats(), m.deadline) {
             self.shed_deadline(m.trace);
             return;
         }
@@ -759,14 +772,14 @@ impl<A: Algorithm> WorkerState<A> {
     /// this mutation immediately as a batch of one — it skips the
     /// coalescing wait entirely.
     fn apply_singleton(&mut self, m: QueuedMutation, config: &SessionConfig<A>) {
-        if deadline_expired(m.deadline) {
+        if deadline_expired(self.engine.stats(), m.deadline) {
             self.shed_deadline(m.trace);
             return;
         }
         self.apply_pending(config);
         self.buffer(m, config);
         self.stats.singletons += 1;
-        telemetry::metrics().singleton_fast_path.inc();
+        self.engine.stats().metrics().singleton_fast_path.inc();
         self.apply_pending(config);
     }
 
@@ -774,17 +787,18 @@ impl<A: Algorithm> WorkerState<A> {
     /// or normalize-away) is now reflected in the served state, and
     /// closes each mutation's span tree with its queue-wait (submit →
     /// dequeue) and service (dequeue → visible) spans.
-    fn record_visible(stamps: Vec<PendingStamp>) {
+    fn record_visible(&self, stamps: Vec<PendingStamp>) {
         if stamps.is_empty() {
             return;
         }
-        let m = telemetry::metrics();
+        let stats = self.engine.stats();
+        let (m, spans) = (stats.metrics(), stats.spans());
         let now = Instant::now();
         for stamp in stamps {
             m.ingest_visible_latency_ns.record(telemetry::saturating_nanos(
                 now.saturating_duration_since(stamp.submitted),
             ));
-            telemetry::span::queue_service(stamp.trace, stamp.submitted, stamp.dequeued, now);
+            spans.queue_service(stamp.trace, stamp.submitted, stamp.dequeued, now);
         }
     }
 
@@ -801,33 +815,33 @@ impl<A: Algorithm> WorkerState<A> {
         if batch.is_empty() {
             // Every mutation normalized away: the served state already
             // reflects their (null) effect.
-            Self::record_visible(stamps);
+            self.record_visible(stamps);
             return;
         }
         self.stats.batches += 1;
         // The refinement batch gets its own trace: many request traces
         // fan into one batch, recorded as follows-from links. While it
-        // is the thread's current batch, refinement-phase samples
+        // is the engine's current batch, refinement-phase samples
         // attribute to it.
         let follows: Vec<telemetry::TraceCtx> = stamps.iter().map(|s| s.trace).collect();
-        let batch_trace = telemetry::span::begin_batch(&follows);
+        let batch_trace = self.engine.stats().spans().begin_batch(&follows);
         let engine = &mut self.engine;
         let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| engine.apply_batch(&batch)));
         match outcome {
             Ok(Ok(report)) => {
                 self.vertices.set(self.engine.graph().num_vertices() as u64);
                 self.stats.mutations_applied += batch.len();
-                Self::record_visible(stamps);
+                self.record_visible(stamps);
                 self.maybe_checkpoint(config, batch_trace);
                 let status = if report.degraded { "degraded" } else { "ok" };
-                telemetry::span::end_batch(batch_trace, status);
+                self.engine.stats().spans().end_batch(batch_trace, status);
             }
             Ok(Err(err)) => {
                 // Normalization should prevent this; quarantine rather
                 // than trust a batch the engine rejected. The stamps are
                 // dropped — quarantined mutations never become visible,
                 // so their traces complete as quarantined instead.
-                Self::complete_quarantined(&stamps, batch_trace);
+                self.complete_quarantined(&stamps, batch_trace);
                 self.quarantine(batch, err.to_string(), config.max_dead_letters);
             }
             Err(payload) => {
@@ -836,12 +850,12 @@ impl<A: Algorithm> WorkerState<A> {
                 // dependency state may be torn mid-iteration, so rebuild
                 // it from scratch on that snapshot.
                 self.stats.panics_recovered += 1;
-                telemetry::metrics().panics_recovered.inc();
+                self.engine.stats().metrics().panics_recovered.inc();
                 let reason = panic_message(&*payload);
                 // Close the batch trace (triggering a flight dump)
                 // before run_initial, so nothing the rebuild records
                 // attributes to the dead batch.
-                Self::complete_quarantined(&stamps, batch_trace);
+                self.complete_quarantined(&stamps, batch_trace);
                 self.quarantine(batch, reason, config.max_dead_letters);
                 self.engine.run_initial();
             }
@@ -856,11 +870,12 @@ impl<A: Algorithm> WorkerState<A> {
     /// Completes the span trees of a quarantined batch: every mutation
     /// trace and the batch trace itself end with `quarantined` status
     /// (which also triggers an automatic flight-recorder dump).
-    fn complete_quarantined(stamps: &[PendingStamp], batch_trace: telemetry::TraceCtx) {
+    fn complete_quarantined(&self, stamps: &[PendingStamp], batch_trace: telemetry::TraceCtx) {
+        let spans = self.engine.stats().spans();
         for stamp in stamps {
-            telemetry::span::complete(stamp.trace, "quarantined");
+            spans.complete(stamp.trace, "quarantined");
         }
-        telemetry::span::end_batch(batch_trace, "quarantined");
+        spans.end_batch(batch_trace, "quarantined");
     }
 
     fn maybe_checkpoint(&mut self, config: &SessionConfig<A>, batch_trace: telemetry::TraceCtx) {
@@ -884,19 +899,20 @@ impl<A: Algorithm> WorkerState<A> {
         let outcome = (policy.write)(&policy.dir, &self.engine, seq);
         // The checkpoint stall lands in the batch's span tree either
         // way — a failed write still spent the wall clock.
-        telemetry::span::batch_checkpoint(batch_trace, start, Instant::now());
+        let stats = self.engine.stats();
+        stats.spans().batch_checkpoint(batch_trace, start, Instant::now());
         match outcome {
             Ok(_) => {
                 let nanos = telemetry::saturating_nanos(start.elapsed());
                 self.stats.checkpoints_written += 1;
-                let m = telemetry::metrics();
+                let m = stats.metrics();
                 m.checkpoints_written.inc();
                 m.checkpoint_write_ns.record(nanos);
                 checkpoint::prune_session_checkpoints(&policy.dir, policy.keep);
             }
             Err(_) => {
                 self.stats.checkpoint_failures += 1;
-                telemetry::metrics().checkpoint_failures.inc();
+                stats.metrics().checkpoint_failures.inc();
             }
         }
     }
@@ -939,7 +955,7 @@ fn worker_loop<A: Algorithm>(
             Command::Mutate(m) => ws.buffer_mutation(m, &config),
             Command::Singleton(m) => ws.apply_singleton(m, &config),
             Command::Query { reply, deadline, trace } => {
-                if deadline_expired(deadline) {
+                if deadline_expired(ws.engine.stats(), deadline) {
                     ws.shed_deadline(trace);
                     let _ = reply.send(Err(SessionError::DeadlineExceeded));
                 } else {
@@ -1393,12 +1409,11 @@ mod tests {
 
     #[test]
     fn colliding_ops_coalesced_behind_a_slow_refinement_keep_their_order() {
-        // Regression (ROADMAP item 2): two ops on one edge key that land
-        // in the same coalesced batch used to lose their order — add →
-        // delete of an absent edge left it *present*. Each case queues
-        // its pair while the worker is parked inside the refinement of a
-        // first mutation, so both ops are drained in one coalescing
-        // round.
+        // Regression: two ops on one edge key that land in the same
+        // coalesced batch used to lose their order — add → delete of an
+        // absent edge left it *present*. Each case queues its pair while
+        // the worker is parked inside the refinement of a first mutation,
+        // so both ops are drained in one coalescing round.
         let absent = |w| Edge::new(1, 0, w);
         let present = |w| Edge::new(1, 2, w);
         let cases: [(&str, [(bool, Edge); 2]); 4] = [

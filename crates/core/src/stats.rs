@@ -1,77 +1,97 @@
-//! Execution statistics: edge-computation counters and phase timings.
+//! Execution statistics and the engine's telemetry handle.
 //!
 //! The paper's Figure 6 / Table 7 report the *number of edge computations*
 //! performed by GraphBolt relative to the GB-Reset baseline — the
 //! machine-independent measure of incremental savings. Every evaluation of
 //! a contribution, delta, or retraction counts as one edge computation.
+//!
+//! [`EngineStats`] is also the one owner of everything an engine reports:
+//! its metrics registry, whose `graphbolt_{edge,vertex}_computations_total`
+//! and `graphbolt_iterations_total` counters *are* the work counters above
+//! (no second copy exists), its span recorder, and, under the
+//! `fault-injection` feature, its fault plan. It is a cheaply clonable
+//! shared handle: the engine, its session's producer side, the front door
+//! and the metrics endpoint hold clones of one handle, while two engines
+//! never share a cell.
 
+use std::sync::Arc;
 use std::time::Duration;
 
-use graphbolt_engine::parallel::WorkCounter;
+use crate::telemetry::span::{SpanRecorder, Spans};
+use crate::telemetry::MetricsRegistry;
 
-/// Shared counters, safe to update from parallel workers.
+/// Shared handle to one engine's counters, span recorder and (under
+/// `fault-injection`) fault plan; clones observe the same cells.
 ///
-/// Each counter sits on its own cache line: workers bumping
+/// Each registry counter sits on its own cache line: workers bumping
 /// `edge_computations` would otherwise invalidate the line under
 /// `iterations`/`vertex_computations` readers (false sharing), turning
 /// independent counters into a single contention point.
-#[derive(Debug, Default)]
-pub struct EngineStats {
-    /// Contribution / delta / retraction evaluations.
-    edge_computations: WorkCounter,
-    /// `∮` (vertex compute) evaluations.
-    vertex_computations: WorkCounter,
-    /// BSP iterations executed (initial + refinement + hybrid).
-    iterations: WorkCounter,
+#[derive(Debug, Clone)]
+pub struct EngineStats(Arc<Owned>);
+
+#[derive(Debug)]
+struct Owned {
+    metrics: MetricsRegistry,
+    spans: SpanRecorder,
+    #[cfg(feature = "fault-injection")]
+    faults: crate::fault::FaultPlan,
+}
+
+impl Default for EngineStats {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl EngineStats {
-    /// Creates zeroed counters.
+    /// Creates zeroed counters, an idle span recorder and (under
+    /// `fault-injection`) an empty fault plan. Allocates the registry
+    /// only: no file, no thread, no ring.
     pub fn new() -> Self {
-        Self::default()
+        Self(Arc::new(Owned {
+            metrics: MetricsRegistry::new(),
+            spans: SpanRecorder::new(),
+            #[cfg(feature = "fault-injection")]
+            faults: crate::fault::FaultPlan::default(),
+        }))
     }
 
     /// Adds `n` edge computations.
     #[inline]
     pub fn add_edge_computations(&self, n: u64) {
-        self.edge_computations.add(n);
+        self.0.metrics.edge_computations.add(n);
     }
 
     /// Adds `n` vertex computations.
     #[inline]
     pub fn add_vertex_computations(&self, n: u64) {
-        self.vertex_computations.add(n);
+        self.0.metrics.vertex_computations.add(n);
     }
 
     /// Marks one completed iteration.
     #[inline]
     pub fn add_iteration(&self) {
-        self.iterations.add(1);
+        self.0.metrics.iterations.inc();
     }
 
     /// Total edge computations so far.
     pub fn edge_computations(&self) -> u64 {
-        self.edge_computations.get()
+        self.0.metrics.edge_computations.get()
     }
 
     /// Total vertex computations so far.
     pub fn vertex_computations(&self) -> u64 {
-        self.vertex_computations.get()
+        self.0.metrics.vertex_computations.get()
     }
 
     /// Total iterations so far.
     pub fn iterations(&self) -> u64 {
-        self.iterations.get()
+        self.0.metrics.iterations.get()
     }
 
-    /// Resets all counters to zero.
-    pub fn reset(&self) {
-        self.edge_computations.set(0);
-        self.vertex_computations.set(0);
-        self.iterations.set(0);
-    }
-
-    /// Snapshot of the counters as plain integers.
+    /// Snapshot of the counters as plain integers; the difference of two
+    /// snapshots is the work done in between.
     pub fn snapshot(&self) -> StatsSnapshot {
         StatsSnapshot {
             edge_computations: self.edge_computations(),
@@ -80,19 +100,30 @@ impl EngineStats {
         }
     }
 
-    /// Reads and resets the counters in one pass, returning what was
-    /// read. Each counter is taken atomically (a swap), so counts
-    /// bumped concurrently land either in the returned snapshot or in
-    /// the next one — never lost, never doubled. The three takes are
-    /// not a single cross-counter cut; callers wanting an exactly
-    /// consistent triple must quiesce workers first (the bench harness
-    /// reads between phases, where that holds anyway).
-    pub fn take_snapshot(&self) -> StatsSnapshot {
-        StatsSnapshot {
-            edge_computations: self.edge_computations.take(),
-            vertex_computations: self.vertex_computations.take(),
-            iterations: self.iterations.take(),
-        }
+    /// This engine's metrics registry (`/metrics`).
+    pub fn metrics(&self) -> &MetricsRegistry {
+        &self.0.metrics
+    }
+
+    /// This engine's span recorder (`/debug/flight`, `/debug/critical`).
+    pub fn spans(&self) -> Spans<'_> {
+        Spans::new(&self.0.spans, &self.0.metrics)
+    }
+
+    /// This engine's fault plan: sites armed here fire for this engine,
+    /// its session and its front door only.
+    #[cfg(feature = "fault-injection")]
+    pub fn faults(&self) -> &crate::fault::FaultPlan {
+        &self.0.faults
+    }
+
+    /// Publishes the degrade level and the dependency-store footprint
+    /// gauges.
+    pub(crate) fn publish_store_gauges(&self, degrade: u8, bytes: usize, entries: usize) {
+        let m = &self.0.metrics;
+        m.degrade_level.set(u64::from(degrade));
+        m.store_bytes.set(bytes as u64);
+        m.stored_aggregations.set(entries as u64);
     }
 }
 
@@ -159,30 +190,17 @@ mod tests {
     }
 
     #[test]
-    fn reset_zeroes_counters() {
+    fn work_counters_are_the_exported_metrics() {
         let s = EngineStats::new();
         s.add_edge_computations(5);
-        s.reset();
-        assert_eq!(s.edge_computations(), 0);
-    }
-
-    #[test]
-    fn take_snapshot_reads_and_resets() {
-        let s = EngineStats::new();
-        s.add_edge_computations(10);
-        s.add_vertex_computations(4);
         s.add_iteration();
-        let taken = s.take_snapshot();
-        assert_eq!(taken.edge_computations, 10);
-        assert_eq!(taken.vertex_computations, 4);
-        assert_eq!(taken.iterations, 1);
-        assert_eq!(s.snapshot(), StatsSnapshot::default(), "reset to zero");
-        s.add_edge_computations(2);
-        assert_eq!(
-            s.take_snapshot().edge_computations,
-            2,
-            "next epoch counts only post-take work"
-        );
+        let clone = s.clone();
+        clone.add_vertex_computations(3);
+        let m = s.metrics();
+        assert_eq!(m.edge_computations.get(), 5);
+        assert_eq!(m.vertex_computations.get(), 3, "clones share cells");
+        assert_eq!(m.iterations.get(), 1);
+        assert_eq!(EngineStats::new().edge_computations(), 0, "engines do not");
     }
 
     #[test]

@@ -236,6 +236,10 @@ impl<A: Clone + PartialEq> DependencyStore<A> {
     /// Estimated heap footprint in bytes, given a per-entry byte cost
     /// function, and the number of aggregation values physically stored
     /// ([`DependencyStore::stored_entries`]) — both from one walk.
+    // Kept out of line: inlined into the engine's per-batch publish, the
+    // flattened walk compiled to a loop 2-3x slower, and the speed
+    // turned on unrelated edits to the caller.
+    #[inline(never)]
     pub fn footprint(&self, entry_bytes: impl Fn(&A) -> usize) -> (usize, usize) {
         let spine = self.histories.capacity() * std::mem::size_of::<History<A>>();
         self.histories

@@ -8,7 +8,7 @@ use crate::algorithm::{agg_total_bytes, Algorithm};
 use crate::bsp::{run_bsp, run_tracking, BspState};
 use crate::options::{EngineOptions, ExecutionMode};
 use crate::refine::{refine, RefineState};
-use crate::stats::{EngineStats, RefineReport, StatsSnapshot};
+use crate::stats::{EngineStats, RefineReport};
 use crate::store::DependencyStore;
 use crate::telemetry;
 
@@ -152,14 +152,13 @@ impl<A: Algorithm> StreamingEngine<A> {
     /// the tracked state inconsistent. The memory-budget watchdog runs
     /// afterwards, so an over-budget initial store degrades immediately.
     pub fn run_initial(&mut self) -> &[A::Value] {
-        let stats_before = self.stats.snapshot();
         if self.degrade == DegradeLevel::DroppedStore {
             self.recompute_full();
         } else {
             self.rebuild_tracked();
             self.enforce_memory_budget();
         }
-        self.publish_work_telemetry(self.stats.snapshot() - stats_before);
+        self.publish_footprint();
         self.values()
     }
 
@@ -251,16 +250,12 @@ impl<A: Algorithm> StreamingEngine<A> {
         }
     }
 
-    /// Commits a degrade-level transition, publishing it to the gauge.
+    /// Commits a degrade-level transition, publishing it to the gauges.
     fn set_degrade(&mut self, to: DegradeLevel) {
         if self.degrade == to {
             return;
         }
         self.degrade = to;
-        // lint:allow(panic-reachability) — false edge: the `.set` call
-        // here is the telemetry `Gauge::set` (atomic store), which
-        // name-based resolution confuses with `DependencyStore::set`.
-        telemetry::metrics().degrade_level.set(u64::from(to.index()));
         // Degrade transitions change the footprint step-wise (pruning or
         // dropping the store), so re-publish it at the transition rather
         // than waiting for the next batch commit.
@@ -332,8 +327,7 @@ impl<A: Algorithm> StreamingEngine<A> {
             // session layer only wraps initialized engines.
             panic!("run_initial() must be called before apply_batch()")
         };
-        let (new_graph, structure_duration) = adjust_structure(&self.graph, batch)?;
-        let stats_before = self.stats.snapshot();
+        let (new_graph, structure_duration) = adjust_structure(&self.graph, batch, &self.stats)?;
         let mut report = refine(
             &self.alg,
             &self.graph,
@@ -352,7 +346,7 @@ impl<A: Algorithm> StreamingEngine<A> {
         report.duration += structure_duration;
         self.graph = new_graph;
         self.enforce_memory_budget();
-        self.publish_batch_telemetry(batch.len(), &report, self.stats.snapshot() - stats_before);
+        self.publish_batch_telemetry(batch.len(), &report);
         Ok(report)
     }
 
@@ -361,7 +355,7 @@ impl<A: Algorithm> StreamingEngine<A> {
     /// is kept, so the result is the from-scratch answer by construction.
     fn apply_batch_recompute(&mut self, batch: &MutationBatch) -> Result<RefineReport, MutationError> {
         let start = Instant::now();
-        let (new_graph, structure_duration) = adjust_structure(&self.graph, batch)?;
+        let (new_graph, structure_duration) = adjust_structure(&self.graph, batch, &self.stats)?;
         self.graph = new_graph;
         let before = self.stats.snapshot();
         self.recompute_full();
@@ -376,52 +370,30 @@ impl<A: Algorithm> StreamingEngine<A> {
             hybrid_iterations: spent.iterations as usize,
             degraded: true,
         };
-        self.publish_batch_telemetry(batch.len(), &report, spent);
+        self.publish_batch_telemetry(batch.len(), &report);
         Ok(report)
     }
 
-    /// Publishes one committed batch to the global metrics registry:
-    /// work counters, refinement latency, and the current store
-    /// footprint / degrade gauges.
-    fn publish_batch_telemetry(
-        &self,
-        mutations: usize,
-        report: &RefineReport,
-        spent: StatsSnapshot,
-    ) {
-        let m = telemetry::metrics();
+    /// Publishes one committed batch to the engine's metrics: batch and
+    /// mutation counts, refinement latency, and the current store
+    /// footprint / degrade gauges. The work counters need no publishing:
+    /// refinement counts straight into the registry.
+    fn publish_batch_telemetry(&self, mutations: usize, report: &RefineReport) {
+        let m = self.stats.metrics();
         m.batches_applied.inc();
         m.mutations_applied.add(mutations as u64);
         m.batch_refine_ns.record_duration(report.duration);
-        self.publish_work_telemetry(spent);
-    }
-
-    /// Publishes a work-counter delta plus the current footprint gauges.
-    fn publish_work_telemetry(&self, spent: StatsSnapshot) {
-        let m = telemetry::metrics();
-        m.edge_computations.add(spent.edge_computations);
-        m.vertex_computations.add(spent.vertex_computations);
-        m.iterations.add(spent.iterations);
-        // lint:allow(panic-reachability) — false edge: the `.set` call
-        // below is the telemetry `Gauge::set` (atomic store), which
-        // name-based resolution confuses with `DependencyStore::set`.
-        m.degrade_level.set(u64::from(self.degrade.index()));
         self.publish_footprint();
     }
 
-    /// Sets the store-footprint gauges (bytes and entries) from one walk
-    /// over the dependency store.
+    /// Publishes the degrade level and the store footprint (bytes and
+    /// entries, from one walk over the dependency store).
     fn publish_footprint(&self) {
         let (bytes, entries) = match &self.state {
             Some(s) => s.store.footprint(|a| agg_total_bytes(&self.alg, a)),
             None => (0, 0),
         };
-        let m = telemetry::metrics();
-        // lint:allow(panic-reachability) — false edges: the `.set` calls
-        // below are telemetry `Gauge::set` (atomic stores), which
-        // name-based resolution confuses with `DependencyStore::set`.
-        m.store_bytes.set(bytes as u64);
-        m.stored_aggregations.set(entries as u64);
+        self.stats.publish_store_gauges(self.degrade.index(), bytes, entries);
     }
 
     /// Estimated bytes of dependency information currently tracked — the
@@ -520,11 +492,14 @@ impl<A: Algorithm> StreamingEngine<A> {
 fn adjust_structure(
     graph: &GraphSnapshot,
     batch: &MutationBatch,
+    stats: &EngineStats,
 ) -> Result<(GraphSnapshot, Duration), MutationError> {
     let start = Instant::now();
     let new_graph = graph.apply(batch)?;
     let duration = start.elapsed();
-    telemetry::span::batch_phase(0, "structure", telemetry::saturating_nanos(duration));
+    stats
+        .spans()
+        .batch_phase(0, "structure", telemetry::saturating_nanos(duration));
     Ok((new_graph, duration))
 }
 

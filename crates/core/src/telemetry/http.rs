@@ -21,7 +21,7 @@ use std::time::Duration;
 
 use graphbolt_engine::parallel::WorkCounter;
 
-use super::metrics;
+use crate::stats::EngineStats;
 
 /// Maximum accepted request body (1 MiB): the front door serves JSON
 /// mutation batches, not uploads. Larger `Content-Length`s are rejected
@@ -140,26 +140,30 @@ pub fn respond(
     let _ = stream.flush();
 }
 
-/// Routes the observability paths every GraphBolt endpoint exposes.
+/// Routes the observability paths every GraphBolt endpoint exposes,
+/// answering from `stats` (one engine's registry and span recorder).
 /// Returns `(status, content-type, body)`, or `None` for paths the
 /// caller owns.
-pub fn route_observability(path: &str) -> Option<(&'static str, &'static str, String)> {
+pub fn route_observability(
+    path: &str,
+    stats: &EngineStats,
+) -> Option<(&'static str, &'static str, String)> {
     match path {
         "/metrics" => Some((
             "200 OK",
             // The text exposition format content type, version 0.0.4.
             "text/plain; version=0.0.4; charset=utf-8",
-            metrics().render_prometheus(),
+            stats.metrics().render_prometheus(),
         )),
         "/metrics/json" | "/json" => {
-            Some(("200 OK", "application/json", metrics().render_json()))
+            Some(("200 OK", "application/json", stats.metrics().render_json()))
         }
         "/healthz" => Some(("200 OK", "text/plain; charset=utf-8", "ok\n".to_string())),
         // Flight recorder: recently completed span trees plus orphan /
         // eviction bookkeeping (the CI overload gate scrapes this).
-        "/debug/flight" => Some(("200 OK", "application/json", super::span::flight_json())),
+        "/debug/flight" => Some(("200 OK", "application/json", stats.spans().flight_json())),
         // Latest per-batch critical-path attribution.
-        "/debug/critical" => Some(("200 OK", "application/json", super::span::critical_json())),
+        "/debug/critical" => Some(("200 OK", "application/json", stats.spans().critical_json())),
         _ => None,
     }
 }
@@ -177,15 +181,15 @@ pub struct MetricsServer {
 
 impl MetricsServer {
     /// Binds `addr` (e.g. `127.0.0.1:9090`, port 0 for OS-assigned) and
-    /// starts answering scrapes on a background thread.
-    pub fn bind<A: ToSocketAddrs>(addr: A) -> std::io::Result<Self> {
+    /// starts answering scrapes of `stats` on a background thread.
+    pub fn bind<A: ToSocketAddrs>(addr: A, stats: EngineStats) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(WorkCounter::new());
         let stop_thread = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
             .name("gb-metrics".to_string())
-            .spawn(move || accept_loop(listener, &stop_thread))?;
+            .spawn(move || accept_loop(listener, &stop_thread, &stats))?;
         Ok(Self {
             addr,
             stop,
@@ -229,7 +233,7 @@ impl Drop for MetricsServer {
     }
 }
 
-fn accept_loop(listener: TcpListener, stop: &WorkCounter) {
+fn accept_loop(listener: TcpListener, stop: &WorkCounter, stats: &EngineStats) {
     for conn in listener.incoming() {
         if stop.get() != 0 {
             break;
@@ -240,17 +244,17 @@ fn accept_loop(listener: TcpListener, stop: &WorkCounter) {
         // A stalled scraper must not wedge the endpoint.
         let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
         let _ = stream.set_write_timeout(Some(Duration::from_secs(2)));
-        serve_one(stream);
+        serve_one(stream, stats);
     }
 }
 
 /// Answers a single request; all I/O errors are swallowed (the scraper
 /// retries, the session must not notice).
-fn serve_one(mut stream: TcpStream) {
+fn serve_one(mut stream: TcpStream, stats: &EngineStats) {
     let Some(request) = Request::read_from(&mut stream) else {
         return;
     };
-    let (status, content_type, body) = route_observability(request.path()).unwrap_or((
+    let (status, content_type, body) = route_observability(request.path(), stats).unwrap_or((
         "404 Not Found",
         "text/plain; charset=utf-8",
         "not found\n".to_string(),
@@ -273,7 +277,7 @@ mod tests {
 
     #[test]
     fn serves_metrics_json_and_health() {
-        let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
+        let server = MetricsServer::bind("127.0.0.1:0", EngineStats::new()).expect("bind");
         let addr = server.local_addr();
 
         let health = get(addr, "/healthz");
@@ -298,7 +302,7 @@ mod tests {
 
     #[test]
     fn shutdown_releases_the_port() {
-        let server = MetricsServer::bind("127.0.0.1:0").expect("bind");
+        let server = MetricsServer::bind("127.0.0.1:0", EngineStats::new()).expect("bind");
         let addr = server.local_addr();
         server.shutdown();
         // After shutdown the listener is closed: rebinding the same

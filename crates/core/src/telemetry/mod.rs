@@ -4,11 +4,17 @@
 //! The paper's whole evaluation (§5, Figure 6 / Table 7) is an
 //! observability argument — edge-computation counts, per-batch
 //! refinement latency, dependency-store footprint. This module makes
-//! those first-class: a process-global [`MetricsRegistry`] of lock-free
-//! counters, gauges, and log-scale [`Histogram`]s built on the engine's
-//! padded [`WorkCounter`] primitive, request- and batch-scoped [`span`]
-//! trees, Prometheus/JSON [`encode`]rs, and a tiny std-only [`http`]
-//! responder for `/metrics` + `/healthz`.
+//! those first-class: a [`MetricsRegistry`] of lock-free counters,
+//! gauges, and log-scale [`Histogram`]s built on the engine's padded
+//! [`WorkCounter`] primitive, request- and batch-scoped [`span`] trees,
+//! Prometheus/JSON [`encode`]rs, and a tiny std-only [`http`] responder
+//! for `/metrics` + `/healthz`.
+//!
+//! There is no process-global state. Each engine's
+//! [`EngineStats`](crate::EngineStats) handle owns one registry and one
+//! span recorder; its session, front door and metrics endpoint reach them
+//! through clones of that handle, so two sessions in one process report
+//! independently.
 //!
 //! Everything is dependency-free and pay-for-what-you-use: with no HTTP
 //! server bound and span recording off, instrumented sites cost one
@@ -24,7 +30,6 @@ pub mod hist;
 pub mod http;
 pub mod span;
 
-use std::sync::OnceLock;
 use std::time::Duration;
 
 use graphbolt_engine::parallel::WorkCounter;
@@ -144,7 +149,7 @@ pub struct Snapshot {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
-/// The fixed set of process-global metrics. Fields are typed and named
+/// The fixed set of one engine's metrics. Fields are typed and named
 /// (no string lookup on the hot path); the name table is documented in
 /// DESIGN.md §10 and enforced by the `metrics-naming` lint rule.
 #[derive(Debug)]
@@ -163,7 +168,8 @@ pub struct MetricsRegistry {
     pub checkpoints_written: Counter,
     /// Session checkpoint attempts that failed.
     pub checkpoint_failures: Counter,
-    /// Contribution / delta / retraction evaluations (paper Figure 6).
+    /// Contribution / delta / retraction evaluations (paper Figure 6);
+    /// the cell [`EngineStats`](crate::EngineStats) counts into.
     pub edge_computations: Counter,
     /// `∮` (vertex compute) evaluations.
     pub vertex_computations: Counter,
@@ -229,7 +235,7 @@ pub struct MetricsRegistry {
 }
 
 impl MetricsRegistry {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             batches_applied: Counter::new(
                 "graphbolt_batches_applied_total",
@@ -489,28 +495,10 @@ impl MetricsRegistry {
     }
 }
 
-static METRICS: OnceLock<MetricsRegistry> = OnceLock::new();
-
-/// The process-global registry.
-pub fn metrics() -> &'static MetricsRegistry {
-    METRICS.get_or_init(MetricsRegistry::new)
-}
-
 /// `Duration` → saturated nanoseconds for histogram recording.
 #[inline]
 pub fn saturating_nanos(elapsed: Duration) -> u64 {
     u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX)
-}
-
-/// Serializes tests that manipulate the process-global span recorder or
-/// assert on global metric deltas. Not part of the stable API.
-#[doc(hidden)]
-pub fn test_trace_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    match LOCK.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
 }
 
 #[cfg(test)]
@@ -519,7 +507,7 @@ mod tests {
 
     #[test]
     fn registry_names_are_unique_and_well_formed() {
-        let m = metrics();
+        let m = MetricsRegistry::new();
         let mut names: Vec<&str> = Vec::new();
         for c in m.counters() {
             names.push(c.name());
@@ -560,9 +548,10 @@ mod tests {
 
     #[test]
     fn snapshot_covers_every_registered_metric() {
-        let snap = metrics().snapshot();
-        assert_eq!(snap.counters.len(), metrics().counters().len());
-        assert_eq!(snap.gauges.len(), metrics().gauges().len());
-        assert_eq!(snap.histograms.len(), metrics().histograms().len());
+        let m = MetricsRegistry::new();
+        let snap = m.snapshot();
+        assert_eq!(snap.counters.len(), m.counters().len());
+        assert_eq!(snap.gauges.len(), m.gauges().len());
+        assert_eq!(snap.histograms.len(), m.histograms().len());
     }
 }

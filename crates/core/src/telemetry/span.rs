@@ -12,10 +12,15 @@
 //! serves — fan-in is causality, not parentage, so request trees stay
 //! trees.
 //!
-//! Cost model: until [`enable`] runs, every instrumented site pays one
-//! `OnceLock` load returning `None`; after that, one padded relaxed
-//! load gates each site. When recording is on, sites take a
-//! short process-global mutex — request-rate work, never per-edge work.
+//! Each engine owns one recorder, reached through
+//! [`EngineStats::spans`](crate::EngineStats::spans); its session and
+//! front door record into the same one, and no other engine's traces
+//! ever appear in it.
+//!
+//! Cost model: a disabled recorder costs each instrumented site one
+//! padded relaxed load of a handle the caller already holds. When
+//! recording is on ([`Spans::enable`]), sites take the recorder's short
+//! mutex — request-rate work, never per-edge work.
 //!
 //! The **flight recorder** is a fixed-size ring of completed traces,
 //! served on demand at `/debug/flight` (and `gbolt trace`), and dumped
@@ -29,12 +34,13 @@ use std::collections::{HashMap, VecDeque};
 use std::fs::File;
 use std::io::Write as _;
 use std::path::PathBuf;
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
 use graphbolt_engine::parallel::WorkCounter;
 
 use crate::laws::SplitMix64;
+use crate::telemetry::MetricsRegistry;
 
 /// Seed of the trace-id stream: fixed, so replays mint reproducible ids.
 const SPAN_SEED: u64 = 0x0000_05EE_D50F_50DA;
@@ -233,13 +239,38 @@ struct ActiveTrace {
     accum: BatchAccum,
 }
 
-/// The flight recorder proper, guarded by one process-global mutex.
+impl ActiveTrace {
+    /// A tree holding only its root span (id 1), opened at `start_ns`.
+    fn new(kind: TraceKind, root: &'static str, start_ns: u64, follows_from: Vec<u64>) -> Self {
+        Self {
+            kind,
+            start_ns,
+            next_span: 2,
+            pending: 0,
+            queue_ns: 0,
+            service_ns: 0,
+            shed: false,
+            follows_from,
+            accum: BatchAccum::default(),
+            spans: vec![SpanRecord {
+                span_id: 1,
+                parent_span_id: 0,
+                name: root,
+                start_ns,
+                end_ns: start_ns,
+                iteration: 0,
+            }],
+        }
+    }
+}
+
+/// The flight recorder proper, guarded by the recorder's mutex.
 struct Recorder {
     rng: SplitMix64,
     active: HashMap<u64, ActiveTrace>,
     ring: VecDeque<CompletedTrace>,
     capacity: usize,
-    /// Completed traces evicted from the ring since enable/reset.
+    /// Completed traces evicted from the ring.
     evicted: u64,
     last_dump: Option<&'static str>,
     critical: CriticalPathReport,
@@ -248,28 +279,15 @@ struct Recorder {
     tee: Option<File>,
     shed_window_start: Option<Instant>,
     shed_in_window: u64,
+    /// The batch trace the engine is refining under, read by the phase
+    /// attribution hook (one engine is refined by one thread at a time).
+    current_batch: TraceCtx,
 }
 
-impl Recorder {
-    fn new() -> Self {
-        Self {
-            rng: SplitMix64::new(SPAN_SEED),
-            active: HashMap::new(),
-            ring: VecDeque::new(),
-            capacity: DEFAULT_RING,
-            evicted: 0,
-            last_dump: None,
-            critical: CriticalPathReport::default(),
-            config: FlightConfig::default(),
-            tee: None,
-            shed_window_start: None,
-            shed_in_window: 0,
-        }
-    }
-}
-
-/// Global recorder state, allocated on first [`enable`].
-struct SpanState {
+/// One engine's span recorder, owned by its
+/// [`EngineStats`](crate::EngineStats) and used through [`Spans`].
+/// Creating one allocates nothing: the ring grows as traces complete.
+pub(crate) struct SpanRecorder {
     /// 1 while recording; a padded relaxed load gates every site.
     enabled: WorkCounter,
     /// Epoch every span timestamp is relative to.
@@ -277,84 +295,58 @@ struct SpanState {
     inner: Mutex<Recorder>,
 }
 
-static SPANS: OnceLock<SpanState> = OnceLock::new();
-
-std::thread_local! {
-    /// The batch trace the current thread is refining under, read by
-    /// the phase attribution hook.
-    static CURRENT_BATCH: std::cell::Cell<TraceCtx> =
-        const { std::cell::Cell::new(TraceCtx::disabled()) };
-}
-
-fn state() -> &'static SpanState {
-    SPANS.get_or_init(|| SpanState {
-        enabled: WorkCounter::new(),
-        epoch: Instant::now(),
-        inner: Mutex::new(Recorder::new()),
-    })
-}
-
-fn lock(s: &SpanState) -> MutexGuard<'_, Recorder> {
-    // lint:allow(hot-path-blocking) — every recorder site is gated
-    // behind `enabled()` (one relaxed load when tracing is off) and
-    // runs at phase/batch/request granularity, never inside the
-    // per-edge inner loops; contention is bounded by request rate.
-    match s.inner.lock() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
+impl std::fmt::Debug for SpanRecorder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SpanRecorder")
+            .field("enabled", &(self.enabled.get() != 0))
+            .finish_non_exhaustive()
     }
 }
 
-/// Turns span recording on (idempotent). The front door calls this at
-/// bind time, so live requests are traced by default; engine-only paths
-/// never enable it and pay a single branch per site.
-pub fn enable() {
-    state().enabled.set(1);
-}
+impl SpanRecorder {
+    pub(crate) fn new() -> Self {
+        Self {
+            enabled: WorkCounter::new(),
+            epoch: Instant::now(),
+            inner: Mutex::new(Recorder {
+                rng: SplitMix64::new(SPAN_SEED),
+                active: HashMap::new(),
+                ring: VecDeque::new(),
+                capacity: DEFAULT_RING,
+                evicted: 0,
+                last_dump: None,
+                critical: CriticalPathReport::default(),
+                config: FlightConfig::default(),
+                tee: None,
+                shed_window_start: None,
+                shed_in_window: 0,
+                current_batch: TraceCtx::disabled(),
+            }),
+        }
+    }
 
-/// Turns recording off. Already-recorded traces stay readable.
-pub fn disable() {
-    if let Some(s) = SPANS.get() {
-        s.enabled.set(0);
+    fn guard(&self) -> MutexGuard<'_, Recorder> {
+        // lint:allow(hot-path-blocking) — every recorder site is gated
+        // behind `enabled()` (one relaxed load when tracing is off) and
+        // runs at phase/batch/request granularity, never inside the
+        // per-edge inner loops; contention is bounded by request rate.
+        match self.inner.lock() {
+            Ok(g) => g,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
+    fn nanos(&self, t: Instant) -> u64 {
+        nanos_since(self.epoch, t)
     }
 }
 
-/// True while span recording is on. One `OnceLock` load plus one padded
-/// relaxed load — the whole cost of an unsubscribed instrumented site.
-#[inline]
-pub fn enabled() -> bool {
-    SPANS.get().is_some_and(|s| s.enabled.get() != 0)
-}
-
-/// Installs flight-recorder triggers (dump path, SLO, shed spike) and
-/// the completed-trace tee, replacing the previous configuration.
-///
-/// # Errors
-///
-/// The I/O error from creating `config.trace_out`; the previous
-/// configuration stays installed.
-pub fn configure(config: FlightConfig) -> std::io::Result<()> {
-    let tee = config.trace_out.as_ref().map(File::create).transpose()?;
-    let mut g = lock(state());
-    g.tee = tee;
-    g.config = config;
-    Ok(())
-}
-
-/// Clears every active trace, the ring, and the critical-path report
-/// (test isolation; also resets trigger windows).
-pub fn reset() {
-    if let Some(s) = SPANS.get() {
-        let mut g = lock(s);
-        g.active.clear();
-        g.ring.clear();
-        g.evicted = 0;
-        g.last_dump = None;
-        g.critical = CriticalPathReport::default();
-        g.shed_window_start = None;
-        g.shed_in_window = 0;
-    }
-    CURRENT_BATCH.with(|c| c.set(TraceCtx::disabled()));
+/// An engine's span recorder together with the registry its
+/// `graphbolt_span_*` metrics land in: the whole recording API.
+#[derive(Debug, Clone, Copy)]
+pub struct Spans<'a> {
+    rec: &'a SpanRecorder,
+    metrics: &'a MetricsRegistry,
 }
 
 fn nanos_since(epoch: Instant, t: Instant) -> u64 {
@@ -376,451 +368,485 @@ fn hash_request_id(id: &str) -> u64 {
     }
 }
 
-/// Mints a trace at the front door: honors `request_id` when the client
-/// sent one, else draws from the seeded stream. The returned context
-/// parents all of the request's child spans under the root (span 1).
-/// Returns the disabled context when recording is off.
-pub fn mint(request_id: Option<&str>) -> TraceCtx {
-    if !enabled() {
-        return TraceCtx::disabled();
+impl<'a> Spans<'a> {
+    pub(crate) fn new(rec: &'a SpanRecorder, metrics: &'a MetricsRegistry) -> Self {
+        Self { rec, metrics }
     }
-    let s = state();
-    let now = Instant::now();
-    let start_ns = nanos_since(s.epoch, now);
-    let mut g = lock(s);
-    let trace_id = match request_id {
-        Some(id) => hash_request_id(id),
-        None => {
-            let draw = g.rng.next_u64();
-            if draw == 0 {
-                1
-            } else {
-                draw
+
+    /// Turns span recording on (idempotent). The front door calls this at
+    /// bind time, so live requests are traced by default; engine-only
+    /// paths never enable it and pay a single branch per site.
+    pub fn enable(self) {
+        self.rec.enabled.set(1);
+    }
+
+    /// Turns recording off. Already-recorded traces stay readable.
+    pub fn disable(self) {
+        self.rec.enabled.set(0);
+    }
+
+    /// True while span recording is on. One padded relaxed load — the
+    /// whole cost of an unsubscribed instrumented site.
+    #[inline]
+    pub fn enabled(self) -> bool {
+        self.rec.enabled.get() != 0
+    }
+
+    /// Installs flight-recorder triggers (dump path, SLO, shed spike) and
+    /// the completed-trace tee, replacing the previous configuration.
+    ///
+    /// # Errors
+    ///
+    /// The I/O error from creating `config.trace_out`; the previous
+    /// configuration stays installed.
+    pub fn configure(self, config: FlightConfig) -> std::io::Result<()> {
+        let tee = config.trace_out.as_ref().map(File::create).transpose()?;
+        let mut g = self.rec.guard();
+        g.tee = tee;
+        g.config = config;
+        Ok(())
+    }
+
+    /// Mints a trace at the front door: honors `request_id` when the
+    /// client sent one, else draws from the seeded stream. The returned
+    /// context parents all of the request's child spans under the root
+    /// (span 1). Returns the disabled context when recording is off.
+    pub fn mint(self, request_id: Option<&str>) -> TraceCtx {
+        if !self.enabled() {
+            return TraceCtx::disabled();
+        }
+        let start_ns = self.rec.nanos(Instant::now());
+        let mut g = self.rec.guard();
+        let trace_id = match request_id {
+            Some(id) => hash_request_id(id),
+            None => {
+                let draw = g.rng.next_u64();
+                if draw == 0 {
+                    1
+                } else {
+                    draw
+                }
+            }
+        };
+        // A client reusing an in-flight request id restarts its trace;
+        // the old tree is flushed to the ring rather than silently lost.
+        if let Some(stale) = g.active.remove(&trace_id) {
+            self.finish_into_ring(&mut g, trace_id, stale, "superseded", start_ns);
+        }
+        g.active.insert(
+            trace_id,
+            ActiveTrace::new(TraceKind::Request, "request", start_ns, Vec::new()),
+        );
+        TraceCtx {
+            trace_id,
+            parent_span_id: 1,
+        }
+    }
+
+    /// Records one completed child span under `ctx`'s parent span.
+    /// Unknown trace ids count into `graphbolt_span_orphans_total` — a
+    /// span that outlived (or never had) its tree is a bug worth
+    /// surfacing.
+    pub fn child(self, ctx: TraceCtx, name: &'static str, start: Instant, end: Instant) {
+        if !self.enabled() || !ctx.is_active() {
+            return;
+        }
+        let span = (self.rec.nanos(start), self.rec.nanos(end));
+        self.push_span(&mut self.rec.guard(), ctx, name, span, 0);
+    }
+
+    /// Appends one span to `ctx`'s live tree and returns the tree; an
+    /// unknown trace counts as an orphan instead.
+    fn push_span<'g>(
+        self,
+        g: &'g mut Recorder,
+        ctx: TraceCtx,
+        name: &'static str,
+        (start_ns, end_ns): (u64, u64),
+        iteration: u64,
+    ) -> Option<&'g mut ActiveTrace> {
+        let Some(t) = g.active.get_mut(&ctx.trace_id) else {
+            self.metrics.span_orphans.inc();
+            return None;
+        };
+        let span_id = t.next_span;
+        t.next_span += 1;
+        t.spans.push(SpanRecord {
+            span_id,
+            parent_span_id: ctx.parent_span_id,
+            name,
+            start_ns,
+            end_ns,
+            iteration,
+        });
+        Some(t)
+    }
+
+    /// Notes one mutation enqueued under `ctx`: the request tree stays
+    /// open until a matching [`Spans::queue_service`] or [`Spans::shed`]
+    /// lands for each.
+    pub fn note_enqueued(self, ctx: TraceCtx) {
+        if !self.enabled() || !ctx.is_active() {
+            return;
+        }
+        if let Some(t) = self.rec.guard().active.get_mut(&ctx.trace_id) {
+            t.pending += 1;
+        }
+    }
+
+    /// Records the queue-wait and service spans of one mutation that just
+    /// became visible, and completes the request tree when it was the
+    /// last outstanding one. Also feeds `graphbolt_span_queue_ns` /
+    /// `graphbolt_span_service_ns` and arms the SLO dump trigger.
+    pub fn queue_service(
+        self,
+        ctx: TraceCtx,
+        submitted: Instant,
+        dequeued: Instant,
+        visible: Instant,
+    ) {
+        if !self.enabled() || !ctx.is_active() {
+            return;
+        }
+        let sub_ns = self.rec.nanos(submitted);
+        let deq_ns = self.rec.nanos(dequeued);
+        let vis_ns = self.rec.nanos(visible);
+        let queue_ns = deq_ns.saturating_sub(sub_ns);
+        let service_ns = vis_ns.saturating_sub(deq_ns);
+        self.metrics.span_queue_ns.record(queue_ns);
+        self.metrics.span_service_ns.record(service_ns);
+        let mut g = self.rec.guard();
+        let Some(t) = g.active.get_mut(&ctx.trace_id) else {
+            return; // trace abandoned earlier; not an orphan span
+        };
+        let queue_id = t.next_span;
+        t.next_span += 2;
+        t.spans.push(SpanRecord {
+            span_id: queue_id,
+            parent_span_id: ctx.parent_span_id,
+            name: "queue",
+            start_ns: sub_ns,
+            end_ns: deq_ns,
+            iteration: 0,
+        });
+        t.spans.push(SpanRecord {
+            span_id: queue_id + 1,
+            parent_span_id: ctx.parent_span_id,
+            name: "service",
+            start_ns: deq_ns,
+            end_ns: vis_ns,
+            iteration: 0,
+        });
+        t.queue_ns = t.queue_ns.saturating_add(queue_ns);
+        t.service_ns = t.service_ns.saturating_add(service_ns);
+        t.pending = t.pending.saturating_sub(1);
+        if t.pending == 0 {
+            if let Some(done) = g.active.remove(&ctx.trace_id) {
+                self.finish_into_ring(&mut g, ctx.trace_id, done, "ok", vis_ns);
+                self.maybe_slo_dump(&mut g, vis_ns.saturating_sub(sub_ns));
             }
         }
-    };
-    // A client reusing an in-flight request id restarts its trace; the
-    // old tree is flushed to the ring rather than silently lost.
-    if let Some(stale) = g.active.remove(&trace_id) {
-        finish_into_ring(&mut g, trace_id, stale, "superseded", start_ns);
     }
-    g.active.insert(
-        trace_id,
-        ActiveTrace {
-            kind: TraceKind::Request,
-            start_ns,
-            next_span: 2,
-            pending: 0,
-            queue_ns: 0,
-            service_ns: 0,
-            shed: false,
-            follows_from: Vec::new(),
-            accum: BatchAccum::default(),
-            spans: vec![SpanRecord {
-                span_id: 1,
-                parent_span_id: 0,
-                name: "request",
-                start_ns,
-                end_ns: start_ns,
-                iteration: 0,
-            }],
-        },
+
+    /// Records a shed (deadline or admission) against `ctx` and completes
+    /// the tree. Also advances the shed-spike dump trigger.
+    pub fn shed(self, ctx: TraceCtx, stage: &'static str) {
+        if !self.enabled() {
+            return;
+        }
+        let now_ns = self.rec.nanos(Instant::now());
+        let mut g = self.rec.guard();
+        self.note_shed_spike(&mut g);
+        if !ctx.is_active() {
+            return;
+        }
+        let Some(mut t) = g.active.remove(&ctx.trace_id) else {
+            return;
+        };
+        let span_id = t.next_span;
+        t.next_span += 1;
+        t.spans.push(SpanRecord {
+            span_id,
+            parent_span_id: ctx.parent_span_id,
+            name: stage,
+            start_ns: now_ns,
+            end_ns: now_ns,
+            iteration: 0,
+        });
+        t.shed = true;
+        t.pending = t.pending.saturating_sub(1);
+        if t.pending == 0 {
+            self.finish_into_ring(&mut g, ctx.trace_id, t, "shed", now_ns);
+        } else {
+            g.active.insert(ctx.trace_id, t);
+        }
+    }
+
+    /// Force-completes `ctx`'s tree now with `status` (query success,
+    /// parse failure, session error, quarantine). A no-op for unknown
+    /// traces — the tree may have completed through the visibility path
+    /// already.
+    pub fn complete(self, ctx: TraceCtx, status: &'static str) {
+        if !self.enabled() || !ctx.is_active() {
+            return;
+        }
+        let now_ns = self.rec.nanos(Instant::now());
+        let mut g = self.rec.guard();
+        if let Some(t) = g.active.remove(&ctx.trace_id) {
+            self.finish_into_ring(&mut g, ctx.trace_id, t, status, now_ns);
+            if status == "quarantined" {
+                self.dump(&mut g, "quarantine");
+            }
+        }
+    }
+
+    /// Opens a batch trace serving the given request contexts; its root
+    /// records follows-from links to each (fan-in is causality, not
+    /// parentage). The new context also becomes the engine's current
+    /// batch, so phase samples attribute to it. Returns the disabled
+    /// context when recording is off.
+    pub fn begin_batch(self, follows: &[TraceCtx]) -> TraceCtx {
+        if !self.enabled() {
+            return TraceCtx::disabled();
+        }
+        let start_ns = self.rec.nanos(Instant::now());
+        let mut g = self.rec.guard();
+        let draw = g.rng.next_u64();
+        let trace_id = if draw == 0 { 1 } else { draw };
+        // Dedup: a batch request contributes one mutation per edge but
+        // all on the same trace; the fan-in link is per *request*, not
+        // per edge.
+        let mut follows_from: Vec<u64> = follows
+            .iter()
+            .filter(|c| c.is_active())
+            .map(|c| c.trace_id)
+            .collect();
+        follows_from.sort_unstable();
+        follows_from.dedup();
+        g.active.insert(
+            trace_id,
+            ActiveTrace::new(TraceKind::Batch, "refine_batch", start_ns, follows_from),
         );
-    TraceCtx {
-        trace_id,
-        parent_span_id: 1,
+        let ctx = TraceCtx {
+            trace_id,
+            parent_span_id: 1,
+        };
+        g.current_batch = ctx;
+        ctx
     }
-}
 
-/// Records one completed child span under `ctx`'s parent span. Unknown
-/// trace ids count into `graphbolt_span_orphans_total` — a span that
-/// outlived (or never had) its tree is a bug worth surfacing.
-pub fn child(ctx: TraceCtx, name: &'static str, start: Instant, end: Instant) {
-    child_at(ctx, name, start, end, 0);
-}
+    /// Records one phase timing that just ended (`structure`, or `tag` /
+    /// `propagate` / `apply` of refinement iteration `iteration`) against
+    /// the engine's current batch: a phase span plus the critical-path
+    /// accumulator.
+    pub fn batch_phase(self, iteration: u64, phase: &'static str, nanos: u64) {
+        if !self.enabled() {
+            return;
+        }
+        let end_ns = self.rec.nanos(Instant::now());
+        let mut g = self.rec.guard();
+        let ctx = g.current_batch;
+        if !ctx.is_active() {
+            return;
+        }
+        let span = (end_ns.saturating_sub(nanos), end_ns);
+        let Some(t) = self.push_span(&mut g, ctx, phase, span, iteration) else {
+            return;
+        };
+        let slot = match phase {
+            "structure" => &mut t.accum.structure_ns,
+            "tag" => &mut t.accum.tag_ns,
+            "propagate" => &mut t.accum.propagate_ns,
+            _ => &mut t.accum.apply_ns,
+        };
+        *slot = slot.saturating_add(nanos);
+    }
 
-/// [`child`] with an iteration tag (refinement phase spans).
-pub fn child_at(
-    ctx: TraceCtx,
-    name: &'static str,
-    start: Instant,
-    end: Instant,
-    iteration: u64,
-) {
-    if !enabled() || !ctx.is_active() {
-        return;
-    }
-    let s = state();
-    let start_ns = nanos_since(s.epoch, start);
-    let end_ns = nanos_since(s.epoch, end);
-    let mut g = lock(s);
-    let Some(t) = g.active.get_mut(&ctx.trace_id) else {
-        drop(g);
-        crate::telemetry::metrics().span_orphans.inc();
-        return;
-    };
-    let span_id = t.next_span;
-    t.next_span += 1;
-    t.spans.push(SpanRecord {
-        span_id,
-        parent_span_id: ctx.parent_span_id,
-        name,
-        start_ns,
-        end_ns,
-        iteration,
-    });
-}
-
-/// Notes one mutation enqueued under `ctx`: the request tree stays open
-/// until a matching [`queue_service`] or [`shed`] lands for each.
-pub fn note_enqueued(ctx: TraceCtx) {
-    if !enabled() || !ctx.is_active() {
-        return;
-    }
-    let s = state();
-    let mut g = lock(s);
-    if let Some(t) = g.active.get_mut(&ctx.trace_id) {
-        t.pending += 1;
-    }
-}
-
-/// Records the queue-wait and service spans of one mutation that just
-/// became visible, and completes the request tree when it was the last
-/// outstanding one. Also feeds `graphbolt_span_queue_ns` /
-/// `graphbolt_span_service_ns` and arms the SLO dump trigger.
-pub fn queue_service(ctx: TraceCtx, submitted: Instant, dequeued: Instant, visible: Instant) {
-    if !enabled() || !ctx.is_active() {
-        return;
-    }
-    let s = state();
-    let sub_ns = nanos_since(s.epoch, submitted);
-    let deq_ns = nanos_since(s.epoch, dequeued);
-    let vis_ns = nanos_since(s.epoch, visible);
-    let queue_ns = deq_ns.saturating_sub(sub_ns);
-    let service_ns = vis_ns.saturating_sub(deq_ns);
-    let m = crate::telemetry::metrics();
-    m.span_queue_ns.record(queue_ns);
-    m.span_service_ns.record(service_ns);
-    let mut g = lock(s);
-    let Some(t) = g.active.get_mut(&ctx.trace_id) else {
-        return; // trace abandoned earlier; not an orphan span
-    };
-    let queue_id = t.next_span;
-    t.next_span += 2;
-    t.spans.push(SpanRecord {
-        span_id: queue_id,
-        parent_span_id: ctx.parent_span_id,
-        name: "queue",
-        start_ns: sub_ns,
-        end_ns: deq_ns,
-        iteration: 0,
-    });
-    t.spans.push(SpanRecord {
-        span_id: queue_id + 1,
-        parent_span_id: ctx.parent_span_id,
-        name: "service",
-        start_ns: deq_ns,
-        end_ns: vis_ns,
-        iteration: 0,
-    });
-    t.queue_ns = t.queue_ns.saturating_add(queue_ns);
-    t.service_ns = t.service_ns.saturating_add(service_ns);
-    t.pending = t.pending.saturating_sub(1);
-    if t.pending == 0 {
-        if let Some(done) = g.active.remove(&ctx.trace_id) {
-            finish_into_ring(&mut g, ctx.trace_id, done, "ok", vis_ns);
-            maybe_slo_dump(&mut g, vis_ns.saturating_sub(sub_ns));
+    /// Records the post-batch checkpoint span against the batch trace.
+    pub fn batch_checkpoint(self, ctx: TraceCtx, start: Instant, end: Instant) {
+        if !self.enabled() || !ctx.is_active() {
+            return;
+        }
+        let (start_ns, end_ns) = (self.rec.nanos(start), self.rec.nanos(end));
+        let mut g = self.rec.guard();
+        if let Some(t) = self.push_span(&mut g, ctx, "checkpoint", (start_ns, end_ns), 0) {
+            t.accum.checkpoint_ns = t.accum.checkpoint_ns.saturating_add(end_ns - start_ns);
         }
     }
-}
 
-/// Records a shed (deadline or admission) against `ctx` and completes
-/// the tree. Also advances the shed-spike dump trigger.
-pub fn shed(ctx: TraceCtx, stage: &'static str) {
-    let on = enabled();
-    if on {
-        note_shed_spike();
-    }
-    if !on || !ctx.is_active() {
-        return;
-    }
-    let s = state();
-    let now = Instant::now();
-    let now_ns = nanos_since(s.epoch, now);
-    let mut g = lock(s);
-    let Some(mut t) = g.active.remove(&ctx.trace_id) else {
-        return;
-    };
-    let span_id = t.next_span;
-    t.next_span += 1;
-    t.spans.push(SpanRecord {
-        span_id,
-        parent_span_id: ctx.parent_span_id,
-        name: stage,
-        start_ns: now_ns,
-        end_ns: now_ns,
-        iteration: 0,
-    });
-    t.shed = true;
-    t.pending = t.pending.saturating_sub(1);
-    if t.pending == 0 {
-        finish_into_ring(&mut g, ctx.trace_id, t, "shed", now_ns);
-    } else {
-        g.active.insert(ctx.trace_id, t);
-    }
-}
-
-/// Force-completes `ctx`'s tree now with `status` (query success, parse
-/// failure, session error, quarantine). A no-op for unknown traces —
-/// the tree may have completed through the visibility path already.
-pub fn complete(ctx: TraceCtx, status: &'static str) {
-    if !enabled() || !ctx.is_active() {
-        return;
-    }
-    let s = state();
-    let now_ns = nanos_since(s.epoch, Instant::now());
-    let mut g = lock(s);
-    if let Some(t) = g.active.remove(&ctx.trace_id) {
-        finish_into_ring(&mut g, ctx.trace_id, t, status, now_ns);
+    /// Closes a batch trace: publishes the per-batch critical-path
+    /// report, updates the `graphbolt_span_*` summary metrics, and clears
+    /// the engine's current batch. `status` is `ok`, `degraded` or
+    /// `quarantined`.
+    pub fn end_batch(self, ctx: TraceCtx, status: &'static str) {
+        if !ctx.is_active() {
+            return;
+        }
+        let now_ns = self.rec.nanos(Instant::now());
+        let mut g = self.rec.guard();
+        g.current_batch = TraceCtx::disabled();
+        let Some(t) = g.active.remove(&ctx.trace_id) else {
+            return;
+        };
+        let report = CriticalPathReport {
+            batches: g.critical.batches + 1,
+            trace_id: ctx.trace_id,
+            total_ns: now_ns.saturating_sub(t.start_ns),
+            structure_ns: t.accum.structure_ns,
+            tag_ns: t.accum.tag_ns,
+            propagate_ns: t.accum.propagate_ns,
+            apply_ns: t.accum.apply_ns,
+            fan_in: t.follows_from.len() as u64,
+            checkpoint_ns: t.accum.checkpoint_ns,
+        };
+        self.metrics
+            .span_critical_phase
+            .set(report.dominant_phase_index());
+        g.critical = report;
+        self.finish_into_ring(&mut g, ctx.trace_id, t, status, now_ns);
         if status == "quarantined" {
-            dump(&mut g, "quarantine");
+            self.dump(&mut g, "quarantine");
         }
     }
-}
 
-/// Opens a batch trace serving the given request contexts; its root
-/// records follows-from links to each (fan-in is causality, not
-/// parentage). The new context also becomes the calling thread's
-/// current batch, so phase samples attribute to it.
-/// Returns the disabled context when recording is off.
-pub fn begin_batch(follows: &[TraceCtx]) -> TraceCtx {
-    if !enabled() {
-        return TraceCtx::disabled();
+    /// Moves one active trace into the ring as completed, teeing it to
+    /// the `trace_out` file when one is configured. Write errors are
+    /// dropped: trace output must never take down the session it
+    /// observes.
+    fn finish_into_ring(
+        self,
+        g: &mut Recorder,
+        trace_id: u64,
+        mut t: ActiveTrace,
+        status: &'static str,
+        end_ns: u64,
+    ) {
+        if let Some(root) = t.spans.first_mut() {
+            root.end_ns = end_ns.max(root.start_ns);
+        }
+        let completed = CompletedTrace {
+            trace_id,
+            kind: t.kind,
+            status,
+            queue_ns: t.queue_ns,
+            service_ns: t.service_ns,
+            total_ns: end_ns.saturating_sub(t.start_ns),
+            follows_from: t.follows_from,
+            spans: t.spans,
+        };
+        if let Some(f) = &mut g.tee {
+            let _ = writeln!(f, "{}", trace_json(&completed, None));
+        }
+        if g.ring.len() == g.capacity {
+            g.ring.pop_front();
+            g.evicted += 1;
+        }
+        g.ring.push_back(completed);
+        self.metrics.span_trees_completed.inc();
     }
-    let s = state();
-    let now = Instant::now();
-    let start_ns = nanos_since(s.epoch, now);
-    let mut g = lock(s);
-    let draw = g.rng.next_u64();
-    let trace_id = if draw == 0 { 1 } else { draw };
-    // Dedup: a batch request contributes one mutation per edge but all
-    // on the same trace; the fan-in link is per *request*, not per edge.
-    let mut follows_from: Vec<u64> = follows
-        .iter()
-        .filter(|c| c.is_active())
-        .map(|c| c.trace_id)
-        .collect();
-    follows_from.sort_unstable();
-    follows_from.dedup();
-    g.active.insert(
-        trace_id,
-        ActiveTrace {
-            kind: TraceKind::Batch,
-            start_ns,
-            next_span: 2,
-            pending: 0,
-            queue_ns: 0,
-            service_ns: 0,
-            shed: false,
-            follows_from,
-            accum: BatchAccum::default(),
-            spans: vec![SpanRecord {
-                span_id: 1,
-                parent_span_id: 0,
-                name: "refine_batch",
-                start_ns,
-                end_ns: start_ns,
-                iteration: 0,
-            }],
-        },
-    );
-    drop(g);
-    let ctx = TraceCtx {
-        trace_id,
-        parent_span_id: 1,
-    };
-    CURRENT_BATCH.with(|c| c.set(ctx));
-    ctx
-}
 
-/// The batch trace the calling thread is currently refining under.
-pub fn current_batch() -> TraceCtx {
-    if !enabled() {
-        return TraceCtx::disabled();
+    /// SLO-breach trigger: a completing request blew the configured
+    /// budget.
+    fn maybe_slo_dump(self, g: &mut Recorder, total_ns: u64) {
+        if g.config.slo_ns.is_some_and(|slo| total_ns > slo) {
+            self.dump(g, "slo_breach");
+        }
     }
-    CURRENT_BATCH.with(std::cell::Cell::get)
-}
 
-/// Records one phase timing that just ended (`structure`, or `tag` /
-/// `propagate` / `apply` of refinement iteration `iteration`) against
-/// the thread's current batch: a phase span plus the critical-path
-/// accumulator.
-pub fn batch_phase(iteration: u64, phase: &'static str, nanos: u64) {
-    let ctx = current_batch();
-    if !ctx.is_active() {
-        return;
+    /// Shed-spike trigger bookkeeping, shared by every shed site.
+    fn note_shed_spike(self, g: &mut Recorder) {
+        if g.config.shed_spike == 0 {
+            return;
+        }
+        let now = Instant::now();
+        let fresh = match g.shed_window_start {
+            Some(start) => nanos_since(start, now) > SHED_WINDOW_NS,
+            None => true,
+        };
+        if fresh {
+            g.shed_window_start = Some(now);
+            g.shed_in_window = 0;
+        }
+        g.shed_in_window += 1;
+        if g.shed_in_window == g.config.shed_spike {
+            self.dump(g, "shed_spike");
+        }
     }
-    let s = state();
-    let now = Instant::now();
-    let end_ns = nanos_since(s.epoch, now);
-    let start_ns = end_ns.saturating_sub(nanos);
-    let mut g = lock(s);
-    let Some(t) = g.active.get_mut(&ctx.trace_id) else {
-        drop(g);
-        crate::telemetry::metrics().span_orphans.inc();
-        return;
-    };
-    let span_id = t.next_span;
-    t.next_span += 1;
-    t.spans.push(SpanRecord {
-        span_id,
-        parent_span_id: ctx.parent_span_id,
-        name: phase,
-        start_ns,
-        end_ns,
-        iteration,
-    });
-    match phase {
-        "structure" => t.accum.structure_ns = t.accum.structure_ns.saturating_add(nanos),
-        "tag" => t.accum.tag_ns = t.accum.tag_ns.saturating_add(nanos),
-        "propagate" => t.accum.propagate_ns = t.accum.propagate_ns.saturating_add(nanos),
-        _ => t.accum.apply_ns = t.accum.apply_ns.saturating_add(nanos),
-    }
-}
 
-/// Records the post-batch checkpoint span against the batch trace.
-pub fn batch_checkpoint(ctx: TraceCtx, start: Instant, end: Instant) {
-    if !enabled() || !ctx.is_active() {
-        return;
+    /// Appends the ring to the configured dump path as JSONL (one trace
+    /// per line, tagged with the trigger). No path configured → the
+    /// trigger is still counted in `last_dump` and the metrics, so
+    /// operators see that a dump-worthy condition occurred.
+    fn dump(self, g: &mut Recorder, reason: &'static str) {
+        g.last_dump = Some(reason);
+        self.metrics.span_flight_dumps.inc();
+        let Some(path) = g.config.dump_path.clone() else {
+            return;
+        };
+        // lint:allow(deadline-propagation) — dumps fire only on rare
+        // trigger conditions (quarantine, SLO breach, shed spike) and
+        // append a bounded ring (≤ capacity traces) to a local file; the
+        // one-off append is the flight recorder's documented trade-off.
+        let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(&path) else {
+            return;
+        };
+        for trace in &g.ring {
+            let _ = writeln!(f, "{}", trace_json(trace, Some(reason)));
+        }
     }
-    let s = state();
-    let nanos = nanos_since(s.epoch, end).saturating_sub(nanos_since(s.epoch, start));
-    child(ctx, "checkpoint", start, end);
-    let mut g = lock(s);
-    if let Some(t) = g.active.get_mut(&ctx.trace_id) {
-        t.accum.checkpoint_ns = t.accum.checkpoint_ns.saturating_add(nanos);
-    }
-}
 
-/// Closes a batch trace: publishes the per-batch critical-path report,
-/// updates the `graphbolt_span_*` summary metrics, and clears the
-/// thread's current batch. `status` is `ok`, `degraded` or
-/// `quarantined`.
-pub fn end_batch(ctx: TraceCtx, status: &'static str) {
-    CURRENT_BATCH.with(|c| c.set(TraceCtx::disabled()));
-    if !enabled() || !ctx.is_active() {
-        return;
+    /// Copies out the flight recorder's completed traces, oldest first.
+    pub fn flight_traces(self) -> Vec<CompletedTrace> {
+        self.rec.guard().ring.iter().cloned().collect()
     }
-    let s = state();
-    let now_ns = nanos_since(s.epoch, Instant::now());
-    let mut g = lock(s);
-    let Some(t) = g.active.remove(&ctx.trace_id) else {
-        return;
-    };
-    let report = CriticalPathReport {
-        batches: g.critical.batches + 1,
-        trace_id: ctx.trace_id,
-        total_ns: now_ns.saturating_sub(t.start_ns),
-        structure_ns: t.accum.structure_ns,
-        tag_ns: t.accum.tag_ns,
-        propagate_ns: t.accum.propagate_ns,
-        apply_ns: t.accum.apply_ns,
-        fan_in: t.follows_from.len() as u64,
-        checkpoint_ns: t.accum.checkpoint_ns,
-    };
-    crate::telemetry::metrics()
-        .span_critical_phase
-        .set(report.dominant_phase_index());
-    g.critical = report;
-    finish_into_ring(&mut g, ctx.trace_id, t, status, now_ns);
-    if status == "quarantined" {
-        dump(&mut g, "quarantine");
-    }
-}
 
-/// Moves one active trace into the ring as completed, teeing it to the
-/// `trace_out` file when one is configured. Write errors are dropped:
-/// trace output must never take down the session it observes.
-fn finish_into_ring(
-    g: &mut Recorder,
-    trace_id: u64,
-    mut t: ActiveTrace,
-    status: &'static str,
-    end_ns: u64,
-) {
-    if let Some(root) = t.spans.first_mut() {
-        root.end_ns = end_ns.max(root.start_ns);
+    /// The latest critical-path report (`batches == 0` when empty).
+    pub fn critical_report(self) -> CriticalPathReport {
+        self.rec.guard().critical.clone()
     }
-    let total_ns = end_ns.saturating_sub(t.start_ns);
-    let completed = CompletedTrace {
-        trace_id,
-        kind: t.kind,
-        status,
-        queue_ns: t.queue_ns,
-        service_ns: t.service_ns,
-        total_ns,
-        follows_from: t.follows_from,
-        spans: t.spans,
-    };
-    if let Some(f) = &mut g.tee {
-        let _ = writeln!(f, "{}", trace_json(&completed, None));
-    }
-    if g.ring.len() == g.capacity {
-        g.ring.pop_front();
-        g.evicted += 1;
-    }
-    g.ring.push_back(completed);
-    crate::telemetry::metrics().span_trees_completed.inc();
-}
 
-/// SLO-breach trigger: a completing request blew the configured budget.
-fn maybe_slo_dump(g: &mut Recorder, total_ns: u64) {
-    if g.config.slo_ns.is_some_and(|slo| total_ns > slo) {
-        dump(g, "slo_breach");
+    /// The `/debug/flight` JSON body: the ring plus bookkeeping the CI
+    /// overload gate asserts on (orphan count, evictions, last dump).
+    pub fn flight_json(self) -> String {
+        let g = self.rec.guard();
+        let mut s = String::with_capacity(1024);
+        s.push_str("{\"traces\":[");
+        for (i, t) in g.ring.iter().enumerate() {
+            if i > 0 {
+                s.push(',');
+            }
+            s.push_str(&trace_json(t, None));
+        }
+        s.push_str(&format!(
+            "],\"orphans\":{},\"evicted\":{},\"last_dump\":",
+            self.metrics.span_orphans.get(),
+            g.evicted
+        ));
+        match g.last_dump {
+            Some(reason) => s.push_str(&format!("\"{reason}\"")),
+            None => s.push_str("null"),
+        }
+        s.push('}');
+        s
     }
-}
 
-/// Shed-spike trigger bookkeeping, shared by every shed site.
-fn note_shed_spike() {
-    let s = state();
-    let now = Instant::now();
-    let mut g = lock(s);
-    if g.config.shed_spike == 0 {
-        return;
-    }
-    let fresh = match g.shed_window_start {
-        Some(start) => nanos_since(start, now) > SHED_WINDOW_NS,
-        None => true,
-    };
-    if fresh {
-        g.shed_window_start = Some(now);
-        g.shed_in_window = 0;
-    }
-    g.shed_in_window += 1;
-    if g.shed_in_window == g.config.shed_spike {
-        dump(&mut g, "shed_spike");
-    }
-}
-
-/// Appends the ring to the configured dump path as JSONL (one trace per
-/// line, tagged with the trigger). No path configured → the trigger is
-/// still counted in `last_dump` and the metrics, so operators see that
-/// a dump-worthy condition occurred.
-fn dump(g: &mut Recorder, reason: &'static str) {
-    g.last_dump = Some(reason);
-    crate::telemetry::metrics().span_flight_dumps.inc();
-    let Some(path) = g.config.dump_path.clone() else {
-        return;
-    };
-    // lint:allow(deadline-propagation) — dumps fire only on rare
-    // trigger conditions (quarantine, SLO breach, shed spike) and
-    // append a bounded ring (≤ capacity traces) to a local file; the
-    // one-off append is the flight recorder's documented trade-off.
-    let Ok(mut f) = std::fs::OpenOptions::new().create(true).append(true).open(&path) else {
-        return;
-    };
-    for trace in &g.ring {
-        let _ = writeln!(f, "{}", trace_json(trace, Some(reason)));
+    /// The `/debug/critical` JSON body: the latest per-batch critical
+    /// path.
+    pub fn critical_json(self) -> String {
+        let r = self.critical_report();
+        format!(
+            "{{\"batches\":{},\"trace_id\":{},\"total_ns\":{},\"structure_ns\":{},\"tag_ns\":{},\"propagate_ns\":{},\"apply_ns\":{},\"dominant_phase\":\"{}\",\"fan_in\":{},\"checkpoint_ns\":{}}}",
+            r.batches,
+            r.trace_id,
+            r.total_ns,
+            r.structure_ns,
+            r.tag_ns,
+            r.propagate_ns,
+            r.apply_ns,
+            r.dominant_phase(),
+            r.fan_in,
+            r.checkpoint_ns,
+        )
     }
 }
 
@@ -865,123 +891,58 @@ fn trace_json(t: &CompletedTrace, dump_reason: Option<&str>) -> String {
     s
 }
 
-/// Copies out the flight recorder's completed traces, oldest first.
-pub fn flight_traces() -> Vec<CompletedTrace> {
-    match SPANS.get() {
-        Some(s) => lock(s).ring.iter().cloned().collect(),
-        None => Vec::new(),
-    }
-}
-
-/// The latest critical-path report (`batches == 0` when empty).
-pub fn critical_report() -> CriticalPathReport {
-    match SPANS.get() {
-        Some(s) => lock(s).critical.clone(),
-        None => CriticalPathReport::default(),
-    }
-}
-
-/// The `/debug/flight` JSON body: the ring plus bookkeeping the CI
-/// overload gate asserts on (orphan count, evictions, last dump).
-pub fn flight_json() -> String {
-    let (traces, evicted, last_dump) = match SPANS.get() {
-        Some(s) => {
-            let g = lock(s);
-            (
-                g.ring.iter().cloned().collect::<Vec<_>>(),
-                g.evicted,
-                g.last_dump,
-            )
-        }
-        None => (Vec::new(), 0, None),
-    };
-    let orphans = crate::telemetry::metrics().span_orphans.get();
-    let mut s = String::with_capacity(1024);
-    s.push_str("{\"traces\":[");
-    for (i, t) in traces.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&trace_json(t, None));
-    }
-    s.push_str(&format!(
-        "],\"orphans\":{orphans},\"evicted\":{evicted},\"last_dump\":"
-    ));
-    match last_dump {
-        Some(reason) => s.push_str(&format!("\"{reason}\"")),
-        None => s.push_str("null"),
-    }
-    s.push('}');
-    s
-}
-
-/// The `/debug/critical` JSON body: the latest per-batch critical path.
-pub fn critical_json() -> String {
-    let r = critical_report();
-    format!(
-        "{{\"batches\":{},\"trace_id\":{},\"total_ns\":{},\"structure_ns\":{},\"tag_ns\":{},\"propagate_ns\":{},\"apply_ns\":{},\"dominant_phase\":\"{}\",\"fan_in\":{},\"checkpoint_ns\":{}}}",
-        r.batches,
-        r.trace_id,
-        r.total_ns,
-        r.structure_ns,
-        r.tag_ns,
-        r.propagate_ns,
-        r.apply_ns,
-        r.dominant_phase(),
-        r.fan_in,
-        r.checkpoint_ns,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::time::Duration;
 
-    fn setup() -> std::sync::MutexGuard<'static, ()> {
-        let guard = crate::telemetry::test_trace_lock();
-        enable();
-        reset();
-        guard
+    /// A fresh engine handle with recording on.
+    fn setup() -> crate::EngineStats {
+        let stats = crate::EngineStats::new();
+        stats.spans().enable();
+        stats
     }
 
     #[test]
     fn disabled_context_records_nothing() {
-        let _g = setup();
-        disable();
-        let ctx = mint(None);
+        let stats = setup();
+        let sp = stats.spans();
+        sp.disable();
+        let ctx = sp.mint(None);
         assert!(!ctx.is_active());
-        child(ctx, "admit", Instant::now(), Instant::now());
-        enable();
-        assert!(flight_traces().is_empty());
+        sp.child(ctx, "admit", Instant::now(), Instant::now());
+        sp.enable();
+        assert!(sp.flight_traces().is_empty());
     }
 
     #[test]
     fn request_id_header_is_honored_and_stable() {
-        let _g = setup();
-        let a = mint(Some("req-7"));
-        complete(a, "ok");
-        let b = mint(Some("req-7"));
-        complete(b, "ok");
+        let stats = setup();
+        let sp = stats.spans();
+        let a = sp.mint(Some("req-7"));
+        sp.complete(a, "ok");
+        let b = sp.mint(Some("req-7"));
+        sp.complete(b, "ok");
         assert_eq!(a.trace_id, b.trace_id);
         assert_ne!(a.trace_id, 0);
-        let c = mint(Some("req-8"));
-        complete(c, "ok");
+        let c = sp.mint(Some("req-8"));
+        sp.complete(c, "ok");
         assert_ne!(c.trace_id, a.trace_id);
     }
 
     #[test]
     fn queue_and_service_complete_a_rooted_tree() {
-        let _g = setup();
-        let ctx = mint(None);
+        let stats = setup();
+        let sp = stats.spans();
+        let ctx = sp.mint(None);
         let t0 = Instant::now();
-        child(ctx, "admit", t0, t0 + Duration::from_micros(5));
-        note_enqueued(ctx);
+        sp.child(ctx, "admit", t0, t0 + Duration::from_micros(5));
+        sp.note_enqueued(ctx);
         let submitted = t0 + Duration::from_micros(10);
         let dequeued = submitted + Duration::from_micros(40);
         let visible = dequeued + Duration::from_micros(100);
-        queue_service(ctx, submitted, dequeued, visible);
-        let traces = flight_traces();
+        sp.queue_service(ctx, submitted, dequeued, visible);
+        let traces = sp.flight_traces();
         assert_eq!(traces.len(), 1);
         let t = &traces[0];
         assert_eq!(t.status, "ok");
@@ -1004,18 +965,19 @@ mod tests {
 
     #[test]
     fn batch_trace_links_requests_as_follows_from() {
-        let _g = setup();
-        let a = mint(None);
-        let b = mint(None);
-        let batch = begin_batch(&[a, b, TraceCtx::disabled()]);
-        batch_phase(0, "structure", 3_000);
-        batch_phase(1, "tag", 1_000);
-        batch_phase(1, "propagate", 5_000);
-        batch_phase(1, "apply", 2_000);
-        end_batch(batch, "ok");
-        complete(a, "ok");
-        complete(b, "ok");
-        let traces = flight_traces();
+        let stats = setup();
+        let sp = stats.spans();
+        let a = sp.mint(None);
+        let b = sp.mint(None);
+        let batch = sp.begin_batch(&[a, b, TraceCtx::disabled()]);
+        sp.batch_phase(0, "structure", 3_000);
+        sp.batch_phase(1, "tag", 1_000);
+        sp.batch_phase(1, "propagate", 5_000);
+        sp.batch_phase(1, "apply", 2_000);
+        sp.end_batch(batch, "ok");
+        sp.complete(a, "ok");
+        sp.complete(b, "ok");
+        let traces = sp.flight_traces();
         let bt = traces
             .iter()
             .find(|t| t.kind == TraceKind::Batch)
@@ -1024,93 +986,99 @@ mod tests {
         expected.sort_unstable();
         assert_eq!(bt.follows_from, expected);
         assert_eq!(bt.spans[0].name, "refine_batch");
-        let r = critical_report();
+        let r = sp.critical_report();
         assert_eq!(r.batches, 1);
         assert_eq!(r.structure_ns, 3_000);
         assert_eq!(r.dominant_phase(), "propagate");
         assert_eq!(r.fan_in, 2);
-        assert!(!current_batch().is_active(), "end_batch clears the TLS");
+        assert!(
+            !sp.rec.guard().current_batch.is_active(),
+            "end_batch clears the current batch"
+        );
     }
 
     #[test]
     fn shed_completes_the_tree_with_shed_status() {
-        let _g = setup();
-        let ctx = mint(None);
-        note_enqueued(ctx);
-        shed(ctx, "deadline_shed");
-        let traces = flight_traces();
+        let stats = setup();
+        let sp = stats.spans();
+        let ctx = sp.mint(None);
+        sp.note_enqueued(ctx);
+        sp.shed(ctx, "deadline_shed");
+        let traces = sp.flight_traces();
         assert_eq!(traces.len(), 1);
         assert_eq!(traces[0].status, "shed");
     }
 
     #[test]
     fn orphan_spans_are_counted_not_recorded() {
-        let _g = setup();
-        let before = crate::telemetry::metrics().span_orphans.get();
+        let stats = setup();
+        let sp = stats.spans();
         let ghost = TraceCtx {
             trace_id: 0xDEAD_BEEF,
             parent_span_id: 1,
         };
-        child(ghost, "admit", Instant::now(), Instant::now());
-        assert_eq!(crate::telemetry::metrics().span_orphans.get(), before + 1);
-        assert!(flight_traces().is_empty());
+        sp.child(ghost, "admit", Instant::now(), Instant::now());
+        assert_eq!(stats.metrics().span_orphans.get(), 1);
+        assert!(sp.flight_traces().is_empty());
     }
 
     #[test]
     fn ring_evicts_oldest_and_counts() {
-        let _g = setup();
+        let stats = setup();
+        let sp = stats.spans();
         for _ in 0..(DEFAULT_RING + 3) {
-            let ctx = mint(None);
-            complete(ctx, "ok");
+            let ctx = sp.mint(None);
+            sp.complete(ctx, "ok");
         }
-        let (traces, json) = (flight_traces(), flight_json());
+        let (traces, json) = (sp.flight_traces(), sp.flight_json());
         assert_eq!(traces.len(), DEFAULT_RING);
         assert!(json.contains("\"evicted\":3"), "{json}");
     }
 
     #[test]
     fn quarantine_trigger_dumps_jsonl() {
-        let _g = setup();
+        let stats = setup();
+        let sp = stats.spans();
         let path = std::env::temp_dir().join("graphbolt-span-dump-test.jsonl");
         let _ = std::fs::remove_file(&path);
-        configure(FlightConfig {
+        sp.configure(FlightConfig {
             dump_path: Some(path.clone()),
             ..FlightConfig::default()
         })
         .expect("no trace_out to create");
-        let ctx = mint(None);
-        complete(ctx, "ok");
-        let batch = begin_batch(&[ctx]);
-        end_batch(batch, "quarantined");
+        let ctx = sp.mint(None);
+        sp.complete(ctx, "ok");
+        let batch = sp.begin_batch(&[ctx]);
+        sp.end_batch(batch, "quarantined");
         let dumped = std::fs::read_to_string(&path).expect("dump written");
         assert!(dumped.contains("\"dump_reason\":\"quarantine\""), "{dumped}");
         assert!(dumped.lines().count() >= 2, "{dumped}");
         let _ = std::fs::remove_file(&path);
-        configure(FlightConfig::default()).expect("no trace_out to create");
     }
 
     #[test]
     fn trace_out_tees_each_completed_tree_and_nothing_while_disabled() {
-        let _g = setup();
+        let stats = setup();
+        let sp = stats.spans();
         let path = std::env::temp_dir().join("graphbolt-span-tee-test.jsonl");
-        configure(FlightConfig {
+        sp.configure(FlightConfig {
             trace_out: Some(path.clone()),
             ..FlightConfig::default()
         })
         .expect("create tee file");
-        disable();
-        complete(mint(None), "ok");
-        let batch = begin_batch(&[]);
-        batch_phase(0, "structure", 10);
-        end_batch(batch, "ok");
+        sp.disable();
+        sp.complete(sp.mint(None), "ok");
+        let batch = sp.begin_batch(&[]);
+        sp.batch_phase(0, "structure", 10);
+        sp.end_batch(batch, "ok");
         let teed = std::fs::read_to_string(&path).expect("tee file exists");
         assert!(teed.is_empty(), "spans off must write nothing: {teed}");
 
-        enable();
-        complete(mint(None), "ok");
-        let batch = begin_batch(&[]);
-        batch_phase(0, "structure", 10);
-        end_batch(batch, "degraded");
+        sp.enable();
+        sp.complete(sp.mint(None), "ok");
+        let batch = sp.begin_batch(&[]);
+        sp.batch_phase(0, "structure", 10);
+        sp.end_batch(batch, "degraded");
         let teed = std::fs::read_to_string(&path).expect("tee file exists");
         let lines: Vec<&str> = teed.lines().collect();
         assert_eq!(lines.len(), 2, "one line per completed tree: {teed}");
@@ -1118,41 +1086,42 @@ mod tests {
         assert!(lines[1].contains("\"status\":\"degraded\""), "{teed}");
         assert!(lines[1].contains("\"name\":\"structure\""), "{teed}");
         // Same schema as the flight ring: each line is a ring element.
-        let flight = flight_json();
+        let flight = sp.flight_json();
         for line in lines {
             assert!(flight.contains(line), "{line} not in {flight}");
         }
         let _ = std::fs::remove_file(&path);
-        configure(FlightConfig::default()).expect("no trace_out to create");
     }
 
     #[test]
     fn structure_can_dominate_the_critical_path() {
-        let _g = setup();
-        let batch = begin_batch(&[]);
-        batch_phase(0, "structure", 9_000);
-        batch_phase(1, "tag", 1_000);
-        batch_phase(1, "propagate", 2_000);
-        batch_phase(1, "apply", 500);
-        end_batch(batch, "ok");
-        let r = critical_report();
+        let stats = setup();
+        let sp = stats.spans();
+        let batch = sp.begin_batch(&[]);
+        sp.batch_phase(0, "structure", 9_000);
+        sp.batch_phase(1, "tag", 1_000);
+        sp.batch_phase(1, "propagate", 2_000);
+        sp.batch_phase(1, "apply", 500);
+        sp.end_batch(batch, "ok");
+        let r = sp.critical_report();
         assert_eq!(r.dominant_phase(), "structure");
         assert_eq!(r.dominant_phase_index(), 3);
-        assert!(critical_json().contains("\"structure_ns\":9000"));
+        assert!(sp.critical_json().contains("\"structure_ns\":9000"));
     }
 
     #[test]
     fn flight_json_shape_is_parseable() {
-        let _g = setup();
-        let ctx = mint(Some("shape"));
-        note_enqueued(ctx);
+        let stats = setup();
+        let sp = stats.spans();
+        let ctx = sp.mint(Some("shape"));
+        sp.note_enqueued(ctx);
         let now = Instant::now();
-        queue_service(ctx, now, now, now);
-        let json = flight_json();
+        sp.queue_service(ctx, now, now, now);
+        let json = sp.flight_json();
         assert!(json.starts_with("{\"traces\":["), "{json}");
         assert!(json.contains("\"kind\":\"request\""), "{json}");
         assert!(json.contains("\"spans\":["), "{json}");
-        let crit = critical_json();
+        let crit = sp.critical_json();
         assert!(crit.starts_with("{\"batches\":"), "{crit}");
     }
 }

@@ -16,8 +16,8 @@ use std::time::Instant;
 
 use graphbolt_core::doctest_support::DocRank;
 use graphbolt_core::{
-    metrics, AdmissionConfig, AdmissionController, BucketConfig, ClientClass, DegradeLevel,
-    EngineOptions, SessionError, StreamSession, StreamingEngine,
+    AdmissionConfig, AdmissionController, BucketConfig, ClientClass, DegradeLevel, EngineOptions,
+    SessionError, StreamSession, StreamingEngine,
 };
 use graphbolt_graph::{Edge, GraphBuilder};
 use proptest::prelude::*;
@@ -120,7 +120,7 @@ proptest! {
                 scope.spawn(move || {
                     for i in 0..per_thread {
                         let class = class_of(t.wrapping_add(i as u8));
-                        let _ = ctl.admit(class, 1.0, graphbolt_core::telemetry::TraceCtx::disabled());
+                        let _ = ctl.admit(class, 1.0);
                     }
                 });
             }
@@ -167,9 +167,10 @@ proptest! {
         prop_assert_eq!(outcome.stats.mutations_applied, 0);
     }
 
-    /// The queue-occupancy gauge never underflows: across any mix of
-    /// accepted, shed, and flushed traffic it stays a small number, never
-    /// the 2^64-ish wreckage of a wrapped `fetch_sub`.
+    /// The session's queue-occupancy gauge never underflows: across any
+    /// mix of accepted, shed, and flushed traffic it stays a small number,
+    /// never the 2^64-ish wreckage of a wrapped `fetch_sub`, and it reads
+    /// 0 once the session has drained.
     #[test]
     fn queue_depth_gauge_never_underflows(
         ops in proptest::collection::vec((0u8..5, 0u32..5, 0u32..5), 1..60),
@@ -177,6 +178,8 @@ proptest! {
         // Far above any real queue depth, far below any wrapped value.
         const UNDERFLOW_SENTINEL: u64 = 1 << 32;
         let session = StreamSession::spawn(engine());
+        let stats = session.engine_stats().clone();
+        let gauge = || stats.metrics().queue_occupancy.get();
         for (op, src, dst) in ops {
             let e = Edge::new(src, dst, 1.0);
             match op {
@@ -186,15 +189,11 @@ proptest! {
                 3 => drop(session.mutate_within(e, true, Some(Instant::now()), graphbolt_core::telemetry::TraceCtx::disabled())),
                 _ => drop(session.flush()),
             }
-            prop_assert!(
-                metrics().queue_occupancy.get() < UNDERFLOW_SENTINEL,
-                "queue gauge wrapped: {}",
-                metrics().queue_occupancy.get()
-            );
+            prop_assert!(gauge() < UNDERFLOW_SENTINEL, "queue gauge wrapped: {}", gauge());
         }
         session.flush().expect("flush");
         drop(session.query().expect("query"));
         session.finish().expect("finish");
-        prop_assert!(metrics().queue_occupancy.get() < UNDERFLOW_SENTINEL);
+        prop_assert_eq!(gauge(), 0, "a finished session has nothing queued");
     }
 }

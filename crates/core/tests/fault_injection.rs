@@ -1,11 +1,8 @@
 //! Fault-injection acceptance suite (`--features fault-injection`).
 //!
-//! The fault registry is process-global and the scenarios cross each
-//! other's sites (a session test's `add` passes `session::ingest`, a
-//! checkpoint test's `apply_batch` passes `refine::start`), so every test
-//! that arms a site holds [`armed`] for its whole body: a plan is only
-//! ever consumed by the test that armed it, under the default parallel
-//! test threading. Sites exercised:
+//! Each scenario arms its own engine's fault plan, so a plan is only
+//! ever consumed by the test that armed it and the scenarios run
+//! concurrently. Sites exercised:
 //!
 //! * `refine::start`     — panic mid-refinement → quarantine + recovery
 //! * `checkpoint::write` — torn checkpoint → recovery skips to the
@@ -23,27 +20,19 @@
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 
 use graphbolt_core::doctest_support::DocRank;
 use graphbolt_core::checkpoint::{
     parse_session_file, recover_session, write_session_checkpoint,
 };
-use graphbolt_core::fault::{arm, FaultAction};
+use graphbolt_core::fault::FaultAction;
 use graphbolt_core::{
     run_bsp, AdmissionConfig, AdmissionController, CheckpointError, ClientClass, EngineOptions,
     EngineStats, ExecutionMode, F64Codec, FrontDoor, FrontDoorConfig, SessionError, StreamSession,
     StreamingEngine,
 };
 use graphbolt_graph::{Edge, GraphBuilder};
-
-static ARMED: Mutex<()> = Mutex::new(());
-
-/// Serializes the tests that arm a site. Poison-tolerant: a failed
-/// scenario must not fail the others with a `PoisonError`.
-fn armed() -> MutexGuard<'static, ()> {
-    ARMED.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 fn engine() -> StreamingEngine<DocRank> {
     let g = GraphBuilder::new(6)
@@ -75,10 +64,9 @@ fn scratch_values(engine: &StreamingEngine<DocRank>) -> Vec<f64> {
 /// returns exactly the from-scratch result on the last good snapshot.
 #[test]
 fn injected_refine_panic_is_quarantined_and_session_keeps_serving() {
-    let _armed = armed();
     let session = StreamSession::spawn(engine());
 
-    arm("refine::start", FaultAction::Panic, 1);
+    session.engine_stats().faults().arm("refine::start", FaultAction::Panic, 1);
     session.add(Edge::new(0, 3, 1.0)).unwrap();
     session.flush().unwrap();
 
@@ -129,12 +117,32 @@ fn injected_refine_panic_is_quarantined_and_session_keeps_serving() {
     }
 }
 
+/// A plan armed on one session's engine fires there only: the other
+/// session in the process refines the same mutation to the from-scratch
+/// values.
+#[test]
+fn a_fault_armed_on_one_session_panics_that_session_only() {
+    let (doomed, healthy) = (StreamSession::spawn(engine()), StreamSession::spawn(engine()));
+    doomed.engine_stats().faults().arm("refine::start", FaultAction::Panic, 1);
+    for session in [&doomed, &healthy] {
+        session.add(Edge::new(0, 3, 1.0)).unwrap();
+        session.flush().unwrap();
+    }
+    assert_eq!(doomed.finish().unwrap().stats.panics_recovered, 1);
+    let healthy = healthy.finish().unwrap();
+    assert_eq!(healthy.stats.panics_recovered, 0);
+    assert!(healthy.engine.graph().has_edge(0, 3));
+    let expect = scratch_values(&healthy.engine);
+    for (a, b) in healthy.engine.values().iter().zip(&expect) {
+        assert!((a - b).abs() < 1e-7);
+    }
+}
+
 /// Acceptance scenario 2: a truncated (torn) checkpoint write is detected
 /// at recovery time and the session resumes from the previous good
 /// checkpoint.
 #[test]
 fn truncated_checkpoint_is_skipped_in_favour_of_previous_good_one() {
-    let _armed = armed();
     let dir = std::env::temp_dir().join("graphbolt-fault-trunc");
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -146,7 +154,7 @@ fn truncated_checkpoint_is_skipped_in_favour_of_previous_good_one() {
     let mut batch = graphbolt_graph::MutationBatch::new();
     batch.add(Edge::new(0, 2, 1.0));
     e.apply_batch(&batch).unwrap();
-    arm("checkpoint::write", FaultAction::Truncate(64), 1);
+    e.stats().faults().arm("checkpoint::write", FaultAction::Truncate(64), 1);
     write_session_checkpoint(&dir, &e, 2, &F64Codec, &F64Codec).unwrap();
 
     // The torn file is detected as damaged...
@@ -185,9 +193,8 @@ fn truncated_checkpoint_is_skipped_in_favour_of_previous_good_one() {
 /// leaves the session usable.
 #[test]
 fn injected_ingest_error_rejects_one_submission() {
-    let _armed = armed();
     let session = StreamSession::spawn(engine());
-    arm("session::ingest", FaultAction::Error, 1);
+    session.engine_stats().faults().arm("session::ingest", FaultAction::Error, 1);
     assert_eq!(
         session.try_add(Edge::new(0, 4, 1.0)),
         Err(SessionError::Injected)
@@ -267,11 +274,10 @@ fn finish_and_check(
 /// sees the mutation nor corrupts later traffic.
 #[test]
 fn injected_accept_fault_drops_the_connection_only() {
-    let _armed = armed();
     let (door, session, _ctl) = front_door();
     let addr = door.local_addr();
 
-    arm("frontdoor::accept", FaultAction::Error, 1);
+    session.engine_stats().faults().arm("frontdoor::accept", FaultAction::Error, 1);
     let dropped = post(addr, "/update", "{\"src\":0,\"dst\":2}");
     assert!(
         dropped.is_empty(),
@@ -291,11 +297,10 @@ fn injected_accept_fault_drops_the_connection_only() {
 /// 400. The mutation it carried must not reach the session.
 #[test]
 fn injected_parse_fault_rejects_without_mutating() {
-    let _armed = armed();
     let (door, session, _ctl) = front_door();
     let addr = door.local_addr();
 
-    arm("frontdoor::parse", FaultAction::Error, 1);
+    session.engine_stats().faults().arm("frontdoor::parse", FaultAction::Error, 1);
     let rejected = post(addr, "/update", "{\"src\":1,\"dst\":3}");
     assert!(rejected.starts_with("HTTP/1.1 400"), "{rejected}");
     assert!(rejected.contains("injected parse fault"), "{rejected}");
@@ -313,11 +318,10 @@ fn injected_parse_fault_rejects_without_mutating() {
 /// records the shed and the session stays pristine.
 #[test]
 fn injected_admission_fault_sheds_with_retry_after() {
-    let _armed = armed();
     let (door, session, ctl) = front_door();
     let addr = door.local_addr();
 
-    arm("admission::admit", FaultAction::Error, 1);
+    session.engine_stats().faults().arm("admission::admit", FaultAction::Error, 1);
     let shed = post(addr, "/update", "{\"src\":2,\"dst\":4}");
     assert!(shed.starts_with("HTTP/1.1 429"), "{shed}");
     assert!(shed.contains("\"error\":\"retry_after\""), "{shed}");
@@ -344,10 +348,9 @@ fn injected_admission_fault_sheds_with_retry_after() {
 /// the final state equals from-scratch on the served mutations only.
 #[test]
 fn injected_deadline_expiry_sheds_the_queued_mutation() {
-    let _armed = armed();
     let session = StreamSession::spawn(engine());
 
-    arm("session::deadline", FaultAction::Error, 1);
+    session.engine_stats().faults().arm("session::deadline", FaultAction::Error, 1);
     session.add(Edge::new(0, 2, 1.0)).unwrap();
     session.flush().unwrap();
 

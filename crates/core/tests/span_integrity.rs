@@ -5,11 +5,11 @@
 //! fault-injected quarantine → rebuild path. Batch trees record
 //! structure adjustment, then tag → propagate → apply per iteration,
 //! then the checkpoint, in that order; nothing is recorded while span
-//! recording is off.
+//! recording is off; and two sessions in one process never see each
+//! other's metrics or traces.
 //!
-//! The span recorder is process-global, so every test holds
-//! `telemetry::test_trace_lock()` for its full duration and calls
-//! `span::reset()` before exercising it.
+//! Each test reads its own session's recorder, so the tests run
+//! concurrently.
 
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpStream};
@@ -17,11 +17,10 @@ use std::sync::Arc;
 
 use graphbolt_core::admission::{AdmissionConfig, AdmissionController};
 use graphbolt_core::doctest_support::DocRank;
-use graphbolt_core::telemetry::span::{self, CompletedTrace, TraceKind};
-use graphbolt_core::telemetry::{self};
+use graphbolt_core::telemetry::span::{CompletedTrace, TraceKind};
 use graphbolt_core::{
-    CheckpointPolicy, DegradeLevel, EngineOptions, F64Codec, FrontDoor, FrontDoorConfig,
-    SessionConfig, StreamSession, StreamingEngine,
+    CheckpointPolicy, DegradeLevel, EngineOptions, EngineStats, F64Codec, FrontDoor,
+    FrontDoorConfig, SessionConfig, StreamSession, StreamingEngine,
 };
 use graphbolt_graph::{Edge, GraphBuilder};
 
@@ -88,16 +87,22 @@ fn batch_trees(traces: &[CompletedTrace]) -> Vec<&CompletedTrace> {
 }
 
 /// Runs one untraced single-mutation session to completion under
-/// `config` and returns the flight ring it left behind.
+/// `config`, recording spans when `traced`, and returns the engine's
+/// telemetry handle.
 fn run_one_batch(
     engine: StreamingEngine<DocRank>,
     config: SessionConfig<DocRank>,
-) -> Vec<CompletedTrace> {
+    traced: bool,
+) -> EngineStats {
+    let stats = engine.stats().clone();
+    if traced {
+        stats.spans().enable();
+    }
     let session = StreamSession::spawn_with(engine, config);
     session.add(Edge::new(1, 4, 1.0)).expect("enqueue");
     session.flush().expect("flush");
     drop(session.finish().expect("finish"));
-    span::flight_traces()
+    stats
 }
 
 /// Structural integrity of one completed tree: exactly one root (span 1,
@@ -160,12 +165,8 @@ fn assert_tree_integrity(t: &CompletedTrace) {
 
 #[test]
 fn every_admitted_update_yields_one_rooted_cycle_free_tree() {
-    let _guard = telemetry::test_trace_lock();
-    span::enable();
-    span::reset();
-    let orphans_before = telemetry::metrics().span_orphans.get();
-
     let (door, session) = door();
+    let stats = session.engine_stats().clone();
     let addr = door.local_addr();
     for (id, dst) in [("alpha", 2), ("beta", 3), ("gamma", 4)] {
         let up = post(
@@ -195,7 +196,7 @@ fn every_admitted_update_yields_one_rooted_cycle_free_tree() {
     door.shutdown();
     drop(Arc::into_inner(session).expect("sole owner").finish().expect("finish"));
 
-    let traces = span::flight_traces();
+    let traces = stats.spans().flight_traces();
     for b in batch_trees(&traces) {
         let structure: Vec<_> = b.spans.iter().filter(|s| s.name == "structure").collect();
         assert_eq!(structure.len(), 1, "one structure span per batch: {b:?}");
@@ -214,7 +215,7 @@ fn every_admitted_update_yields_one_rooted_cycle_free_tree() {
     let updates: Vec<&CompletedTrace> = ["alpha", "beta", "gamma"]
         .iter()
         .map(|id| {
-            let ctx = span::mint(Some(id));
+            let ctx = stats.spans().mint(Some(id));
             let matches: Vec<_> = traces.iter().filter(|t| t.trace_id == ctx.trace_id).collect();
             assert_eq!(matches.len(), 1, "exactly one tree for request id {id}");
             matches[0]
@@ -237,20 +238,41 @@ fn every_admitted_update_yields_one_rooted_cycle_free_tree() {
         );
     }
     assert_eq!(
-        telemetry::metrics().span_orphans.get(),
-        orphans_before,
+        stats.metrics().span_orphans.get(),
+        0,
         "no span may land on an unknown trace"
     );
-    span::reset();
+}
+
+#[test]
+fn two_front_doors_report_only_their_own_session() {
+    let ((door_a, a), (door_b, b)) = (door(), door());
+    let (addr_a, addr_b) = (door_a.local_addr(), door_b.local_addr());
+    // A serves one three-mutation batch and a query; B one update and a
+    // query.
+    let batch = "{\"mutations\":[{\"src\":0,\"dst\":2},{\"src\":1,\"dst\":3},{\"src\":2,\"dst\":4}]}";
+    assert!(post(addr_a, "/batch", "", batch).starts_with("HTTP/1.1 202"));
+    assert!(get(addr_a, "/query").starts_with("HTTP/1.1 200"));
+    assert!(post(addr_b, "/update", "", "{\"src\":0,\"dst\":3}").starts_with("HTTP/1.1 202"));
+    assert!(get(addr_b, "/query").starts_with("HTTP/1.1 200"));
+
+    for (addr, applied, bulk) in [(addr_a, 3, 1), (addr_b, 1, 0)] {
+        let metrics = get(addr, "/metrics/json");
+        assert_eq!(json_u64(&metrics, "graphbolt_mutations_applied_total"), applied, "{metrics}");
+        assert_eq!(json_u64(&metrics, "graphbolt_admit_bulk_total"), bulk, "{metrics}");
+        let flight = get(addr, "/debug/flight");
+        assert_eq!(flight.matches("\"kind\":\"request\"").count(), 2, "{flight}");
+    }
+    for (door, session) in [(door_a, a), (door_b, b)] {
+        door.shutdown();
+        drop(Arc::into_inner(session).expect("sole owner").finish().expect("finish"));
+    }
 }
 
 #[test]
 fn batch_fan_in_links_follow_from_each_request_once() {
-    let _guard = telemetry::test_trace_lock();
-    span::enable();
-    span::reset();
-
     let (door, session) = door();
+    let stats = session.engine_stats().clone();
     let addr = door.local_addr();
     let resp = post(
         addr,
@@ -264,8 +286,8 @@ fn batch_fan_in_links_follow_from_each_request_once() {
     door.shutdown();
     drop(Arc::into_inner(session).expect("sole owner").finish().expect("finish"));
 
-    let traces = span::flight_traces();
-    let ctx = span::mint(Some("fan-in"));
+    let traces = stats.spans().flight_traces();
+    let ctx = stats.spans().mint(Some("fan-in"));
     let request = traces
         .iter()
         .find(|t| t.trace_id == ctx.trace_id)
@@ -293,7 +315,6 @@ fn batch_fan_in_links_follow_from_each_request_once() {
     }
     // Request trees never carry follows-from links themselves.
     assert!(request.follows_from.is_empty());
-    span::reset();
 }
 
 /// A batch tree records, in span order: structure adjustment once, then
@@ -301,11 +322,8 @@ fn batch_fan_in_links_follow_from_each_request_once() {
 /// order; the critical-path report sums the same spans.
 #[test]
 fn batch_tree_orders_structure_then_tag_propagate_apply_per_iteration() {
-    let _guard = telemetry::test_trace_lock();
-    span::enable();
-    span::reset();
-
-    let traces = run_one_batch(engine(), SessionConfig::default());
+    let stats = run_one_batch(engine(), SessionConfig::default(), true);
+    let traces = stats.spans().flight_traces();
     let batches = batch_trees(&traces);
     assert_eq!(batches.len(), 1, "one flush, one batch tree");
     let b = batches[0];
@@ -326,49 +344,41 @@ fn batch_tree_orders_structure_then_tag_propagate_apply_per_iteration() {
         );
     }
 
-    let r = span::critical_report();
+    let r = stats.spans().critical_report();
     assert_eq!(r.trace_id, b.trace_id);
     assert!(r.structure_ns > 0);
     assert!(r.structure_ns + r.tag_ns + r.propagate_ns + r.apply_ns <= r.total_ns);
-    span::reset();
 }
 
 /// A batch served by the full-recompute path completes as `degraded`:
 /// structure adjustment is still a span, refinement phases are not.
 #[test]
 fn degraded_batch_completes_with_degraded_status() {
-    let _guard = telemetry::test_trace_lock();
-    span::enable();
-    span::reset();
-
     let mut degraded = engine();
     degraded.force_degrade(DegradeLevel::DroppedStore);
-    let traces = run_one_batch(degraded, SessionConfig::default());
+    let traces = run_one_batch(degraded, SessionConfig::default(), true).spans().flight_traces();
     let batches = batch_trees(&traces);
     assert_eq!(batches.len(), 1);
     assert_eq!(batches[0].status, "degraded");
     let names: Vec<&str> = batches[0].spans.iter().map(|s| s.name).collect();
     assert_eq!(names, ["refine_batch", "structure"]);
-    span::reset();
 }
 
 /// The post-batch checkpoint is a span of the batch it follows,
 /// recorded after that batch's last refinement phase.
 #[test]
 fn checkpoint_span_is_recorded_after_its_batch() {
-    let _guard = telemetry::test_trace_lock();
-    span::enable();
-    span::reset();
-
     let dir = std::env::temp_dir().join(format!("gb-span-checkpoint-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let traces = run_one_batch(
+    let stats = run_one_batch(
         engine(),
         SessionConfig {
             checkpoint: Some(CheckpointPolicy::new(&dir, 1, 1, F64Codec, F64Codec)),
             ..SessionConfig::default()
         },
+        true,
     );
+    let traces = stats.spans().flight_traces();
     let batches = batch_trees(&traces);
     assert_eq!(batches.len(), 1);
     let b = batches[0];
@@ -378,27 +388,22 @@ fn checkpoint_span_is_recorded_after_its_batch() {
     assert_eq!(last.parent_span_id, 1);
     assert_eq!(b.spans.iter().filter(|s| s.name == "checkpoint").count(), 1);
     assert!(b.spans.iter().any(|s| s.name == "apply"), "refinement preceded it");
-    assert!(span::critical_report().checkpoint_ns > 0);
+    assert!(stats.spans().critical_report().checkpoint_ns > 0);
     let _ = std::fs::remove_dir_all(&dir);
-    span::reset();
 }
 
 #[test]
 fn nothing_is_recorded_while_spans_are_disabled() {
-    let _guard = telemetry::test_trace_lock();
-    span::enable();
-    span::reset();
-    span::disable();
-    let traces = run_one_batch(engine(), SessionConfig::default());
-    span::enable();
+    let stats = run_one_batch(engine(), SessionConfig::default(), false);
+    let traces = stats.spans().flight_traces();
     assert!(traces.is_empty(), "{traces:?}");
-    assert_eq!(span::critical_report().batches, 0);
+    assert_eq!(stats.spans().critical_report().batches, 0);
 }
 
 #[cfg(feature = "fault-injection")]
 mod quarantine {
     use super::*;
-    use graphbolt_core::fault::{arm, FaultAction};
+    use graphbolt_core::fault::FaultAction;
     use graphbolt_core::telemetry::span::FlightConfig;
     use graphbolt_graph::Edge;
 
@@ -408,31 +413,30 @@ mod quarantine {
     /// requests tracing normally.
     #[test]
     fn quarantined_batch_completes_trees_and_dumps_flight_ring() {
-        let _guard = telemetry::test_trace_lock();
-        span::enable();
-        span::reset();
-        let dumps_before = telemetry::metrics().span_flight_dumps.get();
-
+        let session = StreamSession::spawn(engine());
+        let stats = session.engine_stats().clone();
+        let spans = stats.spans();
+        spans.enable();
         let dump_path = std::env::temp_dir().join(format!(
             "gb-span-integrity-{}.jsonl",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&dump_path);
-        span::configure(FlightConfig {
-            dump_path: Some(dump_path.clone()),
-            ..FlightConfig::default()
-        })
-        .expect("no trace_out to create");
+        spans
+            .configure(FlightConfig {
+                dump_path: Some(dump_path.clone()),
+                ..FlightConfig::default()
+            })
+            .expect("no trace_out to create");
 
-        let session = StreamSession::spawn(engine());
-        let doomed = span::mint(Some("doomed"));
-        arm("refine::start", FaultAction::Panic, 1);
+        let doomed = spans.mint(Some("doomed"));
+        stats.faults().arm("refine::start", FaultAction::Panic, 1);
         session
             .mutate_within(Edge::new(0, 3, 1.0), true, None, doomed)
             .expect("enqueue");
         session.flush().expect("flush");
         // The rebuilt session serves a traced mutation normally.
-        let healthy = span::mint(Some("healthy"));
+        let healthy = spans.mint(Some("healthy"));
         session
             .mutate_within(Edge::new(1, 4, 1.0), true, None, healthy)
             .expect("enqueue after rebuild");
@@ -446,7 +450,7 @@ mod quarantine {
             outcome.dead_letters[0].reason
         );
 
-        let traces = span::flight_traces();
+        let traces = spans.flight_traces();
         // The ring is in completion order: the quarantined batch closed
         // before the rebuilt engine served the next one.
         let statuses: Vec<&str> = batch_trees(&traces).iter().map(|b| b.status).collect();
@@ -467,7 +471,7 @@ mod quarantine {
         assert!(healthy_tree.service_ns > 0);
 
         assert!(
-            telemetry::metrics().span_flight_dumps.get() > dumps_before,
+            stats.metrics().span_flight_dumps.get() > 0,
             "quarantine triggers an automatic dump"
         );
         let dumped = std::fs::read_to_string(&dump_path).expect("dump file written");
@@ -476,6 +480,5 @@ mod quarantine {
             "dump lines are tagged with the trigger: {dumped}"
         );
         let _ = std::fs::remove_file(&dump_path);
-        span::configure(FlightConfig::default()).expect("no trace_out to create");
     }
 }

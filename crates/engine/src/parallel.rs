@@ -291,18 +291,6 @@ impl WorkCounter {
         }
     }
 
-    /// Atomically reads the value and resets it to zero, returning what
-    /// was read. Concurrent `add`s land either in the returned value or
-    /// in the fresh epoch — never both, never neither — so periodic
-    /// read-and-reset consumers (`EngineStats::take_snapshot`) lose no
-    /// counts.
-    #[inline]
-    pub fn take(&self) -> u64 {
-        // ordering: the swap itself is the atomicity guarantee; no
-        // dependent data is published through the counter.
-        self.0 .0.swap(0, Ordering::Relaxed)
-    }
-
     /// Raises the value to `candidate` if larger (running-maximum
     /// tracking, e.g. a histogram's exact max). A CAS loop rather than
     /// `fetch_max` so the loom model checker (whose atomic stub has no

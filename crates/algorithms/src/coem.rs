@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use graphbolt_core::Algorithm;
+use graphbolt_core::{Algorithm, Refining};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 /// CoEM semi-supervised learning for named-entity recognition
@@ -77,12 +77,13 @@ impl Algorithm for CoEm {
         *agg += contrib;
     }
 
-    fn retract(&self, agg: &mut f64, contrib: &f64) {
+    fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
         *agg -= contrib;
     }
 
     fn delta(
         &self,
+        _: Refining,
         _g: &GraphSnapshot,
         _u: VertexId,
         _v: VertexId,

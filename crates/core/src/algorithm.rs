@@ -20,6 +20,9 @@
 //!   [`Algorithm::delta`] when the aggregation admits a direct
 //!   change-in-contribution form (Algorithm 3's `propagateDelta`).
 //!
+//! `⋃-` and `⋃△` belong to dependency-driven refinement: each takes a
+//! [`Refining`] capability, which only this crate can create.
+//!
 //! **Decomposable** aggregations (sum, product, count, vector/matrix sums)
 //! support `retract`; **non-decomposable** aggregations (min/max) do not —
 //! they set [`Algorithm::decomposable`] to `false` and the engine falls
@@ -32,6 +35,26 @@
 //! single `Agg` type — see `graphbolt-algorithms` for worked examples.
 
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
+
+/// Capability to apply the refinement operators `⋃-`
+/// ([`Algorithm::retract`]) and `⋃△` ([`Algorithm::delta`],
+/// [`Algorithm::delta_structural`]).
+///
+/// Each operator takes a `Refining` as its first argument, and only this
+/// crate can create one — the refinement path ([`crate::refine()`]), the
+/// BSP baseline's tracking variant ([`crate::run_tracking`]) and the law
+/// harness ([`crate::check_laws`]) do. Everywhere else, aggregation
+/// state evolves through those entry points, never by hand: a stray
+/// retract desynchronizes the dependency store from the values it
+/// indexes. Implementors take the argument as `_: Refining`.
+///
+/// Code outside the crate cannot create one:
+///
+/// ```compile_fail,E0423
+/// use graphbolt_core::Refining;
+/// let _ = Refining(());
+/// ```
+pub struct Refining(pub(crate) ());
 
 /// A synchronous, incrementally-refinable graph algorithm.
 ///
@@ -71,10 +94,11 @@ pub trait Algorithm: Send + Sync {
 
     /// Removes a previously folded contribution (`⋃-`).
     ///
-    /// Only called when [`Algorithm::decomposable`] returns `true`.
-    /// The default implementation panics, which is correct for
-    /// non-decomposable aggregations.
-    fn retract(&self, agg: &mut Self::Agg, contrib: &Self::Agg) {
+    /// Only called — by refinement, holding a [`Refining`] — when
+    /// [`Algorithm::decomposable`] returns `true`. The default
+    /// implementation panics, which is correct for non-decomposable
+    /// aggregations.
+    fn retract(&self, _: Refining, agg: &mut Self::Agg, contrib: &Self::Agg) {
         let _ = (agg, contrib);
         unimplemented!("retract called on a non-decomposable aggregation")
     }
@@ -90,9 +114,12 @@ pub trait Algorithm: Send + Sync {
     /// combine(new contribution)` for the same edge. This is Algorithm 3's
     /// `propagateDelta`; returning `None` (the default) makes the engine
     /// use the explicit retract+propagate pair (the paper's
-    /// "GraphBolt-RP" shape, Figure 8).
+    /// "GraphBolt-RP" shape, Figure 8). Called by refinement only,
+    /// holding a [`Refining`].
+    #[allow(clippy::too_many_arguments)]
     fn delta(
         &self,
+        _: Refining,
         g: &GraphSnapshot,
         u: VertexId,
         v: VertexId,
@@ -110,9 +137,11 @@ pub trait Algorithm: Send + Sync {
     /// 3's `propagateDelta` computes `newpr/new_degree −
     /// oldpr/old_degree` in one step). Returning `None` (the default)
     /// makes the engine fall back to the explicit retract+propagate pair.
+    /// Called by refinement only, holding a [`Refining`].
     #[allow(clippy::too_many_arguments)]
     fn delta_structural(
         &self,
+        _: Refining,
         old_g: &GraphSnapshot,
         new_g: &GraphSnapshot,
         u: VertexId,
@@ -207,12 +236,13 @@ pub(crate) mod test_algorithms {
             *agg += contrib;
         }
 
-        fn retract(&self, agg: &mut f64, contrib: &f64) {
+        fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
             *agg -= contrib;
         }
 
         fn delta(
             &self,
+            _: Refining,
             g: &GraphSnapshot,
             u: VertexId,
             _v: VertexId,
@@ -312,7 +342,7 @@ mod tests {
         let mut agg = alg.identity();
         alg.combine(&mut agg, &0.25);
         alg.combine(&mut agg, &0.5);
-        alg.retract(&mut agg, &0.25);
+        alg.retract(Refining(()), &mut agg, &0.25);
         assert!((agg - 0.5).abs() < 1e-12);
     }
 
@@ -322,10 +352,10 @@ mod tests {
         let alg = TestRank;
         let (old, new) = (1.0, 2.0);
         let mut a = 10.0;
-        let d = alg.delta(&g, 0, 1, 1.0, &old, &new).unwrap();
+        let d = alg.delta(Refining(()), &g, 0, 1, 1.0, &old, &new).unwrap();
         alg.combine(&mut a, &d);
         let mut b = 10.0;
-        alg.retract(&mut b, &alg.contribution(&g, 0, 1, 1.0, &old));
+        alg.retract(Refining(()), &mut b, &alg.contribution(&g, 0, 1, 1.0, &old));
         alg.combine(&mut b, &alg.contribution(&g, 0, 1, 1.0, &new));
         assert!((a - b).abs() < 1e-12);
     }
@@ -335,7 +365,7 @@ mod tests {
     fn non_decomposable_retract_panics() {
         let alg = TestMinPlus;
         let mut agg = alg.identity();
-        alg.retract(&mut agg, &1.0);
+        alg.retract(Refining(()), &mut agg, &1.0);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use graphbolt_engine::parallel;
 use graphbolt_engine::AtomicBitSet;
 use graphbolt_graph::{GraphSnapshot, VertexId};
 
-use crate::algorithm::Algorithm;
+use crate::algorithm::{Algorithm, Refining};
 use crate::options::{EngineOptions, ExecutionMode};
 use crate::sharded::ShardedMut;
 use crate::stats::EngineStats;
@@ -327,7 +327,7 @@ impl<'a, A: Algorithm> Driver<'a, A> {
                 let new = &vals[u as usize];
                 let mut local_work = 0u64;
                 for (v, w) in g.out_edges(u) {
-                    match alg.delta(g, u, v, w, old, new) {
+                    match alg.delta(Refining(()), g, u, v, w, old, new) {
                         Some(d) => {
                             sharded.with(v as usize, |agg| alg.combine(agg, &d));
                             local_work += 1;
@@ -342,7 +342,7 @@ impl<'a, A: Algorithm> Driver<'a, A> {
                                 // default unimplemented! body is the
                                 // documented contract for min/max, which
                                 // take the pull path instead.
-                                alg.retract(agg, &oc);
+                                alg.retract(Refining(()), agg, &oc);
                                 alg.combine(agg, &nc);
                             });
                             local_work += 2;

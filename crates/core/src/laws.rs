@@ -45,7 +45,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use graphbolt_graph::{GraphBuilder, GraphSnapshot, VertexId, Weight};
 
-use crate::algorithm::Algorithm;
+use crate::algorithm::{Algorithm, Refining};
 
 /// The algebraic laws the harness can report as violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -436,7 +436,7 @@ pub fn check_laws<A: Algorithm>(
             let extra = alg.contribution(&g, 0, 4, 1.0, &(spec.gen)(&mut rng));
             let mut round = full.clone();
             alg.combine(&mut round, &extra);
-            alg.retract(&mut round, &extra);
+            alg.retract(Refining(()), &mut round, &extra);
             if !eq(&round, &full, &spec.proj) {
                 return Err(fail(
                     Law::RetractRoundTrip,
@@ -448,7 +448,7 @@ pub fn check_laws<A: Algorithm>(
             let mask: Vec<bool> = contribs.iter().map(|_| rng.next_u64() & 1 == 1).collect();
             let mut retracted = full.clone();
             for (c, _) in contribs.iter().zip(&mask).filter(|(_, &m)| m) {
-                alg.retract(&mut retracted, c);
+                alg.retract(Refining(()), &mut retracted, c);
             }
             let complement: Vec<&A::Agg> = contribs
                 .iter()
@@ -471,11 +471,15 @@ pub fn check_laws<A: Algorithm>(
             // Fused delta ≡ retract-then-combine on a surviving edge.
             let (u, w) = CONTRIB_EDGES[1];
             let (old_v, new_v) = (&vals[1], (spec.gen)(&mut rng));
-            if let Some(d) = alg.delta(&g, u, 4, w, old_v, &new_v) {
+            if let Some(d) = alg.delta(Refining(()), &g, u, 4, w, old_v, &new_v) {
                 let mut fused = full.clone();
                 alg.combine(&mut fused, &d);
                 let mut explicit = full.clone();
-                alg.retract(&mut explicit, &alg.contribution(&g, u, 4, w, old_v));
+                alg.retract(
+                    Refining(()),
+                    &mut explicit,
+                    &alg.contribution(&g, u, 4, w, old_v),
+                );
                 alg.combine(&mut explicit, &alg.contribution(&g, u, 4, w, &new_v));
                 if !eq(&fused, &explicit, &spec.proj) {
                     return Err(fail(
@@ -492,14 +496,16 @@ pub fn check_laws<A: Algorithm>(
             // Structural fused delta: old contribution in old context,
             // new contribution in new context.
             let (s_old, s_new) = ((spec.gen)(&mut rng), (spec.gen)(&mut rng));
-            if let Some(d) = alg.delta_structural(&old_g, &new_g, 3, 1, 1.0, &s_old, &s_new) {
+            if let Some(d) =
+                alg.delta_structural(Refining(()), &old_g, &new_g, 3, 1, 1.0, &s_old, &s_new)
+            {
                 let oc = alg.contribution(&old_g, 3, 1, 1.0, &s_old);
                 let nc = alg.contribution(&new_g, 3, 1, 1.0, &s_new);
                 let mut base = alg.identity();
                 alg.combine(&mut base, &oc);
                 let mut fused = base.clone();
                 alg.combine(&mut fused, &d);
-                alg.retract(&mut base, &oc);
+                alg.retract(Refining(()), &mut base, &oc);
                 alg.combine(&mut base, &nc);
                 if !eq(&fused, &base, &spec.proj) {
                     return Err(fail(
@@ -518,8 +524,10 @@ pub fn check_laws<A: Algorithm>(
             // engine's pull-based fallback depends on retraction never
             // being silently lossy) and must not advertise fused deltas.
             let mut probe = full.clone();
-            let did_not_panic =
-                catch_unwind(AssertUnwindSafe(|| alg.retract(&mut probe, &contribs[0]))).is_ok();
+            let did_not_panic = catch_unwind(AssertUnwindSafe(|| {
+                alg.retract(Refining(()), &mut probe, &contribs[0])
+            }))
+            .is_ok();
             if did_not_panic {
                 return Err(fail(
                     Law::DecomposableConsistency,
@@ -530,9 +538,11 @@ pub fn check_laws<A: Algorithm>(
                 ));
             }
             let (u, w) = CONTRIB_EDGES[0];
-            if alg.delta(&g, u, 4, w, &vals[0], &vals[1]).is_some()
+            if alg
+                .delta(Refining(()), &g, u, 4, w, &vals[0], &vals[1])
+                .is_some()
                 || alg
-                    .delta_structural(&old_g, &new_g, 3, 1, 1.0, &vals[0], &vals[1])
+                    .delta_structural(Refining(()), &old_g, &new_g, 3, 1, 1.0, &vals[0], &vals[1])
                     .is_some()
             {
                 return Err(fail(
@@ -678,7 +688,7 @@ mod tests {
             *agg += if *agg <= *contrib { *contrib } else { 2.0 * *contrib };
         }
 
-        fn retract(&self, agg: &mut f64, contrib: &f64) {
+        fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
             *agg -= contrib;
         }
 
@@ -728,7 +738,7 @@ mod tests {
             *agg += contrib;
         }
 
-        fn retract(&self, agg: &mut f64, contrib: &f64) {
+        fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
             *agg -= 0.5 * contrib;
         }
 
@@ -777,12 +787,13 @@ mod tests {
             *agg += contrib;
         }
 
-        fn retract(&self, agg: &mut f64, contrib: &f64) {
+        fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
             *agg -= contrib;
         }
 
         fn delta(
             &self,
+            _: Refining,
             _g: &GraphSnapshot,
             _u: VertexId,
             _v: VertexId,
@@ -843,7 +854,7 @@ mod tests {
             }
         }
 
-        fn retract(&self, agg: &mut f64, _contrib: &f64) {
+        fn retract(&self, _: Refining, agg: &mut f64, _contrib: &f64) {
             // Silently keeps the (possibly stale) minimum.
             let _ = agg;
         }
@@ -897,7 +908,7 @@ mod tests {
             *agg += contrib;
         }
 
-        fn retract(&self, agg: &mut f64, contrib: &f64) {
+        fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
             *agg -= contrib;
         }
 

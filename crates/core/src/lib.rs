@@ -47,7 +47,7 @@ pub mod telemetry;
 pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionSnapshot, BucketConfig, ClientClass, RetryAfter,
 };
-pub use algorithm::{agg_total_bytes, Algorithm};
+pub use algorithm::{agg_total_bytes, Algorithm, Refining};
 pub use bsp::{run_bsp, run_bsp_from, run_tracking, BspState, TrackingOutcome};
 pub use checkpoint::{
     latest_checkpoint_seq, recover_session, write_session_checkpoint, Checkpoint, CheckpointError,

@@ -36,7 +36,7 @@ use graphbolt_engine::parallel;
 use graphbolt_engine::AtomicBitSet;
 use graphbolt_graph::{GraphSnapshot, MutationBatch, VertexId};
 
-use crate::algorithm::Algorithm;
+use crate::algorithm::{Algorithm, Refining};
 use crate::bsp::{mark_out_neighbors, pull_aggregate};
 use crate::options::EngineOptions;
 use crate::sharded::ShardedMut;
@@ -343,7 +343,7 @@ pub fn refine<A: Algorithm>(
                     let e = &dels[k];
                     let (cu, _) = pair_of(e.src);
                     let contrib = alg.contribution(old_g, e.src, e.dst, e.weight, &cu);
-                    combine_into(e.dst, &|agg| alg.retract(agg, &contrib));
+                    combine_into(e.dst, &|agg| alg.retract(Refining(()), agg, &contrib));
                     edge_counter.add(k, 1);
                 });
                 // ⋃△ — transitive and structural updates over surviving
@@ -363,9 +363,18 @@ pub fn refine<A: Algorithm>(
                         }
                         let fused = if opts.fused_delta {
                             if structural {
-                                alg.delta_structural(old_g, new_g, u, v, w, &old_u, &new_u)
+                                alg.delta_structural(
+                                    Refining(()),
+                                    old_g,
+                                    new_g,
+                                    u,
+                                    v,
+                                    w,
+                                    &old_u,
+                                    &new_u,
+                                )
                             } else {
-                                alg.delta(new_g, u, v, w, &old_u, &new_u)
+                                alg.delta(Refining(()), new_g, u, v, w, &old_u, &new_u)
                             }
                         } else {
                             None
@@ -381,7 +390,7 @@ pub fn refine<A: Algorithm>(
                         let oc = alg.contribution(old_g, u, v, w, &old_u);
                         let nc = alg.contribution(new_g, u, v, w, &new_u);
                         combine_into(v, &|agg| {
-                            alg.retract(agg, &oc);
+                            alg.retract(Refining(()), agg, &oc);
                             alg.combine(agg, &nc);
                         });
                         local += 2;

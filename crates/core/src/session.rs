@@ -1015,6 +1015,7 @@ fn worker_loop<A: Algorithm>(
 mod tests {
     use super::*;
     use crate::algorithm::test_algorithms::TestRank;
+    use crate::algorithm::Refining;
     use crate::bsp::run_bsp;
     use crate::checkpoint::F64Codec;
     use crate::options::{EngineOptions, ExecutionMode};
@@ -1341,12 +1342,13 @@ mod tests {
             *agg += contrib;
         }
 
-        fn retract(&self, agg: &mut f64, contrib: &f64) {
+        fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
             *agg -= contrib;
         }
 
         fn delta(
             &self,
+            refining: Refining,
             g: &GraphSnapshot,
             u: VertexId,
             v: VertexId,
@@ -1354,7 +1356,7 @@ mod tests {
             old: &f64,
             new: &f64,
         ) -> Option<f64> {
-            TestRank.delta(g, u, v, w, old, new)
+            TestRank.delta(refining, g, u, v, w, old, new)
         }
 
         fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {

@@ -520,7 +520,7 @@ pub struct CheckpointState<'a, A: Algorithm> {
 pub mod doctest_support {
     use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
-    use crate::algorithm::Algorithm;
+    use crate::algorithm::{Algorithm, Refining};
 
     /// PageRank-shaped toy algorithm for documentation examples.
     #[derive(Debug, Clone, Default)]
@@ -553,7 +553,7 @@ pub mod doctest_support {
             *agg += c;
         }
 
-        fn retract(&self, agg: &mut f64, c: &f64) {
+        fn retract(&self, _: Refining, agg: &mut f64, c: &f64) {
             *agg -= c;
         }
 

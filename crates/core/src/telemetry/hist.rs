@@ -30,8 +30,8 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Creates an empty histogram under `name` (must match the
-    /// `graphbolt_[a-z_]+` naming rule enforced by `cargo xtask lint`).
+    /// Creates an empty histogram under `name` (must match
+    /// `graphbolt_[a-z_]+`; checked by `tests/metric_inventory.rs`).
     pub fn new(name: &'static str, help: &'static str) -> Self {
         Self {
             name,

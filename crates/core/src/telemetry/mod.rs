@@ -22,8 +22,8 @@
 //! (tracing).
 //!
 //! Metric names follow `graphbolt_[a-z_]+` and must be documented in
-//! DESIGN.md §10 — both enforced by the `cargo xtask lint`
-//! `metrics-naming` rule.
+//! DESIGN.md §10.1 — both checked against the live registry by
+//! `tests/metric_inventory.rs`.
 
 pub mod encode;
 pub mod hist;
@@ -47,7 +47,7 @@ pub struct Counter {
 
 impl Counter {
     /// Creates a zeroed counter under `name` (must match
-    /// `graphbolt_[a-z_]+`; enforced by `cargo xtask lint`).
+    /// `graphbolt_[a-z_]+`; checked by `tests/metric_inventory.rs`).
     pub fn new(name: &'static str, help: &'static str) -> Self {
         Self {
             name,
@@ -94,7 +94,7 @@ pub struct Gauge {
 
 impl Gauge {
     /// Creates a zeroed gauge under `name` (must match
-    /// `graphbolt_[a-z_]+`; enforced by `cargo xtask lint`).
+    /// `graphbolt_[a-z_]+`; checked by `tests/metric_inventory.rs`).
     pub fn new(name: &'static str, help: &'static str) -> Self {
         Self {
             name,
@@ -151,7 +151,8 @@ pub struct Snapshot {
 
 /// The fixed set of one engine's metrics. Fields are typed and named
 /// (no string lookup on the hot path); the name table is documented in
-/// DESIGN.md §10 and enforced by the `metrics-naming` lint rule.
+/// DESIGN.md §10.1 and checked against this registry by
+/// `tests/metric_inventory.rs`.
 #[derive(Debug)]
 pub struct MetricsRegistry {
     /// Batches committed by `apply_batch` (refined or degraded path).

@@ -23,7 +23,7 @@
 //! cargo run --release --example custom_algorithm
 //! ```
 
-use graphbolt::core::{run_bsp, EngineStats, ExecutionMode};
+use graphbolt::core::{run_bsp, EngineStats, ExecutionMode, Refining};
 use graphbolt::graph::generators::{rmat, RmatConfig};
 use graphbolt::prelude::*;
 use rand::rngs::SmallRng;
@@ -81,13 +81,14 @@ impl Algorithm for Hits {
         agg[1] += c[1];
     }
 
-    fn retract(&self, agg: &mut Vec<f64>, c: &Vec<f64>) {
+    fn retract(&self, _: Refining, agg: &mut Vec<f64>, c: &Vec<f64>) {
         agg[0] -= c[0];
         agg[1] -= c[1];
     }
 
     fn delta(
         &self,
+        _: Refining,
         g: &GraphSnapshot,
         u: VertexId,
         v: VertexId,

@@ -1,12 +1,13 @@
 //! Lightweight item-level parsing on top of the token scanner.
 //!
-//! The rules that need more structure than "does this token sequence
-//! appear" — `law-coverage` foremost — work on *items*: `impl Trait for
-//! Type` blocks with their method inventory and attribute context. This
-//! module recovers exactly that from the [`Scanned`] token stream,
+//! `law-coverage` and the call graph need more structure than "does this
+//! token sequence appear": they work on *items* — `impl Trait for Type`
+//! blocks, with the trait, the self type and the line span of each.
+//! This module recovers exactly that from the [`Scanned`] token stream,
 //! staying deliberately far short of a real AST (no expressions, no
-//! types beyond path head idents): enough structure for the lint rules,
-//! zero parser dependencies.
+//! types beyond path head idents), plus the `check_laws::<T>`
+//! registrations `law-coverage` joins against: enough structure for the
+//! lint rules, zero parser dependencies.
 //!
 //! Recognition strategy for `impl` items: from an `impl` token, skip the
 //! optional generic parameter list, then read a type path. If a `for`
@@ -18,15 +19,6 @@
 //! mistaken for an item.
 
 use crate::scanner::{Scanned, TokKind, Token};
-
-/// One method (`fn`) found directly inside an impl block's braces.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Method {
-    /// Method name.
-    pub name: String,
-    /// 1-based line of the `fn` token.
-    pub line: usize,
-}
 
 /// One recognized `impl` item.
 #[derive(Debug, Clone)]
@@ -40,13 +32,6 @@ pub struct ImplBlock {
     pub line: usize,
     /// 1-based line of the closing brace.
     pub end_line: usize,
-    /// True when the impl sits inside a `#[cfg(test)]` region.
-    pub in_test: bool,
-    /// Head identifiers of attributes directly above the impl
-    /// (`cfg`, `doc`, `allow`, ...), outermost first.
-    pub attrs: Vec<String>,
-    /// Methods declared directly in the impl body.
-    pub methods: Vec<Method>,
 }
 
 /// Extracts every `impl` item from a scanned file.
@@ -117,9 +102,8 @@ fn parse_impl(toks: &[Token], i: usize) -> Option<(ImplBlock, usize)> {
     }
     let open = j;
     toks.get(open)?;
-    // Walk the body: collect depth-1 `fn` names, find the closing brace.
+    // Walk the body to its closing brace.
     let mut depth = 0usize;
-    let mut methods = Vec::new();
     let mut end_line = toks[open].line;
     let mut k = open;
     while k < toks.len() {
@@ -132,14 +116,6 @@ fn parse_impl(toks: &[Token], i: usize) -> Option<(ImplBlock, usize)> {
                     break;
                 }
             }
-            "fn" if depth == 1 => {
-                if let Some(name_tok) = toks.get(k + 1).filter(|t| t.kind == TokKind::Ident) {
-                    methods.push(Method {
-                        name: name_tok.text.clone(),
-                        line: toks[k].line,
-                    });
-                }
-            }
             _ => {}
         }
         k += 1;
@@ -150,9 +126,6 @@ fn parse_impl(toks: &[Token], i: usize) -> Option<(ImplBlock, usize)> {
             type_name,
             line: toks[i].line,
             end_line,
-            in_test: toks[i].in_test,
-            attrs: attrs_before(toks, i),
-            methods,
         },
         open + 1,
     ))
@@ -215,50 +188,6 @@ fn skip_angles(toks: &[Token], j: usize) -> Option<usize> {
     None
 }
 
-/// Collects head identifiers of the attributes immediately preceding
-/// token `i`, outermost first: for `#[doc(hidden)] #[cfg(test)] impl`
-/// this returns `["doc", "cfg"]`.
-fn attrs_before(toks: &[Token], i: usize) -> Vec<String> {
-    let mut attrs_rev = Vec::new();
-    let mut k = i;
-    while k > 0 && toks[k - 1].text == "]" {
-        // Walk back to the matching `[`.
-        let mut depth = 0usize;
-        let mut open = None;
-        let mut m = k - 1;
-        loop {
-            match toks[m].text.as_str() {
-                "]" => depth += 1,
-                "[" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        open = Some(m);
-                        break;
-                    }
-                }
-                _ => {}
-            }
-            if m == 0 {
-                break;
-            }
-            m -= 1;
-        }
-        let Some(open) = open else { break };
-        if open == 0 || toks[open - 1].text != "#" {
-            break;
-        }
-        let head = toks[open + 1..k - 1]
-            .iter()
-            .find(|t| t.kind == TokKind::Ident)
-            .map(|t| t.text.clone())
-            .unwrap_or_default();
-        attrs_rev.push(head);
-        k = open - 1;
-    }
-    attrs_rev.reverse();
-    attrs_rev
-}
-
 /// Collects the set of type names registered with the law harness in
 /// this file: every `T` appearing as `check_laws::<T>`.
 pub fn law_registrations(scanned: &Scanned) -> Vec<String> {
@@ -284,7 +213,7 @@ mod tests {
     use crate::scanner::scan;
 
     #[test]
-    fn trait_impl_is_recognized_with_methods() {
+    fn trait_impl_is_recognized() {
         let src = "\
 impl Algorithm for PageRank {
     fn identity(&self) -> f64 { 0.0 }
@@ -298,8 +227,6 @@ impl Algorithm for PageRank {
         assert_eq!(b.type_name, "PageRank");
         assert_eq!(b.line, 1);
         assert_eq!(b.end_line, 4);
-        let names: Vec<&str> = b.methods.iter().map(|m| m.name.as_str()).collect();
-        assert_eq!(names, ["identity", "combine"]);
     }
 
     #[test]
@@ -324,21 +251,6 @@ impl Algorithm for PageRank {
         let src = "fn iter() -> impl Iterator<Item = u32> { (0..3).map(|x| x) }";
         let blocks = impl_blocks(&scan(src));
         assert!(blocks.is_empty(), "{blocks:?}");
-    }
-
-    #[test]
-    fn attribute_context_is_captured() {
-        let src = "#[doc(hidden)]\n#[cfg(test)]\nimpl Algorithm for Toy { fn f(&self) {} }";
-        let blocks = impl_blocks(&scan(src));
-        assert_eq!(blocks[0].attrs, ["doc", "cfg"]);
-    }
-
-    #[test]
-    fn cfg_test_region_marks_impls() {
-        let src = "#[cfg(test)]\nmod tests {\n impl Algorithm for TestAlg { fn f(&self) {} }\n}\n";
-        let blocks = impl_blocks(&scan(src));
-        assert_eq!(blocks.len(), 1);
-        assert!(blocks[0].in_test);
     }
 
     #[test]

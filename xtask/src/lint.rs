@@ -9,9 +9,7 @@ use std::path::{Path, PathBuf};
 use crate::graph_rules::{
     deadline_propagation, hot_path_blocking, panic_reachability, WorkspaceFile,
 };
-use crate::rules::{
-    law_coverage, metrics_naming, retract_guard, Finding, RuleId, Workspace, ALL_RULES,
-};
+use crate::rules::{law_coverage, Finding, RuleId, Workspace, ALL_RULES};
 use crate::scanner::scan;
 
 /// Directory names never descended into.
@@ -80,12 +78,6 @@ fn run(ws: &Workspace, enabled: &BTreeSet<RuleId>) -> Vec<Finding> {
         if on(RuleId::LawCoverage) {
             law_coverage(ws, fi, &mut findings);
         }
-        if on(RuleId::RetractGuard) {
-            retract_guard(ws, fi, &mut findings);
-        }
-        if on(RuleId::MetricsNaming) {
-            metrics_naming(ws, fi, &mut findings);
-        }
     }
     if on(RuleId::PanicReachability) {
         panic_reachability(ws, &mut findings);
@@ -112,7 +104,7 @@ fn run(ws: &Workspace, enabled: &BTreeSet<RuleId>) -> Vec<Finding> {
 /// — is itself a finding: stale waivers are how a "clean tree" rots. A
 /// comment is a waiver only when it *starts with* the marker; prose
 /// that merely mentions `lint:allow(...)` is not. Waivers for rules
-/// disabled via `--allow` are left alone (they may be live under the
+/// this run did not enable are left alone (they may be live under the
 /// full set), as are waivers in test code.
 fn dead_waivers(ws: &Workspace, enabled: &BTreeSet<RuleId>, out: &mut Vec<Finding>) {
     for (fi, f) in ws.files.iter().enumerate() {
@@ -147,56 +139,17 @@ fn dead_waivers(ws: &Workspace, enabled: &BTreeSet<RuleId>, out: &mut Vec<Findin
 
 /// Lints one source text as if it lived at workspace-relative `path`.
 /// This is the entry point the fixture tests use: the simulated path
-/// controls which root and sanctioned-module tables apply. The
+/// controls which root and exclusion tables apply. The
 /// workspace is just this file, so `law-coverage` sees only its own
-/// registrations and `metrics-naming` skips its documentation half.
+/// registrations.
 pub fn lint_source(path: &str, src: &str, enabled: &BTreeSet<RuleId>) -> Vec<Finding> {
-    lint_source_with_docs(path, src, enabled, None)
-}
-
-/// [`lint_source`] with an explicit documented-metric set for the
-/// `metrics-naming` rule, so fixture tests inject the set instead of
-/// reading DESIGN.md.
-pub fn lint_source_with_docs(
-    path: &str,
-    src: &str,
-    enabled: &BTreeSet<RuleId>,
-    documented: Option<&BTreeSet<String>>,
-) -> Vec<Finding> {
     let files = vec![workspace_file(path.to_string(), src)];
-    run(&Workspace::new(files, documented.cloned()), enabled)
+    run(&Workspace::new(files), enabled)
 }
 
-/// Extracts every `graphbolt_[a-z_]+` name mentioned in DESIGN.md §10's
-/// metric table (in practice: anywhere in DESIGN.md — mentioning a
-/// metric elsewhere in the document also counts as documenting it).
-/// Returns `None` when DESIGN.md is absent, which downgrades
-/// `metrics-naming` to its well-formedness half rather than flagging
-/// every metric in a docs-less export.
-pub fn documented_metric_names(root: &Path) -> Option<BTreeSet<String>> {
-    let text = std::fs::read_to_string(root.join("DESIGN.md")).ok()?;
-    let mut names = BTreeSet::new();
-    let bytes = text.as_bytes();
-    let mut i = 0;
-    while let Some(off) = text[i..].find("graphbolt_") {
-        let start = i + off;
-        let mut end = start;
-        while end < bytes.len() && (bytes[end].is_ascii_lowercase() || bytes[end] == b'_') {
-            end += 1;
-        }
-        names.insert(text[start..end].to_string());
-        i = end;
-    }
-    Some(names)
-}
-
-/// Lints the whole workspace rooted at `root` with all rules except
-/// `allow` enabled. Findings are ordered by file, then line.
-pub fn lint_workspace(root: &Path, allow: &BTreeSet<RuleId>) -> io::Result<Vec<Finding>> {
-    let enabled: BTreeSet<RuleId> = ALL_RULES
-        .into_iter()
-        .filter(|r| !allow.contains(r))
-        .collect();
+/// Lints the whole workspace rooted at `root` with every rule enabled.
+/// Findings are ordered by file, then line.
+pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     let mut files = Vec::new();
     for file in collect_workspace_files(root)? {
         let rel = file
@@ -206,7 +159,7 @@ pub fn lint_workspace(root: &Path, allow: &BTreeSet<RuleId>) -> io::Result<Vec<F
             .replace('\\', "/");
         files.push(workspace_file(rel, &std::fs::read_to_string(&file)?));
     }
-    Ok(run(&Workspace::new(files, documented_metric_names(root)), &enabled))
+    Ok(run(&Workspace::new(files), &ALL_RULES.into_iter().collect()))
 }
 
 /// Renders findings for humans: one `file:line [rule] message` per line
@@ -337,16 +290,16 @@ mod tests {
 
     #[test]
     fn dedup_collapses_same_rule_same_line() {
-        let src = "fn f(a: &A, x: &mut f64) { a.retract(x, &1.0); a.retract(x, &2.0); }\n";
+        let src = "pub fn f(a: Option<u8>, b: Option<u8>) -> u8 { a.unwrap() + b.unwrap() }\n";
         let enabled = ALL_RULES.into_iter().collect();
-        let findings = lint_source("crates/graph/src/lib.rs", src, &enabled);
+        let findings = lint_source("crates/core/src/session.rs", src, &enabled);
         assert_eq!(findings.len(), 1, "{findings:?}");
     }
 
     #[test]
     fn sarif_escapes_quotes() {
         let f = Finding {
-            rule: RuleId::RetractGuard,
+            rule: RuleId::LawCoverage,
             file: "a.rs".into(),
             line: 3,
             message: "say \"no\"".into(),

@@ -5,18 +5,16 @@
 #![forbid(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 
-use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use xtask::lint::{lint_workspace, render_sarif, render_text};
-use xtask::rules::{RuleId, ALL_RULES};
+use xtask::rules::ALL_RULES;
 
 const USAGE: &str = "\
 usage: cargo xtask lint [options]
 
 options:
-  --allow <rule>       disable one rule (repeatable); see --list-rules
   --format <text|sarif>
                        output format (default: text); sarif is what
                        GitHub code scanning ingests (findings carry
@@ -42,25 +40,11 @@ fn main() -> ExitCode {
 }
 
 fn lint_cmd(args: &[String]) -> ExitCode {
-    let mut allow: BTreeSet<RuleId> = BTreeSet::new();
     let mut sarif = false;
     let mut root: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--allow" => match it.next().map(|v| (v, RuleId::from_name(v))) {
-                Some((_, Some(rule))) => {
-                    allow.insert(rule);
-                }
-                Some((v, None)) => {
-                    eprintln!("unknown rule `{v}`; see --list-rules");
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("--allow requires a rule name\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
             "--format" => match it.next().map(String::as_str) {
                 Some("text") => sarif = false,
                 Some("sarif") => sarif = true,
@@ -101,7 +85,7 @@ fn lint_cmd(args: &[String]) -> ExitCode {
             .unwrap_or_else(|| PathBuf::from("."))
     });
 
-    match lint_workspace(&root, &allow) {
+    match lint_workspace(&root) {
         Ok(findings) => {
             if sarif {
                 print!("{}", render_sarif(&findings));

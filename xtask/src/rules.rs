@@ -1,21 +1,20 @@
 //! The workspace invariants enforced by `cargo xtask lint`: rule ids,
-//! the policy tables, the waiver mechanism, and the three token-local
-//! rules (`law-coverage`, `retract-guard`, `metrics-naming`). The three
-//! call-graph rules live in [`crate::graph_rules`]; the dead-waiver
-//! check lives in the driver ([`crate::lint`]).
+//! the policy tables, the waiver mechanism, and the one token-local rule
+//! (`law-coverage`). The three call-graph rules live in
+//! [`crate::graph_rules`]; the dead-waiver check lives in the driver
+//! ([`crate::lint`]).
 //!
-//! Policy lives here as code: the root and sanctioned-module tables
+//! Policy lives here as code: the root and exclusion tables
 //! below are the single source of truth. DESIGN.md §9 documents the
 //! rationale for each entry; changing a table is a reviewable policy
 //! change, not a lint tweak.
 //!
-//! Escape hatches, from coarse to fine:
-//! - `--allow <rule>` disables a rule for one invocation;
-//! - an inline waiver comment `// lint:allow(<rule>) — reason` on the
-//!   offending line or within the six lines above (so multi-line
-//!   justifications fit) suppresses a single finding; on a *call site*
-//!   it prunes the call-graph edge instead. A waiver that suppresses
-//!   nothing is itself a finding (`dead-annotation`).
+//! The one escape hatch is a reviewed per-site waiver: an inline comment
+//! `// lint:allow(<rule>) — reason` on the offending line or within the
+//! six lines above (so multi-line justifications fit) suppresses a
+//! single finding; on a *call site* it prunes the call-graph edge
+//! instead. A waiver that suppresses nothing is itself a finding
+//! (`dead-annotation`).
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -23,19 +22,12 @@ use std::collections::BTreeSet;
 use crate::callgraph::CallGraph;
 use crate::graph_rules::{build_graph, WorkspaceFile};
 use crate::items::{impl_blocks, law_registrations};
-use crate::scanner::{TokKind, Token};
 
 /// Identifier of one lint rule.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RuleId {
     /// Every `impl Algorithm for T` is registered with the law harness.
     LawCoverage,
-    /// Direct `.retract(` / `.delta(` calls confined to the refinement
-    /// path and the law harness.
-    RetractGuard,
-    /// Registered metric names match `graphbolt_[a-z_]+` and appear in
-    /// DESIGN.md §10's metric table.
-    MetricsNaming,
     /// No function transitively reachable from the service layer may
     /// panic.
     PanicReachability,
@@ -52,10 +44,8 @@ pub enum RuleId {
 
 /// All rules, in reporting order; a rule's position is its SARIF
 /// `ruleIndex` (pinned by `rule_index_table_is_stable`).
-pub const ALL_RULES: [RuleId; 7] = [
+pub const ALL_RULES: [RuleId; 5] = [
     RuleId::LawCoverage,
-    RuleId::RetractGuard,
-    RuleId::MetricsNaming,
     RuleId::PanicReachability,
     RuleId::HotPathBlocking,
     RuleId::DeadlinePropagation,
@@ -63,12 +53,10 @@ pub const ALL_RULES: [RuleId; 7] = [
 ];
 
 impl RuleId {
-    /// Stable kebab-case name used by `--allow` and machine output.
+    /// Stable kebab-case name used by waivers and machine output.
     pub fn name(self) -> &'static str {
         match self {
             RuleId::LawCoverage => "law-coverage",
-            RuleId::RetractGuard => "retract-guard",
-            RuleId::MetricsNaming => "metrics-naming",
             RuleId::PanicReachability => "panic-reachability",
             RuleId::HotPathBlocking => "hot-path-blocking",
             RuleId::DeadlinePropagation => "deadline-propagation",
@@ -87,12 +75,6 @@ impl RuleId {
         match self {
             RuleId::LawCoverage => {
                 "every `impl Algorithm for T` registered via `check_laws::<T>`"
-            }
-            RuleId::RetractGuard => {
-                "direct `.retract(`/`.delta(` only in core::{refine,bsp,laws}"
-            }
-            RuleId::MetricsNaming => {
-                "metric names match `graphbolt_[a-z_]+` and are documented in DESIGN.md §10"
             }
             RuleId::PanicReachability => {
                 "no panic/unwrap/expect/indexing transitively reachable from the service layer"
@@ -139,23 +121,6 @@ pub struct Finding {
     /// rules); shown as SARIF `codeFlows`.
     pub flow: Vec<FlowStep>,
 }
-
-/// Modules sanctioned to call the aggregation operators `⋃-`
-/// (`.retract(`) and `⋃△` (`.delta(`/`.delta_structural(`) directly:
-/// the dependency-driven refinement path, the BSP baseline's tracking
-/// variant, and the law harness itself. Everywhere else, aggregation
-/// state must evolve through `refine`/`run_bsp`, never by hand — a
-/// stray retract desynchronizes the dependency store from the values it
-/// indexes.
-const RETRACT_OK: &[&str] = &[
-    "crates/core/src/refine.rs",
-    "crates/core/src/bsp.rs",
-    "crates/core/src/laws.rs",
-];
-
-/// The telemetry registration types whose `::new(` first argument is a
-/// metric name (see `core::telemetry`).
-const METRIC_TYPES: &[&str] = &["Counter", "Gauge", "Histogram"];
 
 /// Modules whose `pub`/`pub(crate)` fns and trait-impl methods are the
 /// entry points of the `panic-reachability` traversal: the service
@@ -213,9 +178,8 @@ pub(crate) fn path_matches(path: &str, table: &[&str]) -> bool {
 }
 
 /// Everything one lint run looks at: the scanned files, the call graph
-/// over them, the two cross-file registries (`check_laws::<T>`
-/// registrations and DESIGN.md §10's metric names), and the log of
-/// waivers that discharged something.
+/// over them, the one cross-file registry (`check_laws::<T>`
+/// registrations), and the log of waivers that discharged something.
 pub struct Workspace {
     /// Scanned files; indices match [`CallGraph::files`].
     pub files: Vec<WorkspaceFile>,
@@ -224,9 +188,6 @@ pub struct Workspace {
     /// Type names registered via `check_laws::<T>` anywhere in `files`
     /// (test trees included — registrations live in integration tests).
     registered: BTreeSet<String>,
-    /// Metric names DESIGN.md documents; `None` skips that half of
-    /// `metrics-naming` (fixture runs, docs-less source exports).
-    documented: Option<BTreeSet<String>>,
     /// Waivers that suppressed a finding or cut an edge this run, keyed
     /// `(file index, marker line, rule)`; the dead-waiver check reports
     /// every waiver that is not in here.
@@ -235,7 +196,7 @@ pub struct Workspace {
 
 impl Workspace {
     /// Builds the call graph and the registration set over `files`.
-    pub fn new(files: Vec<WorkspaceFile>, documented: Option<BTreeSet<String>>) -> Self {
+    pub fn new(files: Vec<WorkspaceFile>) -> Self {
         let graph = build_graph(&files);
         let registered = files
             .iter()
@@ -245,7 +206,6 @@ impl Workspace {
             files,
             graph,
             registered,
-            documented,
             used_waivers: RefCell::default(),
         }
     }
@@ -291,57 +251,6 @@ impl Workspace {
     }
 }
 
-/// Rule `metrics-naming`: every metric registration —
-/// `Counter::new("…")`, `Gauge::new("…")`, `Histogram::new("…")` — must
-/// (a) pass a string literal as the name, (b) name it
-/// `graphbolt_<suffix>` with a nonempty `[a-z_]` suffix, and (c) appear
-/// in DESIGN.md §10's metric table. Undocumented metrics are dashboards
-/// nobody can discover; malformed names break Prometheus relabeling
-/// downstream. Test regions are exempt — unit tests register throwaway
-/// metrics to probe the encoders.
-pub(crate) fn metrics_naming(ws: &Workspace, fi: usize, out: &mut Vec<Finding>) {
-    let file = &ws.files[fi];
-    if file.in_test_tree {
-        return;
-    }
-    let toks = &file.scanned.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.in_test || tok.kind != TokKind::Ident || !METRIC_TYPES.contains(&tok.text.as_str())
-        {
-            continue;
-        }
-        if !(next_is(toks, i, "::")
-            && toks.get(i + 2).is_some_and(|t| t.text == "new")
-            && next_is(toks, i + 2, "("))
-        {
-            continue;
-        }
-        let Some(name_tok) = toks.get(i + 4).filter(|t| t.kind == TokKind::Str) else {
-            let message = format!(
-                "`{}::new` name must be a string literal so the lint (and a grep) can see it",
-                tok.text
-            );
-            ws.emit(out, fi, RuleId::MetricsNaming, tok.line, message, Vec::new());
-            continue;
-        };
-        let name = name_tok.literal.as_str();
-        let well_formed = name.strip_prefix("graphbolt_").is_some_and(|s| {
-            !s.is_empty() && s.chars().all(|c| c.is_ascii_lowercase() || c == '_')
-        });
-        let message = if !well_formed {
-            format!("metric name `{name}` does not match `graphbolt_[a-z_]+`")
-        } else if ws.documented.as_ref().is_some_and(|d| !d.contains(name)) {
-            format!(
-                "metric `{name}` is not documented in DESIGN.md §10's metric table; add a \
-                 row for it"
-            )
-        } else {
-            continue;
-        };
-        ws.emit(out, fi, RuleId::MetricsNaming, name_tok.line, message, Vec::new());
-    }
-}
-
 /// Rule `law-coverage`: every `impl Algorithm for T` in a non-test-tree
 /// file — including `#[cfg(test)]` helper algorithms — must appear in a
 /// `check_laws::<T>` registration somewhere in the workspace. An
@@ -365,37 +274,4 @@ pub(crate) fn law_coverage(ws: &Workspace, fi: usize, out: &mut Vec<Finding>) {
         );
         ws.emit(out, fi, RuleId::LawCoverage, block.line, message, Vec::new());
     }
-}
-
-/// Rule `retract-guard`: direct calls to the aggregation operators
-/// `.retract(`, `.delta(`, and `.delta_structural(` are confined to the
-/// sanctioned refinement path ([`RETRACT_OK`]). Test regions and test
-/// trees are exempt — unit tests legitimately probe the operators in
-/// isolation.
-pub(crate) fn retract_guard(ws: &Workspace, fi: usize, out: &mut Vec<Finding>) {
-    let file = &ws.files[fi];
-    if file.in_test_tree || path_matches(&file.rel, RETRACT_OK) {
-        return;
-    }
-    let toks = &file.scanned.tokens;
-    for (i, tok) in toks.iter().enumerate() {
-        if tok.in_test || tok.kind != TokKind::Ident {
-            continue;
-        }
-        let is_operator =
-            tok.text == "retract" || tok.text == "delta" || tok.text == "delta_structural";
-        if is_operator && i > 0 && toks[i - 1].text == "." && next_is(toks, i, "(") {
-            let message = format!(
-                "direct `.{}(` call outside the refinement path (core::refine, core::bsp, \
-                 core::laws); aggregation state must evolve through refine/BSP or the law \
-                 harness",
-                tok.text
-            );
-            ws.emit(out, fi, RuleId::RetractGuard, tok.line, message, Vec::new());
-        }
-    }
-}
-
-fn next_is(toks: &[Token], i: usize, text: &str) -> bool {
-    toks.get(i + 1).is_some_and(|t| t.text == text)
 }

@@ -2,14 +2,14 @@
 //! per rule with exact expected findings, one regression fixture per
 //! bug a rule historically caught (the fixture holds the *fixed* shape;
 //! the test removes the guard and expects the original finding), the
-//! dead-waiver check, `--allow` behavior, and whole-tree cleanliness.
+//! dead-waiver check, per-rule enabling, and whole-tree cleanliness.
 //! Everything runs through the same single-file harness — the simulated
-//! path picks which root and sanctioned-module tables apply.
+//! path picks which root and exclusion tables apply.
 
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
-use xtask::lint::{lint_source, lint_source_with_docs, lint_workspace, render_sarif, render_text};
+use xtask::lint::{lint_source, lint_workspace, render_sarif, render_text};
 use xtask::rules::{Finding, RuleId, ALL_RULES};
 
 fn fixture(rule_dir: &str, name: &str) -> String {
@@ -70,110 +70,6 @@ fn law_coverage_exempts_test_trees() {
         "law_coverage",
         "fail.rs",
         "tests/laws.rs",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn retract_guard_pass_fixture_clean_in_refine_path() {
-    let f = lint_fixture(
-        RuleId::RetractGuard,
-        "retract_guard",
-        "pass.rs",
-        "crates/core/src/refine.rs",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn retract_guard_fail_fixture_flags_each_operator_call() {
-    let f = lint_fixture(
-        RuleId::RetractGuard,
-        "retract_guard",
-        "fail.rs",
-        "crates/core/src/streaming.rs",
-    );
-    assert_eq!(f.len(), 3, "{}", render_text(&f));
-    assert!(f[0].message.contains(".retract("));
-    assert!(f[1].message.contains(".delta("));
-    assert!(f[2].message.contains(".delta_structural("));
-    // Field reads/writes named `delta` (lines 8-9) and the cfg(test)
-    // probe did not fire.
-    assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), [5, 6, 7]);
-}
-
-#[test]
-fn retract_guard_exempts_test_trees() {
-    let f = lint_fixture(
-        RuleId::RetractGuard,
-        "retract_guard",
-        "fail.rs",
-        "crates/core/tests/probe.rs",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn metrics_naming_pass_fixture_is_clean() {
-    let f = lint_fixture(
-        RuleId::MetricsNaming,
-        "metrics_naming",
-        "pass.rs",
-        "crates/core/src/telemetry/mod.rs",
-    );
-    assert!(f.is_empty(), "{f:?}");
-}
-
-#[test]
-fn metrics_naming_fail_fixture_flags_each_violation() {
-    // Missing prefix, bad charset, empty suffix, computed name — the
-    // well-formed registration on line 8 passes (no doc set injected).
-    let f = lint_fixture(
-        RuleId::MetricsNaming,
-        "metrics_naming",
-        "fail.rs",
-        "crates/core/src/telemetry/mod.rs",
-    );
-    assert_eq!(f.len(), 4, "{}", render_text(&f));
-    assert_eq!(f.iter().map(|x| x.line).collect::<Vec<_>>(), [4, 5, 6, 7]);
-    assert!(f[0].message.contains("graphbolt_[a-z_]+"));
-    assert!(f[1].message.contains("graphbolt_QueueDepth"));
-    assert!(f[2].message.contains("graphbolt_`"));
-    assert!(f[3].message.contains("string literal"));
-}
-
-#[test]
-fn metrics_naming_documented_set_is_injected_not_read() {
-    // The fixture tests never read DESIGN.md: the documented set is
-    // passed in, so the suite works in a bare source export.
-    let enabled: BTreeSet<RuleId> = [RuleId::MetricsNaming].into_iter().collect();
-    let src = fixture("metrics_naming", "pass.rs");
-    let path = "crates/core/src/telemetry/mod.rs";
-    let documented: BTreeSet<String> = [
-        "graphbolt_fixture_batches_total",
-        "graphbolt_fixture_queue_occupancy",
-        "graphbolt_fixture_refine_ns",
-    ]
-    .into_iter()
-    .map(String::from)
-    .collect();
-    let f = lint_source_with_docs(path, &src, &enabled, Some(&documented));
-    assert!(f.is_empty(), "{f:?}");
-
-    // An empty documented set flags every (well-formed) registration.
-    let none = BTreeSet::new();
-    let f = lint_source_with_docs(path, &src, &enabled, Some(&none));
-    assert_eq!(f.len(), 3, "{}", render_text(&f));
-    assert!(f.iter().all(|x| x.message.contains("DESIGN.md")));
-}
-
-#[test]
-fn metrics_naming_exempts_test_trees() {
-    let f = lint_fixture(
-        RuleId::MetricsNaming,
-        "metrics_naming",
-        "fail.rs",
-        "crates/core/tests/encoders.rs",
     );
     assert!(f.is_empty(), "{f:?}");
 }
@@ -479,22 +375,22 @@ fn sarif_code_flows_for_graph_findings() {
     assert!(sarif.contains("\"codeFlows\""), "{sarif}");
     assert!(sarif.contains("\"threadFlows\""), "{sarif}");
     assert!(
-        sarif.contains("\"ruleIndex\": 5"),
-        "deadline-propagation sits at index 5: {sarif}"
+        sarif.contains("\"ruleIndex\": 3"),
+        "deadline-propagation sits at index 3: {sarif}"
     );
     // The chain's entry frame names the handler.
     assert!(sarif.contains("enter serve_query"), "{sarif}");
 
     // Token-local findings carry no chain and emit no codeFlows.
     let f = lint_fixture(
-        RuleId::RetractGuard,
-        "retract_guard",
+        RuleId::LawCoverage,
+        "law_coverage",
         "fail.rs",
-        "crates/core/src/streaming.rs",
+        "crates/algorithms/src/alg.rs",
     );
     let sarif = render_sarif(&f);
     assert!(!sarif.contains("\"codeFlows\""), "{sarif}");
-    assert!(sarif.contains("\"ruleIndex\": 1"), "{sarif}");
+    assert!(sarif.contains("\"ruleIndex\": 0"), "{sarif}");
 }
 
 /// SARIF `ruleIndex` positions — CI dashboards key on them, so moving
@@ -503,8 +399,6 @@ fn sarif_code_flows_for_graph_findings() {
 fn rule_index_table_is_stable() {
     let expected = [
         RuleId::LawCoverage,
-        RuleId::RetractGuard,
-        RuleId::MetricsNaming,
         RuleId::PanicReachability,
         RuleId::HotPathBlocking,
         RuleId::DeadlinePropagation,
@@ -515,12 +409,10 @@ fn rule_index_table_is_stable() {
 
 #[test]
 fn allow_disables_each_rule() {
-    // `--allow <rule>` maps to removing the rule from the enabled set;
-    // with its rule disabled, every fail fixture lints clean.
+    // `lint_source` runs only the rules in its enabled set: with its
+    // rule left out, every fail fixture lints clean.
     let cases = [
         (RuleId::LawCoverage, "law_coverage", "crates/algorithms/src/alg.rs"),
-        (RuleId::RetractGuard, "retract_guard", "crates/core/src/streaming.rs"),
-        (RuleId::MetricsNaming, "metrics_naming", "crates/core/src/telemetry/mod.rs"),
         (RuleId::PanicReachability, "panic_reachability", "crates/core/src/frontdoor.rs"),
         (RuleId::HotPathBlocking, "hot_path_blocking", "crates/engine/src/edge_map.rs"),
         (RuleId::DeadlinePropagation, "deadline_propagation", "crates/core/src/frontdoor.rs"),
@@ -532,7 +424,7 @@ fn allow_disables_each_rule() {
             .into_iter()
             .filter(|f| f.rule == rule)
             .collect();
-        assert!(findings.is_empty(), "--allow {} leaks: {findings:?}", rule.name());
+        assert!(findings.is_empty(), "disabled {} leaks: {findings:?}", rule.name());
     }
 }
 
@@ -540,7 +432,7 @@ fn allow_disables_each_rule() {
 fn rule_names_round_trip() {
     for rule in ALL_RULES {
         assert_eq!(RuleId::from_name(rule.name()), Some(rule));
-        // Snake-case aliases accepted for CLI ergonomics.
+        // Snake-case aliases accepted in waivers.
         assert_eq!(RuleId::from_name(&rule.name().replace('-', "_")), Some(rule));
     }
     assert_eq!(RuleId::from_name("no-such-rule"), None);
@@ -555,7 +447,7 @@ fn workspace_tree_is_clean() {
         .parent()
         .expect("xtask lives in the workspace root")
         .to_path_buf();
-    let findings = lint_workspace(&root, &BTreeSet::new()).expect("walk workspace");
+    let findings = lint_workspace(&root).expect("walk workspace");
     assert!(
         findings.is_empty(),
         "workspace has lint violations:\n{}",
@@ -586,7 +478,7 @@ fn workspace_walk_reports_a_violation_across_files() {
     )
     .expect("write laws.rs");
 
-    let findings = lint_workspace(&dir, &BTreeSet::new()).expect("walk");
+    let findings = lint_workspace(&dir).expect("walk");
     std::fs::remove_dir_all(&dir).ok();
     assert_eq!(findings.len(), 1, "{}", render_text(&findings));
     assert_eq!(findings[0].rule, RuleId::LawCoverage);
@@ -635,6 +527,7 @@ fn cli_formats_and_exit_codes() {
     for usage_error in [
         &["frobnicate"][..],
         &["lint", "--format", "yaml"],
+        // No per-run rule switch: `--allow` is an unknown option.
         &["lint", "--allow", "bogus-rule"],
         &["lint", "--no-such-flag"],
     ] {

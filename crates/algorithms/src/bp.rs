@@ -23,7 +23,7 @@
 //! within `[1 − ε, 1 + ε]` for coupling ε < 1, so every contribution is
 //! strictly positive.
 
-use graphbolt_core::{Algorithm, Refining};
+use graphbolt_core::{Algorithm, Decomposable, Refining, Sum};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 use crate::util::{hash_unit, linf};
@@ -133,6 +133,7 @@ impl BeliefPropagation {
 impl Algorithm for BeliefPropagation {
     type Value = Vec<f64>;
     type Agg = Vec<f64>;
+    type Kind = Sum;
 
     fn initial_value(&self, _v: VertexId) -> Vec<f64> {
         vec![1.0 / self.num_states as f64; self.num_states]
@@ -166,28 +167,6 @@ impl Algorithm for BeliefPropagation {
         }
     }
 
-    /// Log-space division (`atomicDivide`).
-    fn retract(&self, _: Refining, agg: &mut Vec<f64>, contrib: &Vec<f64>) {
-        for (a, c) in agg.iter_mut().zip(contrib) {
-            *a -= c;
-        }
-    }
-
-    fn delta(
-        &self,
-        _: Refining,
-        g: &GraphSnapshot,
-        u: VertexId,
-        v: VertexId,
-        w: Weight,
-        old: &Vec<f64>,
-        new: &Vec<f64>,
-    ) -> Option<Vec<f64>> {
-        let oc = self.contribution(g, u, v, w, old);
-        let nc = self.contribution(g, u, v, w, new);
-        Some(nc.iter().zip(&oc).map(|(n, o)| n - o).collect())
-    }
-
     /// Stable softmax: `exp(agg - max)` normalized.
     fn compute(&self, _v: VertexId, agg: &Vec<f64>, _g: &GraphSnapshot) -> Vec<f64> {
         let max = agg.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -208,6 +187,30 @@ impl Algorithm for BeliefPropagation {
 
     fn agg_heap_bytes(&self, agg: &Vec<f64>) -> usize {
         agg.capacity() * std::mem::size_of::<f64>()
+    }
+}
+
+impl Decomposable for BeliefPropagation {
+    /// Log-space division (`atomicDivide`).
+    fn retract(&self, _: Refining, agg: &mut Vec<f64>, contrib: &Vec<f64>) {
+        for (a, c) in agg.iter_mut().zip(contrib) {
+            *a -= c;
+        }
+    }
+
+    fn delta(
+        &self,
+        _: Refining,
+        g: &GraphSnapshot,
+        u: VertexId,
+        v: VertexId,
+        w: Weight,
+        old: &Vec<f64>,
+        new: &Vec<f64>,
+    ) -> Option<Vec<f64>> {
+        let oc = self.contribution(g, u, v, w, old);
+        let nc = self.contribution(g, u, v, w, new);
+        Some(nc.iter().zip(&oc).map(|(n, o)| n - o).collect())
     }
 }
 

@@ -12,7 +12,7 @@
 //! exchange*: on a symmetrized graph this is exactly undirected connected
 //! components once the iteration count reaches the diameter.
 
-use graphbolt_core::Algorithm;
+use graphbolt_core::{Algorithm, Selective};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 /// Min-label connected components.
@@ -39,6 +39,7 @@ impl Algorithm for ConnectedComponents {
     /// engine plumbing; it is always an exact small integer (vertex id).
     type Value = f64;
     type Agg = f64;
+    type Kind = Selective;
 
     fn initial_value(&self, v: VertexId) -> f64 {
         v as f64
@@ -63,10 +64,6 @@ impl Algorithm for ConnectedComponents {
         if *contrib < *agg {
             *agg = *contrib;
         }
-    }
-
-    fn decomposable(&self) -> bool {
-        false
     }
 
     fn compute(&self, v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {

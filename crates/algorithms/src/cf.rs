@@ -14,9 +14,9 @@
 //! Gram term transforms the source value before summing, its incremental
 //! form requires **on-the-fly evaluation of discrete contributions**:
 //! `cᵀ·cᵀᵗʳ − c·cᵗʳ` per changed edge, which is exactly what
-//! [`Algorithm::delta`] computes here.
+//! [`Decomposable::delta`] computes here.
 
-use graphbolt_core::{Algorithm, Refining};
+use graphbolt_core::{Algorithm, Decomposable, Refining, Sum};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 use crate::util::{hash_unit, linf, solve_dense};
@@ -77,6 +77,7 @@ impl CollaborativeFiltering {
 impl Algorithm for CollaborativeFiltering {
     type Value = Vec<f64>;
     type Agg = Vec<f64>;
+    type Kind = Sum;
 
     fn initial_value(&self, v: VertexId) -> Vec<f64> {
         // Deterministic pseudo-random factors in (0, 1): reproducible
@@ -107,6 +108,29 @@ impl Algorithm for CollaborativeFiltering {
         }
     }
 
+    fn compute(&self, v: VertexId, agg: &Vec<f64>, _g: &GraphSnapshot) -> Vec<f64> {
+        let d = self.dim;
+        let mut m = agg[..d * d].to_vec();
+        for i in 0..d {
+            // The fixed regularizer λ on the normal-matrix diagonal.
+            m[i * d + i] += self.lambda;
+        }
+        let b = agg[d * d..].to_vec();
+        // λ > 0 keeps the system positive definite; the fallback keeps the
+        // initial factors should numerical cancellation ever break that.
+        solve_dense(m, b, d).unwrap_or_else(|| self.initial_value(v))
+    }
+
+    fn changed(&self, old: &Vec<f64>, new: &Vec<f64>) -> bool {
+        linf(old, new) > self.tolerance
+    }
+
+    fn agg_heap_bytes(&self, agg: &Vec<f64>) -> usize {
+        agg.capacity() * std::mem::size_of::<f64>()
+    }
+}
+
+impl Decomposable for CollaborativeFiltering {
     fn retract(&self, _: Refining, agg: &mut Vec<f64>, contrib: &Vec<f64>) {
         for (a, c) in agg.iter_mut().zip(contrib) {
             *a -= c;
@@ -137,27 +161,6 @@ impl Algorithm for CollaborativeFiltering {
             out[d * d + i] = (new[i] - old[i]) * w;
         }
         Some(out)
-    }
-
-    fn compute(&self, v: VertexId, agg: &Vec<f64>, _g: &GraphSnapshot) -> Vec<f64> {
-        let d = self.dim;
-        let mut m = agg[..d * d].to_vec();
-        for i in 0..d {
-            // The fixed regularizer λ on the normal-matrix diagonal.
-            m[i * d + i] += self.lambda;
-        }
-        let b = agg[d * d..].to_vec();
-        // λ > 0 keeps the system positive definite; the fallback keeps the
-        // initial factors should numerical cancellation ever break that.
-        solve_dense(m, b, d).unwrap_or_else(|| self.initial_value(v))
-    }
-
-    fn changed(&self, old: &Vec<f64>, new: &Vec<f64>) -> bool {
-        linf(old, new) > self.tolerance
-    }
-
-    fn agg_heap_bytes(&self, agg: &Vec<f64>) -> usize {
-        agg.capacity() * std::mem::size_of::<f64>()
     }
 }
 

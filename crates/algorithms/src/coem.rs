@@ -3,7 +3,7 @@
 
 use std::sync::Arc;
 
-use graphbolt_core::{Algorithm, Refining};
+use graphbolt_core::{Algorithm, Decomposable, Refining, Sum};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 /// CoEM semi-supervised learning for named-entity recognition
@@ -53,6 +53,7 @@ impl CoEm {
 impl Algorithm for CoEm {
     type Value = f64;
     type Agg = f64;
+    type Kind = Sum;
 
     fn initial_value(&self, v: VertexId) -> f64 {
         self.seed_of(v).unwrap_or(0.5)
@@ -77,23 +78,6 @@ impl Algorithm for CoEm {
         *agg += contrib;
     }
 
-    fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
-        *agg -= contrib;
-    }
-
-    fn delta(
-        &self,
-        _: Refining,
-        _g: &GraphSnapshot,
-        _u: VertexId,
-        _v: VertexId,
-        w: Weight,
-        old: &f64,
-        new: &f64,
-    ) -> Option<f64> {
-        Some((new - old) * w)
-    }
-
     fn compute(&self, v: VertexId, agg: &f64, g: &GraphSnapshot) -> f64 {
         if let Some(p) = self.seed_of(v) {
             return p;
@@ -112,6 +96,25 @@ impl Algorithm for CoEm {
 
     fn target_structure_dependent(&self) -> bool {
         true
+    }
+}
+
+impl Decomposable for CoEm {
+    fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
+        *agg -= contrib;
+    }
+
+    fn delta(
+        &self,
+        _: Refining,
+        _g: &GraphSnapshot,
+        _u: VertexId,
+        _v: VertexId,
+        w: Weight,
+        old: &f64,
+        new: &f64,
+    ) -> Option<f64> {
+        Some((new - old) * w)
     }
 }
 

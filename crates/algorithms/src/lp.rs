@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use graphbolt_core::{Algorithm, Refining};
+use graphbolt_core::{Algorithm, Decomposable, Refining, Sum};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 use crate::util::linf;
@@ -83,6 +83,7 @@ impl LabelPropagation {
 impl Algorithm for LabelPropagation {
     type Value = Vec<f64>;
     type Agg = Vec<f64>;
+    type Kind = Sum;
 
     fn initial_value(&self, v: VertexId) -> Vec<f64> {
         match self.seed_of(v) {
@@ -112,25 +113,6 @@ impl Algorithm for LabelPropagation {
         }
     }
 
-    fn retract(&self, _: Refining, agg: &mut Vec<f64>, contrib: &Vec<f64>) {
-        for (a, c) in agg.iter_mut().zip(contrib) {
-            *a -= c;
-        }
-    }
-
-    fn delta(
-        &self,
-        _: Refining,
-        _g: &GraphSnapshot,
-        _u: VertexId,
-        _v: VertexId,
-        w: Weight,
-        old: &Vec<f64>,
-        new: &Vec<f64>,
-    ) -> Option<Vec<f64>> {
-        Some(new.iter().zip(old).map(|(n, o)| (n - o) * w).collect())
-    }
-
     fn compute(&self, v: VertexId, agg: &Vec<f64>, _g: &GraphSnapshot) -> Vec<f64> {
         if let Some(label) = self.seed_of(v) {
             return self.one_hot(label);
@@ -153,6 +135,27 @@ impl Algorithm for LabelPropagation {
 
     fn agg_heap_bytes(&self, agg: &Vec<f64>) -> usize {
         agg.capacity() * std::mem::size_of::<f64>()
+    }
+}
+
+impl Decomposable for LabelPropagation {
+    fn retract(&self, _: Refining, agg: &mut Vec<f64>, contrib: &Vec<f64>) {
+        for (a, c) in agg.iter_mut().zip(contrib) {
+            *a -= c;
+        }
+    }
+
+    fn delta(
+        &self,
+        _: Refining,
+        _g: &GraphSnapshot,
+        _u: VertexId,
+        _v: VertexId,
+        w: Weight,
+        old: &Vec<f64>,
+        new: &Vec<f64>,
+    ) -> Option<Vec<f64>> {
+        Some(new.iter().zip(old).map(|(n, o)| (n - o) * w).collect())
     }
 }
 

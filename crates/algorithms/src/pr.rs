@@ -1,6 +1,6 @@
 //! PageRank (PR) — Table 4: `⊕ = Σ c(u) / out_degree(u)`.
 
-use graphbolt_core::{Algorithm, Refining};
+use graphbolt_core::{Algorithm, Decomposable, Refining, Sum};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 /// Synchronous PageRank with damping, expressed in the GraphBolt
@@ -46,6 +46,7 @@ impl PageRank {
 impl Algorithm for PageRank {
     type Value = f64;
     type Agg = f64;
+    type Kind = Sum;
 
     fn initial_value(&self, _v: VertexId) -> f64 {
         1.0
@@ -70,6 +71,20 @@ impl Algorithm for PageRank {
         *agg += contrib;
     }
 
+    fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
+        (1.0 - self.damping) + self.damping * agg
+    }
+
+    fn changed(&self, old: &f64, new: &f64) -> bool {
+        (old - new).abs() > self.tolerance
+    }
+
+    fn source_structure_dependent(&self) -> bool {
+        true
+    }
+}
+
+impl Decomposable for PageRank {
     fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
         *agg -= contrib;
     }
@@ -100,18 +115,6 @@ impl Algorithm for PageRank {
     ) -> Option<f64> {
         // Algorithm 3's propagateDelta: newpr/new_degree − oldpr/old_degree.
         Some(new / new_g.out_degree(u).max(1) as f64 - old / old_g.out_degree(u).max(1) as f64)
-    }
-
-    fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
-        (1.0 - self.damping) + self.damping * agg
-    }
-
-    fn changed(&self, old: &f64, new: &f64) -> bool {
-        (old - new).abs() > self.tolerance
-    }
-
-    fn source_structure_dependent(&self) -> bool {
-        true
     }
 }
 

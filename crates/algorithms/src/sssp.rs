@@ -1,7 +1,7 @@
 //! Single-Source Shortest Paths (SSSP) — the paper's non-decomposable
 //! `min` aggregation (§5.4), used for the KickStarter comparison.
 
-use graphbolt_core::Algorithm;
+use graphbolt_core::{Algorithm, Selective};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 /// Bellman–Ford-shaped SSSP in the GraphBolt model.
@@ -46,6 +46,7 @@ impl ShortestPaths {
 impl Algorithm for ShortestPaths {
     type Value = f64;
     type Agg = f64;
+    type Kind = Selective;
 
     fn initial_value(&self, v: VertexId) -> f64 {
         if v == self.source {
@@ -75,10 +76,6 @@ impl Algorithm for ShortestPaths {
         if *contrib < *agg {
             *agg = *contrib;
         }
-    }
-
-    fn decomposable(&self) -> bool {
-        false
     }
 
     fn compute(&self, v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {

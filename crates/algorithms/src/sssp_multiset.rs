@@ -16,7 +16,7 @@
 
 use std::collections::BTreeMap;
 
-use graphbolt_core::{Algorithm, Refining};
+use graphbolt_core::{Algorithm, Decomposable, Refining, Sum};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 /// A sorted multiset of `f64` candidates with signed counts — the
@@ -123,6 +123,7 @@ impl ShortestPathsMultiset {
 impl Algorithm for ShortestPathsMultiset {
     type Value = f64;
     type Agg = MinBag;
+    type Kind = Sum;
 
     fn initial_value(&self, v: VertexId) -> f64 {
         if v == self.source {
@@ -157,10 +158,6 @@ impl Algorithm for ShortestPathsMultiset {
         agg.merge(contrib);
     }
 
-    fn retract(&self, _: Refining, agg: &mut MinBag, contrib: &MinBag) {
-        agg.unmerge(contrib);
-    }
-
     fn compute(&self, v: VertexId, agg: &MinBag, _g: &GraphSnapshot) -> f64 {
         if v == self.source {
             0.0
@@ -172,6 +169,12 @@ impl Algorithm for ShortestPathsMultiset {
     fn agg_heap_bytes(&self, agg: &MinBag) -> usize {
         // BTreeMap node overhead approximated at 2 words per entry.
         agg.len() * (std::mem::size_of::<(u64, i64)>() + 16)
+    }
+}
+
+impl Decomposable for ShortestPathsMultiset {
+    fn retract(&self, _: Refining, agg: &mut MinBag, contrib: &MinBag) {
+        agg.unmerge(contrib);
     }
 }
 

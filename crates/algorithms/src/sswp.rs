@@ -7,7 +7,7 @@
 //! non-decomposable path with a `max` aggregation — the mirror image of
 //! SSSP's `min` (§3.3: "min and max … non-decomposable").
 
-use graphbolt_core::Algorithm;
+use graphbolt_core::{Algorithm, Selective};
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 /// Widest-path widths from a source vertex.
@@ -31,6 +31,7 @@ impl WidestPaths {
 impl Algorithm for WidestPaths {
     type Value = f64;
     type Agg = f64;
+    type Kind = Selective;
 
     fn initial_value(&self, v: VertexId) -> f64 {
         if v == self.source {
@@ -59,10 +60,6 @@ impl Algorithm for WidestPaths {
         if *contrib > *agg {
             *agg = *contrib;
         }
-    }
-
-    fn decomposable(&self) -> bool {
-        false
     }
 
     fn compute(&self, v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {

@@ -14,20 +14,21 @@
 //!
 //! * `⊎` — add a new contribution (edge addition): [`Algorithm::combine`],
 //! * `⋃-` — remove an old contribution (edge deletion):
-//!   [`Algorithm::retract`],
+//!   [`Decomposable::retract`],
 //! * `⋃△` — update an existing contribution (transitive effect):
 //!   `retract(old)` followed by `combine(new)`, or the fused
-//!   [`Algorithm::delta`] when the aggregation admits a direct
+//!   [`Decomposable::delta`] when the aggregation admits a direct
 //!   change-in-contribution form (Algorithm 3's `propagateDelta`).
 //!
 //! `⋃-` and `⋃△` belong to dependency-driven refinement: each takes a
 //! [`Refining`] capability, which only this crate can create.
 //!
-//! **Decomposable** aggregations (sum, product, count, vector/matrix sums)
-//! support `retract`; **non-decomposable** aggregations (min/max) do not —
-//! they set [`Algorithm::decomposable`] to `false` and the engine falls
-//! back to pull-based re-evaluation of the whole aggregation from the CSC
-//! index (§3.3 "Aggregation Properties & Extensions").
+//! [`Algorithm::Kind`] names the aggregation's algebra, and picks the
+//! engine's code for it at compile time (§3.3 "Aggregation Properties &
+//! Extensions"): [`Sum`] for **decomposable** aggregations (sum, product,
+//! count, vector/matrix sums), which also implement [`Decomposable`]'s
+//! `⋃-` and `⋃△`; [`Selective`] for min/max, which have no `⋃-` and are
+//! re-evaluated from the complete in-neighborhood in the CSC index.
 //!
 //! Complex aggregations (Collaborative Filtering's matrix/vector pair,
 //! Belief Propagation's per-state products) are expressed by *statically
@@ -37,8 +38,8 @@
 use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
 /// Capability to apply the refinement operators `⋃-`
-/// ([`Algorithm::retract`]) and `⋃△` ([`Algorithm::delta`],
-/// [`Algorithm::delta_structural`]).
+/// ([`Decomposable::retract`]) and `⋃△` ([`Decomposable::delta`],
+/// [`Decomposable::delta_structural`]).
 ///
 /// Each operator takes a `Refining` as its first argument, and only this
 /// crate can create one — the refinement path ([`crate::refine()`]), the
@@ -54,6 +55,54 @@ use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 /// use graphbolt_core::Refining;
 /// let _ = Refining(());
 /// ```
+///
+/// A selective algorithm has no `⋃-` to call, even holding a `Refining`
+/// (with the bound `A: Decomposable` this compiles):
+///
+/// ```compile_fail,E0599
+/// use graphbolt_core::{Algorithm, Refining, Selective};
+///
+/// fn undo<A: Algorithm<Kind = Selective>>(alg: &A, r: Refining, agg: &mut A::Agg, c: &A::Agg) {
+///     alg.retract(r, agg, c);
+/// }
+/// ```
+///
+/// And an algorithm cannot claim the decomposable kind without providing
+/// its operators (with an `impl Decomposable for Count` carrying
+/// `retract`, this compiles):
+///
+/// ```compile_fail,E0277
+/// use graphbolt_core::{Algorithm, Sum};
+/// use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
+///
+/// struct Count;
+///
+/// impl Algorithm for Count {
+///     type Value = f64;
+///     type Agg = f64;
+///     type Kind = Sum;
+///
+///     fn initial_value(&self, _v: VertexId) -> f64 {
+///         0.0
+///     }
+///
+///     fn identity(&self) -> f64 {
+///         0.0
+///     }
+///
+///     fn contribution(&self, _: &GraphSnapshot, _: VertexId, _: VertexId, _: Weight, _: &f64) -> f64 {
+///         1.0
+///     }
+///
+///     fn combine(&self, agg: &mut f64, c: &f64) {
+///         *agg += c;
+///     }
+///
+///     fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
+///         *agg
+///     }
+/// }
+/// ```
 pub struct Refining(pub(crate) ());
 
 /// A synchronous, incrementally-refinable graph algorithm.
@@ -61,11 +110,14 @@ pub struct Refining(pub(crate) ());
 /// The aggregation operator defined by [`Algorithm::combine`] must be
 /// **commutative and associative** (the paper's precondition): refinement
 /// applies retractions and contributions in arbitrary order.
-pub trait Algorithm: Send + Sync {
+pub trait Algorithm: Send + Sync + Sized {
     /// Vertex value type (`c_i(v)`).
     type Value: Clone + PartialEq + Send + Sync + std::fmt::Debug;
     /// Aggregation value type (`g_i(v)`).
     type Agg: Clone + PartialEq + Send + Sync + std::fmt::Debug;
+    /// The aggregation's algebra: [`Sum`] (the algorithm then also
+    /// implements [`Decomposable`]) or [`Selective`].
+    type Kind: Algebra<Self>;
 
     /// Initial vertex value `c_0(v)`.
     ///
@@ -91,68 +143,6 @@ pub trait Algorithm: Send + Sync {
 
     /// Folds a contribution into an aggregation value (`⊕` / `⊎`).
     fn combine(&self, agg: &mut Self::Agg, contrib: &Self::Agg);
-
-    /// Removes a previously folded contribution (`⋃-`).
-    ///
-    /// Only called — by refinement, holding a [`Refining`] — when
-    /// [`Algorithm::decomposable`] returns `true`. The default
-    /// implementation panics, which is correct for non-decomposable
-    /// aggregations.
-    fn retract(&self, _: Refining, agg: &mut Self::Agg, contrib: &Self::Agg) {
-        let _ = (agg, contrib);
-        unimplemented!("retract called on a non-decomposable aggregation")
-    }
-
-    /// Whether the aggregation admits incremental removal of single
-    /// contributions. `min`/`max` return `false` (§3.3).
-    fn decomposable(&self) -> bool {
-        true
-    }
-
-    /// Optional fused change-in-contribution: returns an `Agg` `d` such
-    /// that `combine(g, d)` is equivalent to `retract(old contribution);
-    /// combine(new contribution)` for the same edge. This is Algorithm 3's
-    /// `propagateDelta`; returning `None` (the default) makes the engine
-    /// use the explicit retract+propagate pair (the paper's
-    /// "GraphBolt-RP" shape, Figure 8). Called by refinement only,
-    /// holding a [`Refining`].
-    #[allow(clippy::too_many_arguments)]
-    fn delta(
-        &self,
-        _: Refining,
-        g: &GraphSnapshot,
-        u: VertexId,
-        v: VertexId,
-        w: Weight,
-        old: &Self::Value,
-        new: &Self::Value,
-    ) -> Option<Self::Agg> {
-        let _ = (g, u, v, w, old, new);
-        None
-    }
-
-    /// Fused change-in-contribution under a *structural* change: like
-    /// [`Algorithm::delta`], but the old contribution is evaluated in the
-    /// old graph's context and the new one in the new graph's (Algorithm
-    /// 3's `propagateDelta` computes `newpr/new_degree −
-    /// oldpr/old_degree` in one step). Returning `None` (the default)
-    /// makes the engine fall back to the explicit retract+propagate pair.
-    /// Called by refinement only, holding a [`Refining`].
-    #[allow(clippy::too_many_arguments)]
-    fn delta_structural(
-        &self,
-        _: Refining,
-        old_g: &GraphSnapshot,
-        new_g: &GraphSnapshot,
-        u: VertexId,
-        v: VertexId,
-        w: Weight,
-        old: &Self::Value,
-        new: &Self::Value,
-    ) -> Option<Self::Agg> {
-        let _ = (old_g, new_g, u, v, w, old, new);
-        None
-    }
 
     /// Final vertex-value function `∮` applied to the aggregation.
     fn compute(&self, v: VertexId, agg: &Self::Agg, g: &GraphSnapshot) -> Self::Value;
@@ -192,6 +182,103 @@ pub trait Algorithm: Send + Sync {
     }
 }
 
+/// The refinement operators of a decomposable aggregation (kind [`Sum`]):
+/// `⋃-` and the fused forms of `⋃△`.
+pub trait Decomposable: Algorithm<Kind = Sum> {
+    /// Removes a previously folded contribution (`⋃-`). Called by
+    /// refinement only, holding a [`Refining`].
+    fn retract(&self, _: Refining, agg: &mut Self::Agg, contrib: &Self::Agg);
+
+    /// Optional fused change-in-contribution: returns an `Agg` `d` such
+    /// that `combine(g, d)` is equivalent to `retract(old contribution);
+    /// combine(new contribution)` for the same edge. This is Algorithm 3's
+    /// `propagateDelta`; returning `None` (the default) makes the engine
+    /// use the explicit retract+propagate pair (the paper's
+    /// "GraphBolt-RP" shape, Figure 8). Called by refinement only,
+    /// holding a [`Refining`].
+    #[allow(clippy::too_many_arguments)]
+    fn delta(
+        &self,
+        _: Refining,
+        g: &GraphSnapshot,
+        u: VertexId,
+        v: VertexId,
+        w: Weight,
+        old: &Self::Value,
+        new: &Self::Value,
+    ) -> Option<Self::Agg> {
+        let _ = (g, u, v, w, old, new);
+        None
+    }
+
+    /// Fused change-in-contribution under a *structural* change: like
+    /// [`Decomposable::delta`], but the old contribution is evaluated in the
+    /// old graph's context and the new one in the new graph's (Algorithm
+    /// 3's `propagateDelta` computes `newpr/new_degree −
+    /// oldpr/old_degree` in one step). Returning `None` (the default)
+    /// makes the engine fall back to the explicit retract+propagate pair.
+    /// Called by refinement only, holding a [`Refining`].
+    #[allow(clippy::too_many_arguments)]
+    fn delta_structural(
+        &self,
+        _: Refining,
+        old_g: &GraphSnapshot,
+        new_g: &GraphSnapshot,
+        u: VertexId,
+        v: VertexId,
+        w: Weight,
+        old: &Self::Value,
+        new: &Self::Value,
+    ) -> Option<Self::Agg> {
+        let _ = (old_g, new_g, u, v, w, old, new);
+        None
+    }
+}
+
+/// Kind of a decomposable aggregation: refinement retracts and updates
+/// single contributions with the [`Decomposable`] operators.
+pub enum Sum {}
+
+/// Kind of a selective aggregation (`min`/`max`): a deleted or worsened
+/// contribution cannot be taken back, so refinement re-evaluates each
+/// impacted aggregation over its full input set.
+pub enum Selective {}
+
+/// The algebra an [`Algorithm::Kind`] names. [`Sum`] and [`Selective`]
+/// are the only kinds: `select` names a trait private to this crate, so
+/// no other crate can implement `Algebra`.
+pub trait Algebra<A: Algorithm> {
+    /// Runs the arm of `arms` that belongs to this algebra.
+    fn select<P: kind::PerKind<A>>(arms: P) -> P::Output;
+}
+
+impl<A: Decomposable> Algebra<A> for Sum {
+    fn select<P: kind::PerKind<A>>(arms: P) -> P::Output {
+        arms.decomposable_arm()
+    }
+}
+
+impl<A: Algorithm> Algebra<A> for Selective {
+    fn select<P: kind::PerKind<A>>(arms: P) -> P::Output {
+        arms.selective_arm()
+    }
+}
+
+pub(crate) mod kind {
+    /// An engine computation with one arm per algebra: refinement's
+    /// propagate phase, the BSP driver's incremental step, the law
+    /// harness's refinement laws. `A::Kind::select` runs `A`'s arm.
+    pub trait PerKind<A: super::Algorithm> {
+        type Output;
+
+        fn decomposable_arm(self) -> Self::Output
+        where
+            A: super::Decomposable;
+
+        fn selective_arm(self) -> Self::Output;
+    }
+}
+
 /// Blanket helper: total bytes attributable to one stored aggregation.
 pub fn agg_total_bytes<A: Algorithm>(alg: &A, agg: &A::Agg) -> usize {
     std::mem::size_of::<A::Agg>() + alg.agg_heap_bytes(agg)
@@ -211,6 +298,7 @@ pub(crate) mod test_algorithms {
     impl Algorithm for TestRank {
         type Value = f64;
         type Agg = f64;
+        type Kind = Sum;
 
         fn initial_value(&self, _v: VertexId) -> f64 {
             1.0
@@ -236,6 +324,23 @@ pub(crate) mod test_algorithms {
             *agg += contrib;
         }
 
+        fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
+            0.15 + 0.85 * agg
+        }
+
+        fn changed(&self, old: &f64, new: &f64) -> bool {
+            // Tolerance-based selective scheduling, as the paper's
+            // PageRank uses: exact float inequality would never let
+            // values stabilize.
+            (old - new).abs() > 1e-9
+        }
+
+        fn source_structure_dependent(&self) -> bool {
+            true
+        }
+    }
+
+    impl Decomposable for TestRank {
         fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
             *agg -= contrib;
         }
@@ -253,31 +358,17 @@ pub(crate) mod test_algorithms {
             let d = g.out_degree(u).max(1) as f64;
             Some((new - old) / d)
         }
-
-        fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
-            0.15 + 0.85 * agg
-        }
-
-        fn changed(&self, old: &f64, new: &f64) -> bool {
-            // Tolerance-based selective scheduling, as the paper's
-            // PageRank uses: exact float inequality would never let
-            // values stabilize.
-            (old - new).abs() > 1e-9
-        }
-
-        fn source_structure_dependent(&self) -> bool {
-            true
-        }
     }
 
-    /// Min-plus (SSSP-shaped) non-decomposable aggregation from a fixed
-    /// source vertex 0.
+    /// Min-plus (SSSP-shaped) selective aggregation from a fixed source
+    /// vertex 0.
     #[derive(Debug, Clone)]
     pub struct TestMinPlus;
 
     impl Algorithm for TestMinPlus {
         type Value = f64;
         type Agg = f64;
+        type Kind = Selective;
 
         fn initial_value(&self, v: VertexId) -> f64 {
             if v == 0 {
@@ -308,10 +399,6 @@ pub(crate) mod test_algorithms {
             }
         }
 
-        fn decomposable(&self) -> bool {
-            false
-        }
-
         fn compute(&self, v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
             let base = self.initial_value(v);
             agg.min(base)
@@ -334,38 +421,6 @@ mod tests {
         let alg = TestRank;
         let c = alg.contribution(&g, 0, 1, 1.0, &1.0);
         assert_eq!(c, 0.5, "out-degree 2 halves the contribution");
-    }
-
-    #[test]
-    fn combine_retract_round_trip() {
-        let alg = TestRank;
-        let mut agg = alg.identity();
-        alg.combine(&mut agg, &0.25);
-        alg.combine(&mut agg, &0.5);
-        alg.retract(Refining(()), &mut agg, &0.25);
-        assert!((agg - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn fused_delta_matches_retract_combine() {
-        let g = GraphBuilder::new(2).add_edge(0, 1, 1.0).build();
-        let alg = TestRank;
-        let (old, new) = (1.0, 2.0);
-        let mut a = 10.0;
-        let d = alg.delta(Refining(()), &g, 0, 1, 1.0, &old, &new).unwrap();
-        alg.combine(&mut a, &d);
-        let mut b = 10.0;
-        alg.retract(Refining(()), &mut b, &alg.contribution(&g, 0, 1, 1.0, &old));
-        alg.combine(&mut b, &alg.contribution(&g, 0, 1, 1.0, &new));
-        assert!((a - b).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-decomposable")]
-    fn non_decomposable_retract_panics() {
-        let alg = TestMinPlus;
-        let mut agg = alg.identity();
-        alg.retract(Refining(()), &mut agg, &1.0);
     }
 
     #[test]

@@ -10,24 +10,27 @@
 //! * **tracking** — the tracking run additionally records every
 //!   iteration's aggregation values into a [`DependencyStore`] and the
 //!   changed-vertex bit-vector at the horizontal cut-off (needed by
-//!   hybrid execution, §4.2),
-//! * **direction** — past the first iteration a decomposable algorithm
-//!   can either push contribution deltas from changed sources
-//!   (`step_delta`, sparse) or pull-recompute the touched destinations
-//!   (`step_pull_frontier`, dense). With
-//!   [`EngineOptions::adaptive_direction`] on, the pick is routed
-//!   through an [`AdaptiveController`] owned by the run's driver and
-//!   fed with measured per-unit costs, instead of hard-wiring the push
-//!   path whenever `decomposable()` holds. Non-decomposable
-//!   aggregations cannot retract and always pull.
+//!   hybrid execution, §4.2).
+//!
+//! Past the first iteration, an incremental step belongs to the
+//! algorithm's algebra ([`Algorithm::Kind`]). A selective aggregation
+//! cannot retract, so it always pull-recomputes the touched destinations
+//! (`step_pull_frontier`). A decomposable one can also push contribution
+//! deltas from the changed sources (`step_delta`, sparse);
+//! `step_decomposable` picks the direction — the push path, or, with
+//! [`EngineOptions::adaptive_direction`] on, whichever an
+//! [`AdaptiveController`] owned by the run's driver predicts cheaper from
+//! measured per-unit costs.
 
 use graphbolt_engine::adaptive::AdaptiveController;
 use graphbolt_engine::parallel;
 use graphbolt_engine::AtomicBitSet;
 use graphbolt_graph::{GraphSnapshot, VertexId};
 
-use crate::algorithm::{Algorithm, Refining};
+use crate::algorithm::kind::PerKind;
+use crate::algorithm::{Algebra, Algorithm, Decomposable, Refining};
 use crate::options::{EngineOptions, ExecutionMode};
+use crate::refine::fold_locked;
 use crate::sharded::ShardedMut;
 use crate::stats::EngineStats;
 use crate::store::DependencyStore;
@@ -194,8 +197,8 @@ struct Driver<'a, A: Algorithm> {
     touched: Vec<VertexId>,
     stats: &'a EngineStats,
     iter: usize,
-    /// This run's delta-vs-pull arbiter; `None` pins decomposable
-    /// aggregations to the delta-push path. It lives exactly as long as
+    /// This run's delta-vs-pull arbiter for decomposable aggregations;
+    /// `None` pins them to the delta-push path. It lives exactly as long as
     /// the run, so back-to-back runs in one process never steer each
     /// other.
     direction: Option<AdaptiveController>,
@@ -247,7 +250,7 @@ impl<'a, A: Algorithm> Driver<'a, A> {
         let changed = if full {
             self.step_full()
         } else {
-            self.step_selective()
+            self.step_incremental()
         };
         self.stats
             .metrics()
@@ -256,50 +259,11 @@ impl<'a, A: Algorithm> Driver<'a, A> {
         changed
     }
 
-    /// One incremental iteration: takes the changed-source frontier,
-    /// derives the touched destinations, and routes between the
-    /// delta-push and pull-recompute traversals. Non-decomposable
-    /// aggregations must pull (retraction is unavailable); decomposable
-    /// ones statically push, unless adaptive direction selection is on —
-    /// then the measured cost model picks, with sparse units
-    /// `|F| + outdeg(F)` (the push traversal's work) and dense units
-    /// `|T| + indeg(T)` (the pull traversal's).
-    fn step_selective(&mut self) -> usize {
-        let changed = std::mem::take(&mut self.changed);
-        let touched = touched_targets(self.g, &changed);
-        if !self.alg.decomposable() {
-            return self.step_pull_frontier(touched);
-        }
-        // Taken out for the step so the `&mut self` traversals below can
-        // run; put back once the observation is fed.
-        let Some(ctl) = self.direction.take() else {
-            return self.step_delta(changed, touched);
-        };
-        let sparse_units = changed.len() as u64
-            + changed
-                .iter()
-                .map(|&(u, _)| self.g.out_degree(u) as u64)
-                .sum::<u64>();
-        let dense_units = touched.len() as u64
-            + touched
-                .iter()
-                .map(|&v| self.g.in_degree(v) as u64)
-                .sum::<u64>();
-        let decision = ctl.choose(sparse_units, dense_units, false);
-        let start = std::time::Instant::now();
-        let n = if decision.dense {
-            self.step_pull_frontier(touched)
-        } else {
-            self.step_delta(changed, touched)
-        };
-        ctl.observe(
-            decision,
-            sparse_units,
-            dense_units,
-            start.elapsed().as_nanos() as u64,
-        );
-        self.direction = Some(ctl);
-        n
+    /// One incremental iteration: derives the destinations the
+    /// changed-source frontier touches, then runs the algebra's own step.
+    fn step_incremental(&mut self) -> usize {
+        self.touched = touched_targets(self.g, &self.changed);
+        A::Kind::select(self)
     }
 
     /// Recomputes every vertex's aggregation from all in-edges (pull).
@@ -315,54 +279,12 @@ impl<'a, A: Algorithm> Driver<'a, A> {
         self.recompute_values(&self.touched.clone())
     }
 
-    /// Pushes change-in-contribution deltas from changed sources
-    /// (decomposable aggregations).
-    fn step_delta(&mut self, changed: Vec<(VertexId, A::Value)>, touched: Vec<VertexId>) -> usize {
-        let (alg, g, stats) = (self.alg, self.g, self.stats);
-        let vals = &self.vals;
-        {
-            let sharded = ShardedMut::new(&mut self.aggs);
-            let work = parallel::par_sum(0..changed.len(), |i| {
-                let (u, ref old) = changed[i];
-                let new = &vals[u as usize];
-                let mut local_work = 0u64;
-                for (v, w) in g.out_edges(u) {
-                    match alg.delta(Refining(()), g, u, v, w, old, new) {
-                        Some(d) => {
-                            sharded.with(v as usize, |agg| alg.combine(agg, &d));
-                            local_work += 1;
-                        }
-                        None => {
-                            let oc = alg.contribution(g, u, v, w, old);
-                            let nc = alg.contribution(g, u, v, w, new);
-                            sharded.with(v as usize, |agg| {
-                                // lint:allow(panic-reachability) — the
-                                // delta path is only entered for
-                                // decomposable aggregations; retract's
-                                // default unimplemented! body is the
-                                // documented contract for min/max, which
-                                // take the pull path instead.
-                                alg.retract(Refining(()), agg, &oc);
-                                alg.combine(agg, &nc);
-                            });
-                            local_work += 2;
-                        }
-                    }
-                }
-                local_work
-            });
-            stats.add_edge_computations(work);
-        }
-        self.touched = touched.clone();
-        self.recompute_values(&touched)
-    }
-
     /// Recomputes aggregations of frontier destinations by pulling all
-    /// their in-edges. The only correct direction for non-decomposable
+    /// their in-edges. The only correct direction for selective
     /// aggregations; the dense alternative for decomposable ones.
-    fn step_pull_frontier(&mut self, touched: Vec<VertexId>) -> usize {
+    fn step_pull_frontier(&mut self) -> usize {
         let (alg, g) = (self.alg, self.g);
-        let vals = &self.vals;
+        let (vals, touched) = (&self.vals, &self.touched);
         let recomputed: Vec<(VertexId, A::Agg)> = parallel::par_map(0..touched.len(), |i| {
             let v = touched[i];
             (v, pull_aggregate(alg, g, v, |u| &vals[u as usize]))
@@ -372,8 +294,7 @@ impl<'a, A: Algorithm> Driver<'a, A> {
         for (v, agg) in recomputed {
             self.aggs[v as usize] = agg;
         }
-        self.touched = touched.clone();
-        self.recompute_values(&touched)
+        self.recompute_values(&self.touched.clone())
     }
 
     /// Applies `∮` to the given vertices, recording which values changed.
@@ -402,9 +323,103 @@ impl<'a, A: Algorithm> Driver<'a, A> {
     }
 }
 
+/// The driver's incremental step, by algebra: a selective aggregation
+/// cannot retract, so it always pulls.
+impl<A: Algorithm> PerKind<A> for &mut Driver<'_, A> {
+    /// Changed vertex values.
+    type Output = usize;
+
+    fn decomposable_arm(self) -> usize
+    where
+        A: Decomposable,
+    {
+        self.step_decomposable()
+    }
+
+    fn selective_arm(self) -> usize {
+        self.step_pull_frontier()
+    }
+}
+
+impl<A: Decomposable> Driver<'_, A> {
+    /// Routes a decomposable step between the delta-push and
+    /// pull-recompute traversals: statically push, unless adaptive
+    /// direction selection is on — then the measured cost model picks,
+    /// with sparse units `|F| + outdeg(F)` (the push traversal's work)
+    /// and dense units `|T| + indeg(T)` (the pull traversal's).
+    fn step_decomposable(&mut self) -> usize {
+        // Taken out for the step so the `&mut self` traversals below can
+        // run; put back once the observation is fed.
+        let Some(ctl) = self.direction.take() else {
+            return self.step_delta();
+        };
+        let (changed, touched) = (&self.changed, &self.touched);
+        let sparse_units = changed.len() as u64
+            + changed
+                .iter()
+                .map(|&(u, _)| self.g.out_degree(u) as u64)
+                .sum::<u64>();
+        let dense_units = touched.len() as u64
+            + touched
+                .iter()
+                .map(|&v| self.g.in_degree(v) as u64)
+                .sum::<u64>();
+        let decision = ctl.choose(sparse_units, dense_units, false);
+        let start = std::time::Instant::now();
+        let n = if decision.dense {
+            self.step_pull_frontier()
+        } else {
+            self.step_delta()
+        };
+        ctl.observe(
+            decision,
+            sparse_units,
+            dense_units,
+            start.elapsed().as_nanos() as u64,
+        );
+        self.direction = Some(ctl);
+        n
+    }
+
+    /// Pushes change-in-contribution deltas from changed sources.
+    fn step_delta(&mut self) -> usize {
+        let changed = std::mem::take(&mut self.changed);
+        let (alg, g, stats) = (self.alg, self.g, self.stats);
+        let vals = &self.vals;
+        {
+            let sharded = ShardedMut::new(&mut self.aggs);
+            let work = parallel::par_sum(0..changed.len(), |i| {
+                let (u, ref old) = changed[i];
+                let new = &vals[u as usize];
+                let mut local_work = 0u64;
+                for (v, w) in g.out_edges(u) {
+                    match alg.delta(Refining(()), g, u, v, w, old, new) {
+                        Some(d) => {
+                            fold_locked(&sharded, v, |agg| alg.combine(agg, &d));
+                            local_work += 1;
+                        }
+                        None => {
+                            let oc = alg.contribution(g, u, v, w, old);
+                            let nc = alg.contribution(g, u, v, w, new);
+                            fold_locked(&sharded, v, |agg| {
+                                alg.retract(Refining(()), agg, &oc);
+                                alg.combine(agg, &nc);
+                            });
+                            local_work += 2;
+                        }
+                    }
+                }
+                local_work
+            });
+            stats.add_edge_computations(work);
+        }
+        self.recompute_values(&self.touched.clone())
+    }
+}
+
 /// `⊕` over every in-edge of `v` into a fresh aggregation, reading each
 /// source's value through `val_of` — the pull-recompute kernel shared by
-/// the BSP driver, non-decomposable refinement and hybrid execution.
+/// the BSP driver, selective refinement and hybrid execution.
 #[inline]
 pub(crate) fn pull_aggregate<'v, A: Algorithm>(
     alg: &A,
@@ -465,7 +480,7 @@ mod tests {
     }
 
     #[test]
-    fn full_and_incremental_agree_for_decomposable() {
+    fn full_and_incremental_agree_for_sum_kind() {
         let g = cycle_with_tail();
         let alg = TestRank;
         let opts = EngineOptions::with_iterations(10);
@@ -787,7 +802,6 @@ mod tests {
                 .collect();
             let g = GraphSnapshot::from_edges(n, &edges);
             let alg = TestRank;
-            assert!(alg.decomposable());
             let fixed = EngineOptions::with_iterations(8).adaptive_direction(false);
             let adaptive = EngineOptions::with_iterations(8);
             let want = run_bsp(&alg, &g, &fixed, ExecutionMode::Incremental, &EngineStats::new());

@@ -12,19 +12,18 @@
 //! * `⊕` has a two-sided **identity** ([`Algorithm::identity`]),
 //! * `⊕` is **commutative** and **associative** (order-independent
 //!   folds), within the configured tolerance for float aggregations,
-//! * for decomposable aggregations, **retract round-trips**: folding a
-//!   contribution and retracting it restores the prior aggregation,
-//!   and retracting any subset equals folding the complement,
-//! * the fused **delta** (and structural delta) is equivalent to the
-//!   explicit retract-then-combine pair it replaces,
 //! * [`Algorithm::changed`] is **irreflexive** (`changed(x, x)` is
 //!   false — otherwise refinement never converges),
-//! * [`Algorithm::decomposable`] is **consistent**: non-decomposable
-//!   impls must reject `retract` (the engine's pull-based fallback
-//!   relies on it never being silently lossy) and must not advertise a
-//!   fused delta,
 //! * optionally, `⊕` is **monotone** — the property the
-//!   KickStarter-style baseline assumes of min/max lattices.
+//!   KickStarter-style baseline assumes of min/max lattices,
+//!
+//! and, for the decomposable kind only (a [`Decomposable`] algorithm):
+//!
+//! * **retract round-trips**: folding a contribution and retracting it
+//!   restores the prior aggregation, and retracting any subset equals
+//!   folding the complement,
+//! * the fused **delta** (and structural delta) is equivalent to the
+//!   explicit retract-then-combine pair it replaces.
 //!
 //! Registration is enforced statically: `cargo xtask lint`'s
 //! `law-coverage` rule requires every `impl Algorithm for T` in the
@@ -41,11 +40,10 @@
 //! check_laws::<DocRank>(&DocRank, spec).expect("DocRank satisfies the aggregation algebra");
 //! ```
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
-
 use graphbolt_graph::{GraphBuilder, GraphSnapshot, VertexId, Weight};
 
-use crate::algorithm::{Algorithm, Refining};
+use crate::algorithm::kind::PerKind;
+use crate::algorithm::{Algebra, Algorithm, Decomposable, Refining};
 
 /// The algebraic laws the harness can report as violated.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -66,9 +64,6 @@ pub enum Law {
     FusedDeltaStructural,
     /// `changed(x, x)` must be false.
     ChangedIrreflexive,
-    /// Non-decomposable aggregations must reject `retract` and must not
-    /// provide fused deltas.
-    DecomposableConsistency,
     /// `⊕` only moves the aggregation in the configured direction.
     Monotonicity,
 }
@@ -84,7 +79,6 @@ impl Law {
             Law::FusedDelta => "fused delta",
             Law::FusedDeltaStructural => "fused structural delta",
             Law::ChangedIrreflexive => "changed irreflexivity",
-            Law::DecomposableConsistency => "decomposable consistency",
             Law::Monotonicity => "monotonicity",
         }
     }
@@ -119,7 +113,7 @@ impl std::error::Error for LawViolation {}
 pub struct LawReport {
     /// Number of randomized trials run.
     pub trials: usize,
-    /// Laws that were actually exercised (decomposability and the
+    /// Laws that were actually exercised (the algorithm's kind and the
     /// monotonicity option select different subsets).
     pub laws: Vec<Law>,
 }
@@ -321,17 +315,16 @@ fn proj_distance(a: &[f64], b: &[f64]) -> f64 {
 /// because that token sequence is what the `law-coverage` lint rule
 /// statically matches against the workspace's `impl Algorithm for ...`
 /// inventory.
-pub fn check_laws<A: Algorithm>(
-    alg: &A,
-    mut spec: LawSpec<'_, A>,
-) -> Result<LawReport, LawViolation> {
-    let cfg = spec.config.clone();
+pub fn check_laws<A: Algorithm>(alg: &A, spec: LawSpec<'_, A>) -> Result<LawReport, LawViolation> {
+    let LawSpec {
+        mut gen,
+        proj,
+        config: cfg,
+    } = spec;
     let g = context_graph();
-    let (old_g, new_g) = structural_pair();
     let mut rng = SplitMix64::new(cfg.seed);
-    let decomposable = alg.decomposable();
 
-    let eq = |a: &A::Agg, b: &A::Agg, proj: &dyn Fn(&A::Agg) -> Vec<f64>| {
+    let eq = |a: &A::Agg, b: &A::Agg| {
         if cfg.tolerance == 0.0 {
             a == b
         } else {
@@ -349,10 +342,11 @@ pub fn check_laws<A: Algorithm>(
         }
         agg
     };
+    let mut kind_laws: &[Law] = &[];
 
     for trial in 0..cfg.trials {
         // Fresh source values for every in-edge of the probe vertex.
-        let vals: Vec<A::Value> = CONTRIB_EDGES.iter().map(|_| (spec.gen)(&mut rng)).collect();
+        let vals: Vec<A::Value> = CONTRIB_EDGES.iter().map(|_| gen(&mut rng)).collect();
         let contribs: Vec<A::Agg> = CONTRIB_EDGES
             .iter()
             .zip(&vals)
@@ -365,7 +359,7 @@ pub fn check_laws<A: Algorithm>(
         for c in &contribs {
             let mut left = alg.identity();
             alg.combine(&mut left, c);
-            if !eq(&left, c, &spec.proj) {
+            if !eq(&left, c) {
                 return Err(fail(
                     Law::Identity,
                     trial,
@@ -374,7 +368,7 @@ pub fn check_laws<A: Algorithm>(
             }
             let mut right = c.clone();
             alg.combine(&mut right, &alg.identity());
-            if !eq(&right, c, &spec.proj) {
+            if !eq(&right, c) {
                 return Err(fail(
                     Law::Identity,
                     trial,
@@ -388,7 +382,7 @@ pub fn check_laws<A: Algorithm>(
             for j in (i + 1)..contribs.len() {
                 let ab = fold(&[&contribs[i], &contribs[j]]);
                 let ba = fold(&[&contribs[j], &contribs[i]]);
-                if !eq(&ab, &ba, &spec.proj) {
+                if !eq(&ab, &ba) {
                     return Err(fail(
                         Law::Commutativity,
                         trial,
@@ -411,7 +405,7 @@ pub fn check_laws<A: Algorithm>(
         let shuffled: Vec<&A::Agg> = perm.iter().map(|&k| &contribs[k]).collect();
         for (label, order) in [("reversed", &rev), ("shuffled", &shuffled)] {
             let other = fold(order);
-            if !eq(&full, &other, &spec.proj) {
+            if !eq(&full, &other) {
                 return Err(fail(
                     Law::Associativity,
                     trial,
@@ -431,138 +425,25 @@ pub fn check_laws<A: Algorithm>(
             }
         }
 
-        if decomposable {
-            // Retract round-trip, single contribution: (agg ⊕ c) ⋃- c = agg.
-            let extra = alg.contribution(&g, 0, 4, 1.0, &(spec.gen)(&mut rng));
-            let mut round = full.clone();
-            alg.combine(&mut round, &extra);
-            alg.retract(Refining(()), &mut round, &extra);
-            if !eq(&round, &full, &spec.proj) {
-                return Err(fail(
-                    Law::RetractRoundTrip,
-                    trial,
-                    format!("(agg ⊕ c) ⋃- c ≠ agg: expected {full:?}, got {round:?}"),
-                ));
-            }
-            // Retracting a random subset equals folding the complement.
-            let mask: Vec<bool> = contribs.iter().map(|_| rng.next_u64() & 1 == 1).collect();
-            let mut retracted = full.clone();
-            for (c, _) in contribs.iter().zip(&mask).filter(|(_, &m)| m) {
-                alg.retract(Refining(()), &mut retracted, c);
-            }
-            let complement: Vec<&A::Agg> = contribs
-                .iter()
-                .zip(&mask)
-                .filter(|(_, &m)| !m)
-                .map(|(c, _)| c)
-                .collect();
-            let expect = fold(&complement);
-            if !eq(&retracted, &expect, &spec.proj) {
-                return Err(fail(
-                    Law::RetractRoundTrip,
-                    trial,
-                    format!(
-                        "retracting subset {mask:?} ≠ folding its complement: \
-                         expected {expect:?}, got {retracted:?}"
-                    ),
-                ));
-            }
-
-            // Fused delta ≡ retract-then-combine on a surviving edge.
-            let (u, w) = CONTRIB_EDGES[1];
-            let (old_v, new_v) = (&vals[1], (spec.gen)(&mut rng));
-            if let Some(d) = alg.delta(Refining(()), &g, u, 4, w, old_v, &new_v) {
-                let mut fused = full.clone();
-                alg.combine(&mut fused, &d);
-                let mut explicit = full.clone();
-                alg.retract(
-                    Refining(()),
-                    &mut explicit,
-                    &alg.contribution(&g, u, 4, w, old_v),
-                );
-                alg.combine(&mut explicit, &alg.contribution(&g, u, 4, w, &new_v));
-                if !eq(&fused, &explicit, &spec.proj) {
-                    return Err(fail(
-                        Law::FusedDelta,
-                        trial,
-                        format!(
-                            "agg ⊕ delta(old → new) ≠ (agg ⋃- contrib(old)) ⊕ contrib(new): \
-                             {fused:?} vs {explicit:?}"
-                        ),
-                    ));
-                }
-            }
-
-            // Structural fused delta: old contribution in old context,
-            // new contribution in new context.
-            let (s_old, s_new) = ((spec.gen)(&mut rng), (spec.gen)(&mut rng));
-            if let Some(d) =
-                alg.delta_structural(Refining(()), &old_g, &new_g, 3, 1, 1.0, &s_old, &s_new)
-            {
-                let oc = alg.contribution(&old_g, 3, 1, 1.0, &s_old);
-                let nc = alg.contribution(&new_g, 3, 1, 1.0, &s_new);
-                let mut base = alg.identity();
-                alg.combine(&mut base, &oc);
-                let mut fused = base.clone();
-                alg.combine(&mut fused, &d);
-                alg.retract(Refining(()), &mut base, &oc);
-                alg.combine(&mut base, &nc);
-                if !eq(&fused, &base, &spec.proj) {
-                    return Err(fail(
-                        Law::FusedDeltaStructural,
-                        trial,
-                        format!(
-                            "structural delta disagrees with retract(old ctx) ⊕ combine(new ctx): \
-                             {fused:?} vs {base:?}"
-                        ),
-                    ));
-                }
-            }
-        } else if trial == 0 {
-            // Decomposable consistency, checked once per run: a
-            // non-decomposable aggregation must reject retract (the
-            // engine's pull-based fallback depends on retraction never
-            // being silently lossy) and must not advertise fused deltas.
-            let mut probe = full.clone();
-            let did_not_panic = catch_unwind(AssertUnwindSafe(|| {
-                alg.retract(Refining(()), &mut probe, &contribs[0])
-            }))
-            .is_ok();
-            if did_not_panic {
-                return Err(fail(
-                    Law::DecomposableConsistency,
-                    trial,
-                    "decomposable() is false but retract() accepted a contribution \
-                     instead of rejecting it"
-                        .to_string(),
-                ));
-            }
-            let (u, w) = CONTRIB_EDGES[0];
-            if alg
-                .delta(Refining(()), &g, u, 4, w, &vals[0], &vals[1])
-                .is_some()
-                || alg
-                    .delta_structural(Refining(()), &old_g, &new_g, 3, 1, 1.0, &vals[0], &vals[1])
-                    .is_some()
-            {
-                return Err(fail(
-                    Law::DecomposableConsistency,
-                    trial,
-                    "decomposable() is false but a fused delta is provided; the engine \
-                     only applies deltas to decomposable aggregations"
-                        .to_string(),
-                ));
-            }
-        }
+        kind_laws = A::Kind::select(RefinementLaws {
+            alg,
+            full: &full,
+            contribs: &contribs,
+            vals: &vals,
+            rng: &mut rng,
+            gen: &mut gen,
+            eq: &eq,
+            fail: &|law, detail| fail(law, trial, detail),
+        })?;
 
         // Optional monotonicity: each fold moves every projected
         // component weakly in the configured direction.
         if let Some(dir) = cfg.monotonic {
             let mut agg = alg.identity();
             for c in &contribs {
-                let before = (spec.proj)(&agg);
+                let before = proj(&agg);
                 alg.combine(&mut agg, c);
-                let after = (spec.proj)(&agg);
+                let after = proj(&agg);
                 for (b, a) in before.iter().zip(&after) {
                     let ok = match dir {
                         Monotonic::NonIncreasing => *a <= b + cfg.tolerance,
@@ -589,11 +470,7 @@ pub fn check_laws<A: Algorithm>(
         Law::Associativity,
         Law::ChangedIrreflexive,
     ];
-    if decomposable {
-        laws.extend([Law::RetractRoundTrip, Law::FusedDelta, Law::FusedDeltaStructural]);
-    } else {
-        laws.push(Law::DecomposableConsistency);
-    }
+    laws.extend_from_slice(kind_laws);
     if cfg.monotonic.is_some() {
         laws.push(Law::Monotonicity);
     }
@@ -603,10 +480,138 @@ pub fn check_laws<A: Algorithm>(
     })
 }
 
+/// One trial's inputs to the laws only the decomposable kind has:
+/// retract round-trip and the two fused deltas.
+struct RefinementLaws<'t, A: Algorithm> {
+    alg: &'t A,
+    /// `⊕` of `contribs`, the contributions of `vals` along
+    /// [`CONTRIB_EDGES`].
+    full: &'t A::Agg,
+    contribs: &'t [A::Agg],
+    vals: &'t [A::Value],
+    rng: &'t mut SplitMix64,
+    gen: &'t mut dyn FnMut(&mut SplitMix64) -> A::Value,
+    eq: &'t dyn Fn(&A::Agg, &A::Agg) -> bool,
+    fail: &'t dyn Fn(Law, String) -> LawViolation,
+}
+
+impl<A: Algorithm> PerKind<A> for RefinementLaws<'_, A> {
+    /// The laws checked, or the first one violated.
+    type Output = Result<&'static [Law], LawViolation>;
+
+    fn decomposable_arm(self) -> Self::Output
+    where
+        A: Decomposable,
+    {
+        check_refinement_laws(self)?;
+        Ok(&[Law::RetractRoundTrip, Law::FusedDelta, Law::FusedDeltaStructural])
+    }
+
+    fn selective_arm(self) -> Self::Output {
+        Ok(&[])
+    }
+}
+
+fn check_refinement_laws<A: Decomposable>(t: RefinementLaws<'_, A>) -> Result<(), LawViolation> {
+    let g = &context_graph();
+    let RefinementLaws {
+        alg,
+        full,
+        contribs,
+        vals,
+        rng,
+        gen,
+        eq,
+        fail,
+    } = t;
+    // Retract round-trip, single contribution: (agg ⊕ c) ⋃- c = agg.
+    let extra = alg.contribution(g, 0, 4, 1.0, &gen(rng));
+    let mut round = full.clone();
+    alg.combine(&mut round, &extra);
+    alg.retract(Refining(()), &mut round, &extra);
+    if !eq(&round, full) {
+        return Err(fail(
+            Law::RetractRoundTrip,
+            format!("(agg ⊕ c) ⋃- c ≠ agg: expected {full:?}, got {round:?}"),
+        ));
+    }
+    // Retracting a random subset equals folding the complement.
+    let mask: Vec<bool> = contribs.iter().map(|_| rng.next_u64() & 1 == 1).collect();
+    let mut retracted = full.clone();
+    let mut expect = alg.identity();
+    for (c, &m) in contribs.iter().zip(&mask) {
+        if m {
+            alg.retract(Refining(()), &mut retracted, c);
+        } else {
+            alg.combine(&mut expect, c);
+        }
+    }
+    if !eq(&retracted, &expect) {
+        return Err(fail(
+            Law::RetractRoundTrip,
+            format!(
+                "retracting subset {mask:?} ≠ folding its complement: \
+                 expected {expect:?}, got {retracted:?}"
+            ),
+        ));
+    }
+
+    // Fused delta ≡ retract-then-combine on a surviving edge.
+    let (u, w) = CONTRIB_EDGES[1];
+    let (old_v, new_v) = (&vals[1], gen(rng));
+    if let Some(d) = alg.delta(Refining(()), g, u, 4, w, old_v, &new_v) {
+        let mut fused = full.clone();
+        alg.combine(&mut fused, &d);
+        let mut explicit = full.clone();
+        alg.retract(
+            Refining(()),
+            &mut explicit,
+            &alg.contribution(g, u, 4, w, old_v),
+        );
+        alg.combine(&mut explicit, &alg.contribution(g, u, 4, w, &new_v));
+        if !eq(&fused, &explicit) {
+            return Err(fail(
+                Law::FusedDelta,
+                format!(
+                    "agg ⊕ delta(old → new) ≠ (agg ⋃- contrib(old)) ⊕ contrib(new): \
+                     {fused:?} vs {explicit:?}"
+                ),
+            ));
+        }
+    }
+
+    // Structural fused delta: old contribution in old context, new
+    // contribution in new context.
+    let (old_g, new_g) = structural_pair();
+    let (s_old, s_new) = (gen(rng), gen(rng));
+    if let Some(d) = alg.delta_structural(Refining(()), &old_g, &new_g, 3, 1, 1.0, &s_old, &s_new)
+    {
+        let oc = alg.contribution(&old_g, 3, 1, 1.0, &s_old);
+        let nc = alg.contribution(&new_g, 3, 1, 1.0, &s_new);
+        let mut base = alg.identity();
+        alg.combine(&mut base, &oc);
+        let mut fused = base.clone();
+        alg.combine(&mut fused, &d);
+        alg.retract(Refining(()), &mut base, &oc);
+        alg.combine(&mut base, &nc);
+        if !eq(&fused, &base) {
+            return Err(fail(
+                Law::FusedDeltaStructural,
+                format!(
+                    "structural delta disagrees with retract(old ctx) ⊕ combine(new ctx): \
+                     {fused:?} vs {base:?}"
+                ),
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithm::test_algorithms::{TestMinPlus, TestRank};
+    use crate::algorithm::Sum;
     use crate::streaming::doctest_support::DocRank;
 
     #[test]
@@ -637,9 +642,17 @@ mod tests {
         let spec = LawSpec::new(|rng| rng.range_f64(0.0, 20.0), |agg: &f64| vec![*agg])
             .monotonic(Monotonic::NonIncreasing);
         let report = check_laws::<TestMinPlus>(&TestMinPlus, spec).expect("TestMinPlus is lawful");
-        assert!(report.laws.contains(&Law::DecomposableConsistency));
-        assert!(report.laws.contains(&Law::Monotonicity));
-        assert!(!report.laws.contains(&Law::RetractRoundTrip));
+        // Selective: no retract or delta laws.
+        assert_eq!(
+            report.laws,
+            [
+                Law::Identity,
+                Law::Commutativity,
+                Law::Associativity,
+                Law::ChangedIrreflexive,
+                Law::Monotonicity,
+            ]
+        );
     }
 
     #[test]
@@ -654,14 +667,29 @@ mod tests {
 
     use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
-    /// ⊕ depends on operand order (but keeps 0.0 neutral, so the
-    /// identity law passes and commutativity is what fails).
-    #[derive(Debug)]
-    struct NonCommutativeSum;
+    /// `Σ c·w` with every operator a field, so each broken aggregator
+    /// below is [`SUM`] with one operator swapped out.
+    struct SumWith {
+        combine: fn(&mut f64, &f64),
+        retract: fn(&mut f64, &f64),
+        /// Fused delta from `(w, old, new)`.
+        delta: fn(f64, f64, f64) -> Option<f64>,
+        changed: fn(&f64, &f64) -> bool,
+    }
 
-    impl Algorithm for NonCommutativeSum {
+    /// The lawful base: `⊕` adds, `⋃-` subtracts, no fused delta, exact
+    /// `changed`.
+    const SUM: SumWith = SumWith {
+        combine: |agg, c| *agg += c,
+        retract: |agg, c| *agg -= c,
+        delta: |_, _, _| None,
+        changed: |old, new| old != new,
+    };
+
+    impl Algorithm for SumWith {
         type Value = f64;
         type Agg = f64;
+        type Kind = Sum;
 
         fn initial_value(&self, _v: VertexId) -> f64 {
             0.0
@@ -683,112 +711,21 @@ mod tests {
         }
 
         fn combine(&self, agg: &mut f64, contrib: &f64) {
-            // Order-dependent: doubles the contribution whenever the
-            // accumulator is already larger than it.
-            *agg += if *agg <= *contrib { *contrib } else { 2.0 * *contrib };
-        }
-
-        fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
-            *agg -= contrib;
+            (self.combine)(agg, contrib);
         }
 
         fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
             *agg
         }
+
+        fn changed(&self, old: &f64, new: &f64) -> bool {
+            (self.changed)(old, new)
+        }
     }
 
-    #[test]
-    fn non_commutative_combine_is_named() {
-        let spec = LawSpec::new(|rng| rng.range_f64(0.1, 3.0), |agg: &f64| vec![*agg])
-            .tolerance(1e-9);
-        let err = check_laws::<NonCommutativeSum>(&NonCommutativeSum, spec)
-            .expect_err("must be flagged");
-        assert_eq!(err.law, Law::Commutativity, "{err}");
-        assert!(err.to_string().contains("commutativity"), "{err}");
-    }
-
-    /// `retract` removes only half the contribution.
-    #[derive(Debug)]
-    struct LossyRetract;
-
-    impl Algorithm for LossyRetract {
-        type Value = f64;
-        type Agg = f64;
-
-        fn initial_value(&self, _v: VertexId) -> f64 {
-            0.0
-        }
-
-        fn identity(&self) -> f64 {
-            0.0
-        }
-
-        fn contribution(
-            &self,
-            _g: &GraphSnapshot,
-            _u: VertexId,
-            _v: VertexId,
-            w: Weight,
-            cu: &f64,
-        ) -> f64 {
-            cu * w
-        }
-
-        fn combine(&self, agg: &mut f64, contrib: &f64) {
-            *agg += contrib;
-        }
-
+    impl Decomposable for SumWith {
         fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
-            *agg -= 0.5 * contrib;
-        }
-
-        fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
-            *agg
-        }
-    }
-
-    #[test]
-    fn lossy_retract_is_named() {
-        let spec = LawSpec::new(|rng| rng.range_f64(0.1, 3.0), |agg: &f64| vec![*agg])
-            .tolerance(1e-9);
-        let err = check_laws::<LossyRetract>(&LossyRetract, spec).expect_err("must be flagged");
-        assert_eq!(err.law, Law::RetractRoundTrip, "{err}");
-        assert!(err.to_string().contains("retract round-trip"), "{err}");
-    }
-
-    /// The fused delta disagrees with retract-then-combine.
-    #[derive(Debug)]
-    struct InconsistentDelta;
-
-    impl Algorithm for InconsistentDelta {
-        type Value = f64;
-        type Agg = f64;
-
-        fn initial_value(&self, _v: VertexId) -> f64 {
-            0.0
-        }
-
-        fn identity(&self) -> f64 {
-            0.0
-        }
-
-        fn contribution(
-            &self,
-            _g: &GraphSnapshot,
-            _u: VertexId,
-            _v: VertexId,
-            w: Weight,
-            cu: &f64,
-        ) -> f64 {
-            cu * w
-        }
-
-        fn combine(&self, agg: &mut f64, contrib: &f64) {
-            *agg += contrib;
-        }
-
-        fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
-            *agg -= contrib;
+            (self.retract)(agg, contrib);
         }
 
         fn delta(
@@ -801,141 +738,63 @@ mod tests {
             old: &f64,
             new: &f64,
         ) -> Option<f64> {
-            // Wrong by a factor of two.
-            Some(0.5 * (new - old) * w)
-        }
-
-        fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
-            *agg
+            (self.delta)(w, *old, *new)
         }
     }
 
-    #[test]
-    fn inconsistent_fused_delta_is_named() {
-        let spec = LawSpec::new(|rng| rng.range_f64(0.1, 3.0), |agg: &f64| vec![*agg])
-            .tolerance(1e-9);
-        let err =
-            check_laws::<InconsistentDelta>(&InconsistentDelta, spec).expect_err("must be flagged");
-        assert_eq!(err.law, Law::FusedDelta, "{err}");
-        assert!(err.to_string().contains("fused delta"), "{err}");
-    }
+    /// ⊕ depends on operand order (but keeps 0.0 neutral, so the
+    /// identity law passes and commutativity is what fails): it doubles
+    /// the contribution whenever the accumulator is already larger.
+    const NON_COMMUTATIVE_SUM: SumWith = SumWith {
+        combine: |agg, c| *agg += if *agg <= *c { *c } else { 2.0 * *c },
+        ..SUM
+    };
 
-    /// Claims non-decomposability but implements a lossless retract —
-    /// the "retractable by accident" shape the consistency law rejects.
-    #[derive(Debug)]
-    struct AccidentallyRetractableMin;
+    /// `retract` removes only half the contribution.
+    const LOSSY_RETRACT: SumWith = SumWith {
+        retract: |agg, c| *agg -= 0.5 * c,
+        ..SUM
+    };
 
-    impl Algorithm for AccidentallyRetractableMin {
-        type Value = f64;
-        type Agg = f64;
-
-        fn initial_value(&self, _v: VertexId) -> f64 {
-            f64::INFINITY
-        }
-
-        fn identity(&self) -> f64 {
-            f64::INFINITY
-        }
-
-        fn contribution(
-            &self,
-            _g: &GraphSnapshot,
-            _u: VertexId,
-            _v: VertexId,
-            w: Weight,
-            cu: &f64,
-        ) -> f64 {
-            cu + w
-        }
-
-        fn combine(&self, agg: &mut f64, contrib: &f64) {
-            if *contrib < *agg {
-                *agg = *contrib;
-            }
-        }
-
-        fn retract(&self, _: Refining, agg: &mut f64, _contrib: &f64) {
-            // Silently keeps the (possibly stale) minimum.
-            let _ = agg;
-        }
-
-        fn decomposable(&self) -> bool {
-            false
-        }
-
-        fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
-            *agg
-        }
-    }
-
-    #[test]
-    fn accidentally_retractable_min_is_named() {
-        let spec = LawSpec::new(|rng| rng.range_f64(0.0, 20.0), |agg: &f64| vec![*agg]);
-        let err = check_laws::<AccidentallyRetractableMin>(&AccidentallyRetractableMin, spec)
-            .expect_err("must be flagged");
-        assert_eq!(err.law, Law::DecomposableConsistency, "{err}");
-        assert!(err.to_string().contains("decomposable consistency"), "{err}");
-    }
+    /// The fused delta disagrees with retract-then-combine: it is wrong by
+    /// a factor of two.
+    const INCONSISTENT_DELTA: SumWith = SumWith {
+        delta: |w, old, new| Some(0.5 * (new - old) * w),
+        ..SUM
+    };
 
     /// `changed(x, x)` returns true — refinement would never converge.
-    #[derive(Debug)]
-    struct AlwaysChanged;
+    const ALWAYS_CHANGED: SumWith = SumWith {
+        changed: |_, _| true,
+        ..SUM
+    };
 
-    impl Algorithm for AlwaysChanged {
-        type Value = f64;
-        type Agg = f64;
-
-        fn initial_value(&self, _v: VertexId) -> f64 {
-            0.0
-        }
-
-        fn identity(&self) -> f64 {
-            0.0
-        }
-
-        fn contribution(
-            &self,
-            _g: &GraphSnapshot,
-            _u: VertexId,
-            _v: VertexId,
-            w: Weight,
-            cu: &f64,
-        ) -> f64 {
-            cu * w
-        }
-
-        fn combine(&self, agg: &mut f64, contrib: &f64) {
-            *agg += contrib;
-        }
-
-        fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
-            *agg -= contrib;
-        }
-
-        fn changed(&self, _old: &f64, _new: &f64) -> bool {
-            true
-        }
-
-        fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
-            *agg
-        }
+    /// Checks `alg` with the float-sum spec.
+    fn check_sum(alg: &SumWith, seed: u64) -> Result<LawReport, LawViolation> {
+        let spec = LawSpec::new(|rng| rng.range_f64(0.1, 3.0), |agg: &f64| vec![*agg])
+            .tolerance(1e-9)
+            .seed(seed);
+        check_laws::<SumWith>(alg, spec)
     }
 
     #[test]
-    fn reflexive_changed_is_named() {
-        let spec = LawSpec::new(|rng| rng.range_f64(0.1, 3.0), |agg: &f64| vec![*agg])
-            .tolerance(1e-9);
-        let err = check_laws::<AlwaysChanged>(&AlwaysChanged, spec).expect_err("must be flagged");
-        assert_eq!(err.law, Law::ChangedIrreflexive, "{err}");
-        assert!(err.to_string().contains("changed irreflexivity"), "{err}");
+    fn each_broken_operator_is_named() {
+        use Law::*;
+        for (alg, law, name) in [
+            (NON_COMMUTATIVE_SUM, Commutativity, "commutativity"),
+            (LOSSY_RETRACT, RetractRoundTrip, "retract round-trip"),
+            (INCONSISTENT_DELTA, FusedDelta, "fused delta"),
+            (ALWAYS_CHANGED, ChangedIrreflexive, "changed irreflexivity"),
+        ] {
+            let err = check_sum(&alg, LawConfig::default().seed).expect_err("must be flagged");
+            assert_eq!(err.law, law, "{err}");
+            assert!(err.to_string().contains(name), "{err}");
+        }
     }
 
     #[test]
     fn violation_reports_trial_and_seed() {
-        let spec = LawSpec::new(|rng| rng.range_f64(0.1, 3.0), |agg: &f64| vec![*agg])
-            .tolerance(1e-9)
-            .seed(0xfeed);
-        let err = check_laws::<LossyRetract>(&LossyRetract, spec).expect_err("must be flagged");
+        let err = check_sum(&LOSSY_RETRACT, 0xfeed).expect_err("must be flagged");
         assert!(err.detail.contains("0xfeed"), "{}", err.detail);
         assert!(err.detail.contains("trial"), "{}", err.detail);
     }

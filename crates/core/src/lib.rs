@@ -4,8 +4,9 @@
 //! The crate implements the paper's central machinery:
 //!
 //! * the **generalized incremental programming model** —
-//!   [`Algorithm`] with `⊕`/`⊎`/`⋃-`/`⋃△` aggregation operators,
-//!   decomposable and non-decomposable aggregations (§3.3),
+//!   [`Algorithm`] with `⊕`/`⊎`/`⋃-`/`⋃△` aggregation operators;
+//!   decomposable aggregations ([`Decomposable`], kind [`Sum`]) and
+//!   selective ones (kind [`Selective`]) are separate types (§3.3),
 //! * **dependency tracking** — [`DependencyStore`]: per-vertex
 //!   aggregation-value histories with vertical and horizontal pruning
 //!   (§3.2),
@@ -47,7 +48,7 @@ pub mod telemetry;
 pub use admission::{
     AdmissionConfig, AdmissionController, AdmissionSnapshot, BucketConfig, ClientClass, RetryAfter,
 };
-pub use algorithm::{agg_total_bytes, Algorithm, Refining};
+pub use algorithm::{agg_total_bytes, Algorithm, Decomposable, Refining, Selective, Sum};
 pub use bsp::{run_bsp, run_bsp_from, run_tracking, BspState, TrackingOutcome};
 pub use checkpoint::{
     latest_checkpoint_seq, recover_session, write_session_checkpoint, Checkpoint, CheckpointError,

@@ -39,7 +39,7 @@ pub struct EngineOptions {
     /// directions compute the same aggregations; only the traversal
     /// order (and float rounding) differs. Default on.
     pub adaptive_direction: bool,
-    /// Use the fused change-in-contribution ([`Algorithm::delta`](crate::Algorithm::delta)) when available. Disabling forces the
+    /// Use the fused change-in-contribution ([`Decomposable::delta`](crate::Decomposable::delta)) when available. Disabling forces the
     /// explicit retract+propagate pair — the "GraphBolt-RP" configuration
     /// of Figure 8.
     pub fused_delta: bool,

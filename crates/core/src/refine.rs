@@ -11,10 +11,13 @@
 //! * **structural impact** — out-edges of vertices whose contribution
 //!   context changed (e.g. PageRank's out-degree), at every iteration.
 //!
-//! For decomposable aggregations each adjustment is a constant-work
-//! retract/combine (or fused delta); for non-decomposable ones the
-//! aggregation is re-evaluated by pulling the complete in-neighborhood
-//! from the CSC index. Past the tracked iterations, execution switches to
+//! Each iteration's propagate phase belongs to the algorithm's algebra
+//! ([`Algorithm::Kind`], chosen at compile time): for a decomposable
+//! aggregation (`propagate_decomposable`) each adjustment is a
+//! constant-work retract/combine (or fused delta); for a selective one
+//! (`propagate_selective`) the aggregation is re-evaluated by pulling the
+//! complete in-neighborhood from the CSC index. Past the tracked
+//! iterations, execution switches to
 //! the computation-aware **hybrid** mode: plain frontier-driven
 //! recomputation seeded with every vertex whose value was still in motion
 //! at the cut-off (original run or refined trajectory).
@@ -32,11 +35,14 @@
 //! incremental savings evaporate (the C++ GraphBolt uses flat per-vertex
 //! arrays for the same reason).
 
+use std::time::Instant;
+
 use graphbolt_engine::parallel;
 use graphbolt_engine::AtomicBitSet;
 use graphbolt_graph::{GraphSnapshot, MutationBatch, VertexId};
 
-use crate::algorithm::{Algorithm, Refining};
+use crate::algorithm::kind::PerKind;
+use crate::algorithm::{Algebra, Algorithm, Decomposable, Refining};
 use crate::bsp::{mark_out_neighbors, pull_aggregate};
 use crate::options::EngineOptions;
 use crate::sharded::ShardedMut;
@@ -77,6 +83,14 @@ impl<T> Scratch<T> {
     #[inline]
     fn get(&self, v: VertexId) -> Option<&T> {
         self.slots[v as usize].as_ref()
+    }
+
+    /// `v`'s entry here, else in `fallback` (where it must be).
+    #[inline]
+    fn get_or<'s>(&'s self, fallback: &'s Self, v: VertexId) -> &'s T {
+        self.get(v)
+            .or_else(|| fallback.get(v))
+            .expect("entry pre-derived")
     }
 
     #[inline]
@@ -134,6 +148,220 @@ fn seed_slot<A: Algorithm>(
     (agg, old_c)
 }
 
+/// Reads `c_i(v)` of the *current* store content; correct for the old
+/// trajectory before iteration `i` is committed and for the refined
+/// trajectory afterwards.
+fn value_at<A: Algorithm>(
+    alg: &A,
+    store: &DependencyStore<A::Agg>,
+    identity: &A::Agg,
+    v: VertexId,
+    i: usize,
+    g: &GraphSnapshot,
+) -> A::Value {
+    if i == 0 {
+        alg.initial_value(v)
+    } else {
+        alg.compute(v, store.get(v as usize, i).unwrap_or(identity), g)
+    }
+}
+
+/// Runs one per-edge fold on `slots[v]` under its shard lock: the lock
+/// site that refinement's `⊎` / `⋃-` / `⋃△` and the BSP driver's delta
+/// push share.
+#[inline]
+pub(crate) fn fold_locked<T>(slots: &ShardedMut<'_, T>, v: VertexId, fold: impl FnOnce(&mut T)) {
+    // lint:allow(hot-path-blocking) — striped spinlock by design: the
+    // shards make contention per-stripe, and the critical section is one
+    // fold. DESIGN.md §5 covers the trade-off.
+    slots.with(v as usize, fold);
+}
+
+/// The working aggregation of a slot seeded this iteration.
+fn working_agg<G, V>(slot: &mut Option<(G, V)>) -> &mut G {
+    &mut slot.as_mut().expect("impacted slot pre-seeded").0
+}
+
+/// One tracked iteration's propagate phase: what each algebra's arm
+/// reads, and the slots it fills.
+struct Propagate<'r, A: Algorithm> {
+    alg: &'r A,
+    old_g: &'r GraphSnapshot,
+    new_g: &'r GraphSnapshot,
+    store: &'r DependencyStore<A::Agg>,
+    identity: &'r A::Agg,
+    i: usize,
+    opts: &'r EngineOptions,
+    batch: &'r MutationBatch,
+    added: &'r [(VertexId, VertexId)],
+    is_structural: &'r AtomicBitSet,
+    has_added_out: &'r AtomicBitSet,
+    /// Sources changed at `i - 1`, plus the structural sources.
+    dirty: Vec<VertexId>,
+    /// Impacted destinations: batch endpoints, `dirty`'s out-neighbors.
+    targets: Vec<VertexId>,
+    prev_changed: &'r Scratch<(A::Value, A::Value)>,
+    pair_cache: &'r mut Scratch<(A::Value, A::Value)>,
+    new_aggs: &'r mut Scratch<(A::Agg, A::Value)>,
+}
+
+impl<A: Algorithm> PerKind<A> for Propagate<'_, A> {
+    /// When the tag phase ended, and the edge computations spent.
+    type Output = (Instant, u64);
+
+    fn decomposable_arm(self) -> (Instant, u64)
+    where
+        A: Decomposable,
+    {
+        propagate_decomposable(self)
+    }
+
+    fn selective_arm(self) -> (Instant, u64) {
+        propagate_selective(self)
+    }
+}
+
+impl<A: Algorithm> Propagate<'_, A> {
+    /// Derives, in parallel, the `(old, new)` value pair at `i - 1` of
+    /// every source that did not change then and is not cached yet, so
+    /// the application phase only does read-only pair lookups.
+    fn derive_pairs(&mut self, sources: impl Iterator<Item = VertexId>) {
+        let (prev_changed, pair_cache) = (self.prev_changed, &*self.pair_cache);
+        let mut needed: Vec<VertexId> = sources
+            .filter(|&u| prev_changed.get(u).is_none() && pair_cache.get(u).is_none())
+            .collect();
+        needed.sort_unstable();
+        needed.dedup();
+        let (alg, store, identity, i, new_g) =
+            (self.alg, self.store, self.identity, self.i, self.new_g);
+        let derived: Vec<A::Value> = parallel::par_map(0..needed.len(), |k| {
+            value_at(alg, store, identity, needed[k], i - 1, new_g)
+        });
+        for (u, val) in needed.into_iter().zip(derived) {
+            self.pair_cache.insert(u, (val.clone(), val));
+        }
+    }
+}
+
+/// Decomposable propagate: seeds every impacted slot from the old
+/// trajectory, then adjusts it per edge with the constant-work unions.
+fn propagate_decomposable<A: Decomposable>(mut p: Propagate<'_, A>) -> (Instant, u64) {
+    let (alg, old_g, new_g, i) = (p.alg, p.old_g, p.new_g, p.i);
+    let (adds, dels) = (p.batch.additions(), p.batch.deletions());
+    let dirty = std::mem::take(&mut p.dirty);
+    p.derive_pairs(
+        adds.iter()
+            .chain(dels.iter())
+            .map(|e| e.src)
+            .chain(dirty.iter().copied()),
+    );
+    // Seed every impacted slot in parallel (store reads + one old value
+    // derivation each), then install sequentially — O(|set|) pointer
+    // writes.
+    let (store, identity, targets) = (p.store, p.identity, &p.targets);
+    let seeded: Vec<(A::Agg, A::Value)> = parallel::par_map(0..targets.len(), |k| {
+        seed_slot(alg, store, targets[k], i, old_g, identity)
+    });
+    for (&v, slot) in targets.iter().zip(seeded) {
+        p.new_aggs.insert(v, slot);
+    }
+
+    let tag_done = Instant::now();
+    // Apply the three unions in parallel. Destinations are guarded by
+    // shard locks (multiple workers may combine into the same
+    // aggregation); counts accumulate in per-task locals published once
+    // to a striped counter.
+    let edge_counter = parallel::StripedCounter::new();
+    let (prev_changed, pair_cache) = (p.prev_changed, &*p.pair_cache);
+    // A source's `(old, new)` pair: its change at i-1, else the derived
+    // unchanged pair.
+    let pair = |u: VertexId| prev_changed.get_or(pair_cache, u);
+    let slots = ShardedMut::new(p.new_aggs.slots_mut());
+    // ⊎ — contributions of added edges (new structural context).
+    parallel::par_for(0..adds.len(), |k| {
+        let e = &adds[k];
+        let contrib = alg.contribution(new_g, e.src, e.dst, e.weight, &pair(e.src).1);
+        fold_locked(&slots, e.dst, |s| alg.combine(working_agg(s), &contrib));
+        edge_counter.add(k, 1);
+    });
+    // ⋃- — retract contributions of deleted edges (old context, old
+    // trajectory value).
+    parallel::par_for(0..dels.len(), |k| {
+        let e = &dels[k];
+        let contrib = alg.contribution(old_g, e.src, e.dst, e.weight, &pair(e.src).0);
+        fold_locked(&slots, e.dst, |s| {
+            alg.retract(Refining(()), working_agg(s), &contrib)
+        });
+        edge_counter.add(k, 1);
+    });
+    // ⋃△ — transitive and structural updates over surviving edges.
+    let (added, fused_delta) = (p.added, p.opts.fused_delta);
+    parallel::par_for(0..dirty.len(), |di| {
+        let u = dirty[di];
+        let structural = p.is_structural.get(u as usize);
+        let check_added = p.has_added_out.get(u as usize);
+        let (old_u, new_u) = pair(u);
+        let mut local = 0u64;
+        for (v, w) in new_g.out_edges(u) {
+            if check_added && added.binary_search(&(u, v)).is_ok() {
+                // Added this batch — already handled with ⊎.
+                continue;
+            }
+            let fused = if !fused_delta {
+                None
+            } else if structural {
+                alg.delta_structural(Refining(()), old_g, new_g, u, v, w, old_u, new_u)
+            } else {
+                alg.delta(Refining(()), new_g, u, v, w, old_u, new_u)
+            };
+            if let Some(d) = fused {
+                fold_locked(&slots, v, |s| alg.combine(working_agg(s), &d));
+                local += 1;
+                continue;
+            }
+            // Explicit retract + propagate (GraphBolt-RP shape, and the
+            // fallback under structural change).
+            let oc = alg.contribution(old_g, u, v, w, old_u);
+            let nc = alg.contribution(new_g, u, v, w, new_u);
+            fold_locked(&slots, v, |s| {
+                let agg = working_agg(s);
+                alg.retract(Refining(()), agg, &oc);
+                alg.combine(agg, &nc);
+            });
+            local += 2;
+        }
+        edge_counter.add(di, local);
+    });
+    (tag_done, edge_counter.sum())
+}
+
+/// Selective propagate (§3.3 re-evaluation strategy): re-evaluates every
+/// impacted aggregation from its complete updated input set, pulled from
+/// the CSC index.
+fn propagate_selective<A: Algorithm>(mut p: Propagate<'_, A>) -> (Instant, u64) {
+    let (alg, old_g, new_g, i) = (p.alg, p.old_g, p.new_g, p.i);
+    let targets = std::mem::take(&mut p.targets);
+    p.derive_pairs(
+        targets
+            .iter()
+            .flat_map(|&v| new_g.in_neighbors(v).iter().copied()),
+    );
+    let tag_done = Instant::now();
+    let (prev_changed, pair_cache) = (p.prev_changed, &*p.pair_cache);
+    let recomputed: Vec<A::Agg> = parallel::par_map(0..targets.len(), |k| {
+        pull_aggregate(alg, new_g, targets[k], |u| {
+            &prev_changed.get_or(pair_cache, u).1
+        })
+    });
+    let mut edge_work = 0;
+    for (&v, agg) in targets.iter().zip(recomputed) {
+        edge_work += new_g.in_degree(v) as u64;
+        let (_, old_c) = seed_slot(alg, p.store, v, i, old_g, p.identity);
+        p.new_aggs.insert(v, (agg, old_c));
+    }
+    (tag_done, edge_work)
+}
+
 /// Incorporates `batch` (already applied to produce `new_g` from `old_g`)
 /// into the tracked computation state, guaranteeing that the resulting
 /// values equal a from-scratch synchronous execution on `new_g`
@@ -149,7 +377,7 @@ pub fn refine<A: Algorithm>(
 ) -> RefineReport {
     crate::fault::fire_panic(stats, "refine::start");
     let mut report = RefineReport::default();
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let new_n = new_g.num_vertices();
     let cutoff = opts.effective_cutoff();
     // Iterations we can refine against recorded history. The tracking run
@@ -181,15 +409,17 @@ pub fn refine<A: Algorithm>(
     added.dedup();
     let adds = batch.additions();
     let dels = batch.deletions();
+    let edge = |k: usize| {
+        if k < adds.len() {
+            &adds[k]
+        } else {
+            &dels[k - adds.len()]
+        }
+    };
     let is_structural = AtomicBitSet::new(new_n);
     let structural_sources: Vec<VertexId> = if alg.source_structure_dependent() {
         parallel::par_for(0..adds.len() + dels.len(), |k| {
-            let e = if k < adds.len() {
-                &adds[k]
-            } else {
-                &dels[k - adds.len()]
-            };
-            is_structural.set(e.src as usize);
+            is_structural.set(edge(k).src as usize);
         });
         is_structural.to_ids()
     } else {
@@ -203,18 +433,6 @@ pub fn refine<A: Algorithm>(
     });
 
     let identity = alg.identity();
-    // Reads `c_i(v)` of the *current* store content; correct for the old
-    // trajectory before iteration `i` is committed and for the refined
-    // trajectory afterwards.
-    let value_from_store =
-        |store: &DependencyStore<A::Agg>, v: VertexId, i: usize, g: &GraphSnapshot| -> A::Value {
-            if i == 0 {
-                alg.initial_value(v)
-            } else {
-                let agg = store.get(v as usize, i).unwrap_or(&identity);
-                alg.compute(v, agg, g)
-            }
-        };
 
     // `(old value, refined value)` of vertices whose value changed at the
     // previous refined iteration.
@@ -236,228 +454,45 @@ pub fn refine<A: Algorithm>(
     for i in 1..=refine_upto {
         pair_cache.clear();
         // Phase timing (DESIGN.md §10): tag = impacted-set derivation +
-        // slot seeding, propagate = the union passes, apply = the commit
-        // loop. `tag_done` is overwritten at the branch-specific
-        // tag/propagate boundary below.
-        let iter_start = std::time::Instant::now();
-        let tag_done;
-
-        if alg.decomposable() {
-            // ⋃△ sources: changed at i-1, plus structural sources whose
-            // surviving contributions must be re-derived under the new
-            // context even when their value didn't move.
-            let mut dirty: Vec<VertexId> = prev_changed.touched().to_vec();
-            for &u in &structural_sources {
-                if prev_changed.get(u).is_none() {
-                    dirty.push(u);
-                }
-            }
-
-            // Pre-derive the (old, new) value pair of every source the
-            // three unions read, in parallel; the application phase then
-            // only does read-only pair lookups.
-            let mut needed: Vec<VertexId> = adds
-                .iter()
-                .chain(dels.iter())
-                .map(|e| e.src)
-                .chain(dirty.iter().copied())
-                .filter(|&u| prev_changed.get(u).is_none() && pair_cache.get(u).is_none())
-                .collect();
-            needed.sort_unstable();
-            needed.dedup();
-            {
-                let store_ref: &DependencyStore<A::Agg> = state.store;
-                let derived: Vec<A::Value> = parallel::par_map(0..needed.len(), |k| {
-                    value_from_store(store_ref, needed[k], i - 1, new_g)
-                });
-                for (u, val) in needed.into_iter().zip(derived) {
-                    pair_cache.insert(u, (val.clone(), val));
-                }
-            }
-
-            // Impacted destinations this iteration: batch endpoints plus
-            // the out-neighborhoods of dirty sources. (A dirty source's
-            // neighbor reached only through an added edge is an addition
-            // dst, so this union equals the set the unions below touch.)
-            let impacted = AtomicBitSet::new(new_n);
-            parallel::par_for(0..adds.len() + dels.len(), |k| {
-                let e = if k < adds.len() {
-                    &adds[k]
-                } else {
-                    &dels[k - adds.len()]
-                };
-                impacted.set(e.dst as usize);
-            });
-            mark_out_neighbors(new_g, &dirty, |&u| u, &impacted);
-            // Seed every impacted slot in parallel (store reads + one old
-            // value derivation each), then install sequentially — O(|set|)
-            // pointer writes.
-            let targets = impacted.to_ids();
-            {
-                let store_ref: &DependencyStore<A::Agg> = state.store;
-                let seeded: Vec<(A::Agg, A::Value)> = parallel::par_map(0..targets.len(), |k| {
-                    seed_slot(alg, store_ref, targets[k], i, old_g, &identity)
-                });
-                for (&v, slot) in targets.iter().zip(seeded) {
-                    new_aggs.insert(v, slot);
-                }
-            }
-
-            tag_done = std::time::Instant::now();
-            // Apply the three unions in parallel. Destinations are guarded
-            // by shard locks (multiple workers may combine into the same
-            // aggregation); counts accumulate in per-task locals published
-            // once to a striped counter.
-            let edge_counter = parallel::StripedCounter::new();
-            {
-                let prev_ref = &prev_changed;
-                let cache_ref = &pair_cache;
-                let pair_of = |u: VertexId| -> (A::Value, A::Value) {
-                    match prev_ref.get(u) {
-                        Some(p) => p.clone(),
-                        None => cache_ref.get(u).expect("pair pre-derived above").clone(),
-                    }
-                };
-                let slots = ShardedMut::new(new_aggs.slots_mut());
-                let combine_into = |v: VertexId, f: &dyn Fn(&mut A::Agg)| {
-                    // lint:allow(hot-path-blocking) — striped spinlock by
-                    // design: ShardedMut shards the aggregation array so
-                    // contention is per-stripe, and the critical section
-                    // is one combine. DESIGN.md §5 covers the trade-off.
-                    slots.with(v as usize, |slot| {
-                        f(&mut slot.as_mut().expect("impacted slot pre-seeded").0);
-                    });
-                };
-                // ⊎ — contributions of added edges (new structural
-                // context).
-                parallel::par_for(0..adds.len(), |k| {
-                    let e = &adds[k];
-                    let (_, cu) = pair_of(e.src);
-                    let contrib = alg.contribution(new_g, e.src, e.dst, e.weight, &cu);
-                    combine_into(e.dst, &|agg| alg.combine(agg, &contrib));
-                    edge_counter.add(k, 1);
-                });
-                // ⋃- — retract contributions of deleted edges (old
-                // context, old trajectory value).
-                parallel::par_for(0..dels.len(), |k| {
-                    let e = &dels[k];
-                    let (cu, _) = pair_of(e.src);
-                    let contrib = alg.contribution(old_g, e.src, e.dst, e.weight, &cu);
-                    combine_into(e.dst, &|agg| alg.retract(Refining(()), agg, &contrib));
-                    edge_counter.add(k, 1);
-                });
-                // ⋃△ — transitive and structural updates over surviving
-                // edges.
-                let dirty_ref = &dirty;
-                let added_ref = &added;
-                parallel::par_for(0..dirty_ref.len(), |di| {
-                    let u = dirty_ref[di];
-                    let structural = is_structural.get(u as usize);
-                    let check_added = has_added_out.get(u as usize);
-                    let (old_u, new_u) = pair_of(u);
-                    let mut local = 0u64;
-                    for (v, w) in new_g.out_edges(u) {
-                        if check_added && added_ref.binary_search(&(u, v)).is_ok() {
-                            // Added this batch — already handled with ⊎.
-                            continue;
-                        }
-                        let fused = if opts.fused_delta {
-                            if structural {
-                                alg.delta_structural(
-                                    Refining(()),
-                                    old_g,
-                                    new_g,
-                                    u,
-                                    v,
-                                    w,
-                                    &old_u,
-                                    &new_u,
-                                )
-                            } else {
-                                alg.delta(Refining(()), new_g, u, v, w, &old_u, &new_u)
-                            }
-                        } else {
-                            None
-                        };
-                        if let Some(d) = fused {
-                            combine_into(v, &|agg| alg.combine(agg, &d));
-                            local += 1;
-                            continue;
-                        }
-                        // Explicit retract + propagate (GraphBolt-RP
-                        // shape, and the fallback under structural
-                        // change).
-                        let oc = alg.contribution(old_g, u, v, w, &old_u);
-                        let nc = alg.contribution(new_g, u, v, w, &new_u);
-                        combine_into(v, &|agg| {
-                            alg.retract(Refining(()), agg, &oc);
-                            alg.combine(agg, &nc);
-                        });
-                        local += 2;
-                    }
-                    edge_counter.add(di, local);
-                });
-            }
-            edge_work += edge_counter.sum();
-        } else {
-            // Non-decomposable: re-evaluate impacted aggregations from the
-            // complete updated input set (§3.3 re-evaluation strategy).
-            // The impacted set is a concurrent bit union materialized in
-            // parallel, then flattened to ids with the blocked parallel
-            // conversion.
-            let target_bits = AtomicBitSet::new(new_n);
-            parallel::par_for(0..adds.len() + dels.len(), |k| {
-                let e = if k < adds.len() {
-                    &adds[k]
-                } else {
-                    &dels[k - adds.len()]
-                };
-                target_bits.set(e.dst as usize);
-            });
-            mark_out_neighbors(new_g, prev_changed.touched(), |&u| u, &target_bits);
-            mark_out_neighbors(new_g, &structural_sources, |&u| u, &target_bits);
-            let target_list = target_bits.to_ids();
-            // Derive every needed source value once, in parallel.
-            let mut needed: Vec<VertexId> = target_list
-                .iter()
-                .flat_map(|&v| new_g.in_neighbors(v).iter().copied())
-                .filter(|&u| prev_changed.get(u).is_none() && pair_cache.get(u).is_none())
-                .collect();
-            needed.sort_unstable();
-            needed.dedup();
-            {
-                let store_ref: &DependencyStore<A::Agg> = state.store;
-                let derived: Vec<A::Value> = parallel::par_map(0..needed.len(), |k| {
-                    value_from_store(store_ref, needed[k], i - 1, new_g)
-                });
-                for (u, val) in needed.into_iter().zip(derived) {
-                    pair_cache.insert(u, (val.clone(), val));
-                }
-            }
-            tag_done = std::time::Instant::now();
-            let prev_ref = &prev_changed;
-            let cache_ref = &pair_cache;
-            let recomputed: Vec<(VertexId, A::Agg)> =
-                parallel::par_map(0..target_list.len(), |ti| {
-                    let v = target_list[ti];
-                    let agg = pull_aggregate(alg, new_g, v, |u| match prev_ref.get(u) {
-                        Some((_, new)) => new,
-                        None => &cache_ref.get(u).expect("prefilled above").1,
-                    });
-                    (v, agg)
-                });
-            for (v, agg) in recomputed {
-                edge_work += new_g.in_degree(v) as u64;
-                if new_aggs.get(v).is_none() {
-                    let seeded = seed_slot(alg, state.store, v, i, old_g, &identity);
-                    new_aggs.insert(v, (agg, seeded.1));
-                } else {
-                    unreachable!("non-decomposable targets are recomputed once");
-                }
+        // slot seeding (the arm reports its end), propagate = the unions
+        // or the re-evaluation, apply = the commit loop.
+        let iter_start = Instant::now();
+        // Dirty sources: changed at i-1, plus structural sources whose
+        // surviving contributions must be re-derived under the new
+        // context. Impacted: batch endpoints plus the dirty sources'
+        // out-neighborhoods, as a concurrent bit union.
+        let mut dirty: Vec<VertexId> = prev_changed.touched().to_vec();
+        for &u in &structural_sources {
+            if prev_changed.get(u).is_none() {
+                dirty.push(u);
             }
         }
+        let impacted = AtomicBitSet::new(new_n);
+        parallel::par_for(0..adds.len() + dels.len(), |k| {
+            impacted.set(edge(k).dst as usize);
+        });
+        mark_out_neighbors(new_g, &dirty, |&u| u, &impacted);
+        let (tag_done, work) = A::Kind::select(Propagate {
+            alg,
+            old_g,
+            new_g,
+            store: state.store,
+            identity: &identity,
+            i,
+            opts,
+            batch,
+            added: &added,
+            is_structural: &is_structural,
+            has_added_out: &has_added_out,
+            dirty,
+            targets: impacted.to_ids(),
+            prev_changed: &prev_changed,
+            pair_cache: &mut pair_cache,
+            new_aggs: &mut new_aggs,
+        });
+        edge_work += work;
 
-        let propagate_done = std::time::Instant::now();
+        let propagate_done = Instant::now();
         // Commit: derive new values, write refined aggregations, and
         // build the next iteration's changed set (the old value was
         // derived when the slot was seeded).
@@ -533,8 +568,8 @@ pub fn refine<A: Algorithm>(
             let updates: Vec<(A::Value, bool)> =
                 parallel::par_map(0..refined_ids.len(), |k| {
                     let v = refined_ids[k];
-                    let at_k = value_from_store(store_ref, v, refine_upto, new_g);
-                    let at_km1 = value_from_store(store_ref, v, refine_upto - 1, new_g);
+                    let at_k = value_at(alg, store_ref, &identity, v, refine_upto, new_g);
+                    let at_km1 = value_at(alg, store_ref, &identity, v, refine_upto - 1, new_g);
                     let changed = alg.changed(&at_km1, &at_k);
                     (at_k, changed)
                 });

@@ -1015,7 +1015,7 @@ fn worker_loop<A: Algorithm>(
 mod tests {
     use super::*;
     use crate::algorithm::test_algorithms::TestRank;
-    use crate::algorithm::Refining;
+    use crate::algorithm::{Decomposable, Refining, Sum};
     use crate::bsp::run_bsp;
     use crate::checkpoint::F64Codec;
     use crate::options::{EngineOptions, ExecutionMode};
@@ -1317,6 +1317,7 @@ mod tests {
     impl Algorithm for SlowRank {
         type Value = f64;
         type Agg = f64;
+        type Kind = Sum;
 
         fn initial_value(&self, _v: VertexId) -> f64 {
             1.0
@@ -1342,6 +1343,20 @@ mod tests {
             *agg += contrib;
         }
 
+        fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
+            0.15 + 0.85 * agg
+        }
+
+        fn changed(&self, old: &f64, new: &f64) -> bool {
+            (old - new).abs() > 1e-9
+        }
+
+        fn source_structure_dependent(&self) -> bool {
+            true
+        }
+    }
+
+    impl Decomposable for SlowRank {
         fn retract(&self, _: Refining, agg: &mut f64, contrib: &f64) {
             *agg -= contrib;
         }
@@ -1357,18 +1372,6 @@ mod tests {
             new: &f64,
         ) -> Option<f64> {
             TestRank.delta(refining, g, u, v, w, old, new)
-        }
-
-        fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
-            0.15 + 0.85 * agg
-        }
-
-        fn changed(&self, old: &f64, new: &f64) -> bool {
-            (old - new).abs() > 1e-9
-        }
-
-        fn source_structure_dependent(&self) -> bool {
-            true
         }
     }
 

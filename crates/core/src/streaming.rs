@@ -520,7 +520,7 @@ pub struct CheckpointState<'a, A: Algorithm> {
 pub mod doctest_support {
     use graphbolt_graph::{GraphSnapshot, VertexId, Weight};
 
-    use crate::algorithm::{Algorithm, Refining};
+    use crate::algorithm::{Algorithm, Decomposable, Refining, Sum};
 
     /// PageRank-shaped toy algorithm for documentation examples.
     #[derive(Debug, Clone, Default)]
@@ -529,6 +529,7 @@ pub mod doctest_support {
     impl Algorithm for DocRank {
         type Value = f64;
         type Agg = f64;
+        type Kind = Sum;
 
         fn initial_value(&self, _v: VertexId) -> f64 {
             1.0
@@ -553,16 +554,18 @@ pub mod doctest_support {
             *agg += c;
         }
 
-        fn retract(&self, _: Refining, agg: &mut f64, c: &f64) {
-            *agg -= c;
-        }
-
         fn compute(&self, _v: VertexId, agg: &f64, _g: &GraphSnapshot) -> f64 {
             0.15 + 0.85 * agg
         }
 
         fn source_structure_dependent(&self) -> bool {
             true
+        }
+    }
+
+    impl Decomposable for DocRank {
+        fn retract(&self, _: Refining, agg: &mut f64, c: &f64) {
+            *agg -= c;
         }
     }
 }

@@ -6,7 +6,8 @@
 //! pruning and hybrid execution come from the engine. This example
 //! implements a synchronous HITS variant *outside* the library, on the
 //! public `Algorithm` trait, streams mutations through it, and
-//! cross-checks refined results against from-scratch runs.
+//! cross-checks refined results against from-scratch runs. Its sums are
+//! decomposable (`type Kind = Sum`), so it also implements `Decomposable`.
 //!
 //! HITS per iteration (normalized at each step):
 //!   authority(v) = Σ_{u → v} hub(u)
@@ -23,7 +24,7 @@
 //! cargo run --release --example custom_algorithm
 //! ```
 
-use graphbolt::core::{run_bsp, EngineStats, ExecutionMode, Refining};
+use graphbolt::core::{run_bsp, Decomposable, EngineStats, ExecutionMode, Refining, Sum};
 use graphbolt::graph::generators::{rmat, RmatConfig};
 use graphbolt::prelude::*;
 use rand::rngs::SmallRng;
@@ -45,6 +46,7 @@ impl Algorithm for Hits {
     /// `[Σ mirror-edge authority contributions, Σ forward-edge hub
     /// contributions]`.
     type Agg = Vec<f64>;
+    type Kind = Sum;
 
     fn initial_value(&self, _v: VertexId) -> Vec<f64> {
         vec![1.0, 1.0]
@@ -81,6 +83,25 @@ impl Algorithm for Hits {
         agg[1] += c[1];
     }
 
+    fn compute(&self, _v: VertexId, agg: &Vec<f64>, _g: &GraphSnapshot) -> Vec<f64> {
+        const DAMP: f64 = 0.85;
+        vec![0.15 + DAMP * agg[0], 0.15 + DAMP * agg[1]]
+    }
+
+    fn source_structure_dependent(&self) -> bool {
+        // Contributions divide by the source's out-degree, so refinement
+        // must re-derive a mutated source's surviving contributions.
+        true
+    }
+
+    fn changed(&self, old: &Vec<f64>, new: &Vec<f64>) -> bool {
+        old.iter()
+            .zip(new)
+            .any(|(a, b)| (a - b).abs() > self.tolerance)
+    }
+}
+
+impl Decomposable for Hits {
     fn retract(&self, _: Refining, agg: &mut Vec<f64>, c: &Vec<f64>) {
         agg[0] -= c[0];
         agg[1] -= c[1];
@@ -99,23 +120,6 @@ impl Algorithm for Hits {
         let oc = self.contribution(g, u, v, w, old);
         let nc = self.contribution(g, u, v, w, new);
         Some(vec![nc[0] - oc[0], nc[1] - oc[1]])
-    }
-
-    fn compute(&self, _v: VertexId, agg: &Vec<f64>, _g: &GraphSnapshot) -> Vec<f64> {
-        const DAMP: f64 = 0.85;
-        vec![0.15 + DAMP * agg[0], 0.15 + DAMP * agg[1]]
-    }
-
-    fn source_structure_dependent(&self) -> bool {
-        // Contributions divide by the source's out-degree, so refinement
-        // must re-derive a mutated source's surviving contributions.
-        true
-    }
-
-    fn changed(&self, old: &Vec<f64>, new: &Vec<f64>) -> bool {
-        old.iter()
-            .zip(new)
-            .any(|(a, b)| (a - b).abs() > self.tolerance)
     }
 }
 

@@ -81,10 +81,17 @@ fn shortest_paths_laws() {
         .monotonic(Monotonic::NonIncreasing);
     let report =
         check_laws::<ShortestPaths>(&ShortestPaths::new(0), spec).expect("SSSP min is lawful");
-    // min is non-decomposable: the consistency law (retract rejected)
-    // replaces the round-trip law.
-    assert!(report.laws.contains(&Law::DecomposableConsistency));
-    assert!(!report.laws.contains(&Law::RetractRoundTrip));
+    // min is selective: no retract or delta laws.
+    assert_eq!(
+        report.laws,
+        [
+            Law::Identity,
+            Law::Commutativity,
+            Law::Associativity,
+            Law::ChangedIrreflexive,
+            Law::Monotonicity,
+        ]
+    );
 }
 
 #[test]

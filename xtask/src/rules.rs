@@ -152,14 +152,20 @@ pub(crate) const PANIC_ISOLATED: &[(&str, &str)] = &[
 ];
 
 /// Entry points of the `hot-path-blocking` traversal: the refinement
-/// drivers, the `edge_map*` library kernel, and the frontdoor accept
-/// loop (one slow iteration stalls every pending connection).
+/// drivers and each algebra's arm of them and of the BSP step (the call
+/// graph does not follow `A::Kind::select`), the `edge_map*` kernel, and
+/// the frontdoor accept loop (one slow iteration stalls every pending
+/// connection).
 pub(crate) const HOT_PATH_ROOTS: &[(&str, &str)] = &[
     ("crates/engine/src/edge_map.rs", "edge_map_sparse"),
     ("crates/engine/src/edge_map.rs", "edge_map_dense"),
     ("crates/engine/src/edge_map.rs", "edge_map"),
     ("crates/core/src/refine.rs", "refine"),
+    ("crates/core/src/refine.rs", "propagate_decomposable"),
+    ("crates/core/src/refine.rs", "propagate_selective"),
     ("crates/core/src/refine.rs", "run_hybrid"),
+    ("crates/core/src/bsp.rs", "step_decomposable"),
+    ("crates/core/src/bsp.rs", "step_pull_frontier"),
     ("crates/core/src/frontdoor.rs", "accept_loop"),
 ];
 
